@@ -7,15 +7,18 @@
 // budget, disk persistence, single-flight dedup), Pipeline sessions
 // (staged artifacts, reuse, cache keys) and the concurrent batch driver -
 // including the determinism contract that cached and cold compiles of
-// every examples/*.c kernel are byte-identical.
+// every examples/*.c kernel are byte-identical, and the golden digests
+// that pin the emitted C of a fixed corpus across commits.
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Kernels.h"
 #include "service/Batch.h"
 #include "service/Hash.h"
 #include "service/Pipeline.h"
 #include "service/ResultCache.h"
 #include "service/Version.h"
+#include "support/StressGen.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -31,6 +35,9 @@
 
 #ifndef PLUTOPP_EXAMPLES_DIR
 #error "PLUTOPP_EXAMPLES_DIR must be defined by the build"
+#endif
+#ifndef PLUTOPP_GOLDEN_DIR
+#error "PLUTOPP_GOLDEN_DIR must be defined by the build"
 #endif
 
 using namespace pluto;
@@ -694,6 +701,85 @@ TEST(CompileServiceTest, SharedDiagnosticSerializerShapesJson) {
   EXPECT_EQ(Arr.front(), '[');
   EXPECT_EQ(Arr.back(), ']');
   EXPECT_NE(Arr.find("}, {"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden digests: the emitted C must not change across commits
+//===----------------------------------------------------------------------===//
+
+/// Every unit the golden file covers, as (name, source) in file order:
+/// examples/*.c, the driver/Kernels.h kernels, StressGen-10 seeds 1-16 and
+/// StressGen-25 seed 1.
+std::vector<std::pair<std::string, std::string>> goldenUnits() {
+  std::vector<std::pair<std::string, std::string>> Units;
+  for (const fs::path &K : exampleKernels())
+    Units.emplace_back("examples/" + K.filename().string(), readFile(K));
+  const std::pair<const char *, const char *> Kernels[] = {
+      {"Jacobi1D", kernels::Jacobi1D}, {"Fdtd2D", kernels::Fdtd2D},
+      {"LU", kernels::LU},             {"MVT", kernels::MVT},
+      {"Seidel2D", kernels::Seidel2D}, {"MatMul", kernels::MatMul},
+      {"Sweep2D", kernels::Sweep2D},   {"Jacobi2D", kernels::Jacobi2D},
+      {"Gemver", kernels::Gemver},     {"Trmm", kernels::Trmm},
+      {"Syrk", kernels::Syrk},         {"Doitgen", kernels::Doitgen},
+      {"Atax", kernels::Atax},         {"DotProduct", kernels::DotProduct},
+      {"MatVecT", kernels::MatVecT}};
+  for (const auto &[Name, Src] : Kernels)
+    Units.emplace_back(std::string("kernels/") + Name, Src);
+  for (unsigned Seed = 1; Seed <= 16; ++Seed)
+    Units.emplace_back("stress10/seed" + std::to_string(Seed),
+                       generateStressProgram(10, Seed));
+  Units.emplace_back("stress25/seed1", generateStressProgram(25, 1));
+  return Units;
+}
+
+// Unlike the identity tests above, which compare two code paths of one
+// build, this pins the emitted C of a fixed corpus to digests recorded in
+// the tree, so a commit that changes any output fails here. A change that
+// means to alter the output replaces the golden file with the one printed
+// on failure, in the same diff.
+TEST(GoldenTest, EmittedCMatchesRecordedDigests) {
+  std::map<std::string, std::string> Recorded;
+  std::ifstream In(PLUTOPP_GOLDEN_DIR "/emitted_c.sha256");
+  ASSERT_TRUE(In) << "missing " PLUTOPP_GOLDEN_DIR "/emitted_c.sha256";
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    size_t Sep = Line.find("  ");
+    ASSERT_EQ(Sep, 64u) << "malformed golden line: " << Line;
+    Recorded[Line.substr(Sep + 2)] = Line.substr(0, Sep);
+  }
+
+  auto P = Pipeline::create();
+  ASSERT_TRUE(P.hasValue());
+  std::string Replacement =
+      "# sha256 of the C that plutopp emits under default options, one unit\n"
+      "# a line; checked by service_test GoldenTest.\n";
+  std::vector<std::string> Differing;
+  std::set<std::string> Seen;
+  for (const auto &[Name, Src] : goldenUnits()) {
+    CompileRequest Req;
+    Req.Name = Name;
+    Req.Source = Src;
+    CompileResponse R = P->compileRequest(Req);
+    ASSERT_EQ(R.Status, StatusCode::Ok) << Name << ": " << R.Error;
+    std::string Digest = sha256Hex(R.EmittedC);
+    Replacement += Digest + "  " + Name + "\n";
+    Seen.insert(Name);
+    auto It = Recorded.find(Name);
+    if (It == Recorded.end() || It->second != Digest)
+      Differing.push_back(Name);
+  }
+  for (const auto &KV : Recorded)
+    if (!Seen.count(KV.first))
+      Differing.push_back(KV.first + " (no longer compiled)");
+
+  std::string Names;
+  for (const std::string &N : Differing)
+    Names += "  " + N + "\n";
+  EXPECT_TRUE(Differing.empty())
+      << "emitted C differs from tests/golden/emitted_c.sha256 for:\n"
+      << Names << "replacement file:\n"
+      << Replacement;
 }
 
 } // namespace
