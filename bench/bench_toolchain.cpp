@@ -149,25 +149,6 @@ void BM_FourierMotzkin(benchmark::State &State) {
   }
 }
 
-/// Same projection with the syntactic dominance pruning disabled: measures
-/// what the inline pruning in eliminateVar/projectOut buys.
-void BM_FourierMotzkinNoPruning(benchmark::State &State) {
-  bool Prev = ConstraintSystem::setInlinePruning(false);
-  for (auto _ : State) {
-    ConstraintSystem CS(6);
-    for (unsigned V = 0; V < 6; ++V) {
-      CS.addLowerBound(V, 0);
-      CS.addUpperBound(V, 100);
-    }
-    CS.addIneq({1, -1, 0, 0, 0, 0, 0});
-    CS.addIneq({0, 1, -1, 0, 0, 1, 0});
-    CS.addEq({1, 0, 0, -1, 0, 0, -1});
-    CS.projectOut(2, 4);
-    benchmark::DoNotOptimize(CS.numIneqs());
-  }
-  ConstraintSystem::setInlinePruning(Prev);
-}
-
 /// Arithmetic on coefficients that fit int64 (the inline fast path): the
 /// mix FM row combination performs — mul, add, gcd, exact division,
 /// comparison.
@@ -283,8 +264,6 @@ int main(int argc, char **argv) {
   benchmark::RegisterBenchmark("substrate/lexmin_small", BM_LexMinSmall);
   benchmark::RegisterBenchmark("substrate/fourier_motzkin",
                                BM_FourierMotzkin);
-  benchmark::RegisterBenchmark("substrate/fourier_motzkin_nopruning",
-                               BM_FourierMotzkinNoPruning);
   benchmark::RegisterBenchmark("substrate/bigint_small_ops",
                                BM_BigIntSmallOps);
   benchmark::RegisterBenchmark("substrate/bigint_big_ops", BM_BigIntBigOps);

@@ -88,7 +88,9 @@ public:
   void projectOut(unsigned Pos, unsigned Count);
 
   /// Drops constraints that are implied by Context (and the remaining
-  /// constraints of this system). Context has the same variable count.
+  /// constraints of this system). Context has the same variable count. A
+  /// row dominated by a context or remaining row with the same coefficient
+  /// vector is dropped without an implication query.
   void gist(const ConstraintSystem &Context);
 
   /// Removes constraints implied by the remaining ones (integer-exact
@@ -96,17 +98,11 @@ public:
   void removeRedundant();
 
   /// Cheap cleanup: gcd-normalizes rows (tightening inequality constants),
-  /// drops duplicates and trivially true rows. With inline pruning enabled
-  /// (the default) inequalities with identical coefficient vectors are also
-  /// collapsed to the tightest constant (syntactic dominance). Returns false
-  /// if a trivially false row was found (system is empty).
+  /// drops duplicates and trivially true rows, and collapses inequalities
+  /// with identical coefficient vectors to the tightest constant (syntactic
+  /// dominance). Rows keep their order. Returns false if a trivially false
+  /// row was found (system is empty).
   bool normalize();
-
-  /// Toggles the cheap syntactic dominance pruning applied during
-  /// normalize/eliminateVar/projectOut; returns the previous setting. Only
-  /// meant for benchmarking the pruning itself — disabling it never changes
-  /// results, just leaves more redundant rows around.
-  static bool setInlinePruning(bool Enabled);
 
   /// Renders the system for debugging; Names may name a prefix of the dims.
   std::string toString(const std::vector<std::string> &Names = {}) const;

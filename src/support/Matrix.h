@@ -92,6 +92,11 @@ public:
     Data.erase(Data.begin() + R);
   }
   void clearRows() { Data.clear(); }
+  /// Keeps the first NumRows rows.
+  void truncateRows(unsigned NumRows) {
+    assert(NumRows <= numRows());
+    Data.resize(NumRows);
+  }
 
   /// Inserts Count zero columns starting at position Pos in every row.
   void insertZeroColumns(unsigned Pos, unsigned Count) {
@@ -99,6 +104,29 @@ public:
     for (auto &Row : Data)
       Row.insert(Row.begin() + Pos, Count, T(0));
     Cols += Count;
+  }
+
+  /// Removes every column C with Drop[C] set (Drop has one flag per
+  /// column), keeping the order of the others.
+  void eraseColumns(const std::vector<bool> &Drop) {
+    assert(Drop.size() == Cols && "column mask width mismatch");
+    unsigned Kept = 0;
+    for (unsigned C = 0; C < Cols; ++C)
+      Kept += !Drop[C];
+    if (Kept == Cols)
+      return;
+    for (auto &Row : Data) {
+      unsigned Out = 0;
+      for (unsigned C = 0; C < Cols; ++C) {
+        if (Drop[C])
+          continue;
+        if (Out != C)
+          Row[Out] = std::move(Row[C]);
+        ++Out;
+      }
+      Row.resize(Kept);
+    }
+    Cols = Kept;
   }
 
   /// Matrix product; asserts dimension compatibility.
