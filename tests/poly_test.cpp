@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "poly/ConstraintSystem.h"
+#include "observe/PassStats.h"
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,109 @@ TEST(ConstraintSystemTest, ProjectionOfParametricTriangle) {
   CS.projectOut(1, 1);
   EXPECT_TRUE(CS.impliesIneq({BigInt(-1), BigInt(1), BigInt(0)})); // i <= N
   EXPECT_TRUE(CS.impliesIneq({BigInt(1), BigInt(0), BigInt(0)}));  // i >= 0
+}
+
+/// The gist without shortcuts: each inequality, in order, is dropped when
+/// one impliesIneq query says the context plus the remaining rows imply it.
+ConstraintSystem referenceGist(const ConstraintSystem &CS,
+                               const ConstraintSystem &Context) {
+  unsigned N = CS.numVars();
+  std::vector<std::vector<BigInt>> Rows;
+  for (unsigned R = 0; R < CS.numIneqs(); ++R)
+    Rows.push_back(CS.ineqs().row(R));
+  for (size_t R = 0; R < Rows.size();) {
+    ConstraintSystem Probe = Context;
+    for (size_t I = 0; I < Rows.size(); ++I)
+      if (I != R)
+        Probe.addIneq(Rows[I]);
+    for (unsigned I = 0; I < CS.numEqs(); ++I)
+      Probe.addEq(CS.eqs().row(I));
+    if (Probe.impliesIneq(Rows[R]))
+      Rows.erase(Rows.begin() + static_cast<long>(R));
+    else
+      ++R;
+  }
+  ConstraintSystem Out(N);
+  for (auto &Row : Rows)
+    Out.addIneq(std::move(Row));
+  for (unsigned I = 0; I < CS.numEqs(); ++I)
+    Out.addEq(CS.eqs().row(I));
+  return Out;
+}
+
+TEST(ConstraintSystemTest, GistMatchesOneQueryPerRowReference) {
+  uint64_t State = 0x5eed;
+  auto next = [&](long long Lo, long long Hi) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    return Lo + static_cast<long long>((State >> 33) %
+                                       static_cast<uint64_t>(Hi - Lo + 1));
+  };
+  unsigned Shortcut = 0, Queried = 0;
+  for (unsigned Trial = 0; Trial < 300; ++Trial) {
+    unsigned N = static_cast<unsigned>(next(2, 3));
+    auto randomRow = [&] {
+      std::vector<BigInt> Row(N + 1);
+      for (unsigned I = 0; I < N; ++I)
+        Row[I] = BigInt(next(-2, 2));
+      Row[N] = BigInt(next(-6, 6));
+      return Row;
+    };
+    ConstraintSystem Context(N);
+    for (unsigned V = 0; V < N; ++V) {
+      Context.addLowerBound(V, next(-4, 0));
+      Context.addUpperBound(V, next(0, 4));
+    }
+    if (next(0, 1))
+      Context.addIneq(randomRow());
+
+    ConstraintSystem CS(N);
+    std::vector<std::vector<BigInt>> Pool;
+    unsigned NumRows = static_cast<unsigned>(next(2, 7));
+    for (unsigned R = 0; R < NumRows; ++R) {
+      std::vector<BigInt> Row;
+      switch (next(0, 4)) {
+      case 0: // A duplicate of an earlier row.
+        Row = Pool.empty() ? randomRow() : Pool[next(0, Pool.size() - 1)];
+        break;
+      case 1: // Dominated by an earlier row: same coefficients, looser.
+        Row = Pool.empty() ? randomRow() : Pool[next(0, Pool.size() - 1)];
+        Row[N] += BigInt(next(1, 3));
+        break;
+      case 2: // Implied by (or equal to) a context row.
+        Row = Context.ineqs().row(
+            static_cast<unsigned>(next(0, Context.numIneqs() - 1)));
+        Row[N] += BigInt(next(0, 2));
+        break;
+      default:
+        Row = randomRow();
+      }
+      Pool.push_back(Row);
+      CS.addIneq(std::move(Row));
+    }
+    if (next(0, 3) == 0) {
+      std::vector<BigInt> Eq = randomRow();
+      Eq[N] = BigInt(0);
+      CS.addEq(std::move(Eq));
+    }
+
+    PassStats Stats;
+    setActiveStats(&Stats);
+    ConstraintSystem Got = CS;
+    Got.gist(Context);
+    setActiveStats(nullptr);
+    Queried += static_cast<unsigned>(Stats.get(Counter::RedundancyChecks));
+    Shortcut += CS.numIneqs() -
+                static_cast<unsigned>(Stats.get(Counter::RedundancyChecks));
+
+    ConstraintSystem Want = referenceGist(CS, Context);
+    EXPECT_EQ(Got.ineqs(), Want.ineqs()) << "trial " << Trial << "\n"
+                                         << CS.toString() << "context:\n"
+                                         << Context.toString();
+    EXPECT_EQ(Got.eqs(), Want.eqs()) << "trial " << Trial;
+  }
+  // Both paths must be exercised.
+  EXPECT_GT(Shortcut, 100u);
+  EXPECT_GT(Queried, 100u);
 }
 
 TEST(ConstraintSystemTest, ToStringSmoke) {
