@@ -5,11 +5,10 @@
 // Warm-cache request throughput of the plutod serving stack (DESIGN.md
 // section 12): an in-process serve::Server is driven over its real
 // AF_UNIX socket by concurrent pipelining clients, sweeping the worker
-// pool {1, 4, 8} against the cache shard count {1, 8}. Every measured
-// request is a cache hit (the kernel set is compiled once up front), so
-// the numbers isolate the serving overhead - admission, scheduling,
-// sharded-cache lookup, response encoding, socket I/O - from compile
-// time. This feeds EXPERIMENTS.md section E11.
+// pool {1, 4, 8}. Every measured request is a cache hit (the kernel set
+// is compiled once up front), so the numbers isolate the serving
+// overhead - admission, scheduling, cache lookup, response encoding,
+// socket I/O - from compile time. This feeds EXPERIMENTS.md section E11.
 //
 // Knobs: PLUTOPP_BENCH_SERVE_REQS (requests per client, default 1500),
 // PLUTOPP_BENCH_SERVE_CLIENTS (concurrent connections, default 4).
@@ -41,7 +40,7 @@ long long envNum(const char *Name, long long Def) {
   return (S && *S) ? std::atoll(S) : Def;
 }
 
-/// Distinct kernels so the warm set spreads across cache shards.
+/// Distinct kernels, so the warm set holds several cache entries.
 std::string kernelSource(unsigned I) {
   std::string V = "v" + std::to_string(I);
   return "for (i = 0; i <= N - 1; i++)\n"
@@ -140,14 +139,12 @@ bool driveClient(const std::string &Socket, unsigned Reqs,
   return true;
 }
 
-/// Runs one (workers, shards) configuration; returns warm req/s.
-double runConfig(unsigned Workers, unsigned Shards, unsigned Clients,
-                 unsigned ReqsPerClient) {
+/// Runs one worker-pool size; returns warm req/s.
+double runConfig(unsigned Workers, unsigned Clients, unsigned ReqsPerClient) {
   ServerConfig Cfg;
   Cfg.SocketPath = "/tmp/plutopp-bench-serve-" +
                    std::to_string(getpid()) + ".sock";
   Cfg.Workers = Workers;
-  Cfg.CacheShards = Shards;
   Cfg.MaxQueue = 4096;
   auto S = Server::create(Cfg);
   if (!S) {
@@ -205,17 +202,16 @@ int main() {
   std::printf("E11: plutod warm-cache throughput (%u clients x %u "
               "requests, %u distinct kernels, window %u)\n\n",
               Clients, Reqs, NumKernels, Window);
-  std::printf("| workers | shards | req/s |\n|---|---|---|\n");
+  std::printf("| workers | req/s |\n|---|---|\n");
   int Bad = 0;
-  for (unsigned W : {1u, 4u, 8u})
-    for (unsigned S : {1u, 8u}) {
-      double Rate = runConfig(W, S, Clients, Reqs);
-      if (Rate < 0) {
-        ++Bad;
-        std::printf("| %u | %u | FAILED |\n", W, S);
-      } else
-        std::printf("| %u | %u | %.0f |\n", W, S, Rate);
-      std::fflush(stdout);
-    }
+  for (unsigned W : {1u, 4u, 8u}) {
+    double Rate = runConfig(W, Clients, Reqs);
+    if (Rate < 0) {
+      ++Bad;
+      std::printf("| %u | FAILED |\n", W);
+    } else
+      std::printf("| %u | %.0f |\n", W, Rate);
+    std::fflush(stdout);
+  }
   return Bad ? 1 : 0;
 }

@@ -188,23 +188,23 @@ void BM_BigIntBigOps(benchmark::State &State) {
   }
 }
 
-std::vector<CompileJob> kernelCorpus() {
-  std::vector<CompileJob> Jobs;
+std::vector<CompileRequest> kernelCorpus() {
+  std::vector<CompileRequest> Reqs;
   for (const NamedKernel &K : Kernels)
-    Jobs.push_back({K.Name, K.Src});
-  return Jobs;
+    Reqs.push_back({K.Name, K.Src, PlutoOptions(), BudgetLimits()});
+  return Reqs;
 }
 
 /// Cold compilation of the whole kernel corpus through the service layer
 /// (fresh cache every iteration): the baseline the warm number divides.
 void BM_ServiceBatchCold(benchmark::State &State, unsigned Threads) {
-  std::vector<CompileJob> Jobs = kernelCorpus();
+  std::vector<CompileRequest> Reqs = kernelCorpus();
   for (auto _ : State) {
     BatchOptions BO;
     BO.Jobs = Threads;
     BO.Cache = std::make_shared<ResultCache>();
-    auto R = compileBatch(Jobs, PlutoOptions(), BO);
-    benchmark::DoNotOptimize(R.hasValue());
+    auto R = compileRequests(Reqs, BO);
+    benchmark::DoNotOptimize(R.front().ok());
   }
 }
 
@@ -212,15 +212,15 @@ void BM_ServiceBatchCold(benchmark::State &State, unsigned Threads) {
 /// lookup. The acceptance bar is >= 10x faster than batch_cold (in
 /// practice it is orders of magnitude).
 void BM_ServiceBatchWarm(benchmark::State &State) {
-  std::vector<CompileJob> Jobs = kernelCorpus();
+  std::vector<CompileRequest> Reqs = kernelCorpus();
   BatchOptions BO;
   BO.Cache = std::make_shared<ResultCache>();
-  auto Seed = compileBatch(Jobs, PlutoOptions(), BO); // populate once
-  assert(Seed.hasValue());
-  benchmark::DoNotOptimize(Seed.hasValue());
+  auto Seed = compileRequests(Reqs, BO); // populate once
+  assert(Seed.front().ok());
+  benchmark::DoNotOptimize(Seed.front().ok());
   for (auto _ : State) {
-    auto R = compileBatch(Jobs, PlutoOptions(), BO);
-    benchmark::DoNotOptimize(R.hasValue());
+    auto R = compileRequests(Reqs, BO);
+    benchmark::DoNotOptimize(R.front().ok());
   }
 }
 

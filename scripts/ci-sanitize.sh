@@ -137,7 +137,7 @@ DLOG="$BUILD_DIR/ci-plutod.log"
 rm -f "$SOCK" "$DLOG"
 ASAN_OPTIONS=abort_on_error=1:detect_leaks=1 \
 UBSAN_OPTIONS=print_stacktrace=1 \
-  "$PLUTOD" --socket="$SOCK" --workers=4 --shards=8 --quiet \
+  "$PLUTOD" --socket="$SOCK" --workers=4 --quiet \
     2> "$DLOG" &
 DAEMON_PID=$!
 # Wait for the socket to answer a ping.
@@ -155,7 +155,7 @@ done
 
 # Good traffic, 6 passes over examples/ (36 compile requests): the first
 # pass is cold, the rest pure cache hits, and from pass 3 on the passes
-# run concurrently to exercise the worker pool + sharded cache under
+# run concurrently to exercise the worker pool + shared cache under
 # racing clients. plutoctl output must match plutopp's byte for byte.
 SERVED="$BUILD_DIR/ci-plutod-served.c"
 LOCAL="$BUILD_DIR/ci-plutod-local.c"
@@ -186,6 +186,27 @@ for I in 1 2 3 4; do
   fi
   rm -f "$SERVED.$I"
 done
+# One non-default flag set through both clients: they parse the same
+# option table, so the served and the local code must match byte for byte.
+SMALL="$SRC_DIR/examples/matmul.c $SRC_DIR/examples/jacobi1d.c"
+FLAGS="--l2tile --wavefront-degrees=2 --no-vectorize --timeout-ms=60000"
+"$CLI" $FLAGS $SMALL > "$LOCAL" 2> /dev/null
+"$PLUTOCTL" --socket="$SOCK" $FLAGS $SMALL > "$SERVED"
+if ! diff "$SERVED" "$LOCAL" > /dev/null; then
+  echo "ci-sanitize: plutoctl $FLAGS output differs from plutopp" >&2
+  kill "$DAEMON_PID" 2> /dev/null || true
+  exit 1
+fi
+# An option the field cannot hold is a bad request (exit 2), refused by
+# the client before it is sent.
+STATUS=0
+"$PLUTOCTL" --socket="$SOCK" --tile-size=-1 "$SRC_DIR/examples/matmul.c" \
+  > /dev/null 2>&1 || STATUS=$?
+if [ "$STATUS" -ne 2 ]; then
+  echo "ci-sanitize: plutoctl --tile-size=-1 gave exit $STATUS, not 2" >&2
+  kill "$DAEMON_PID" 2> /dev/null || true
+  exit 1
+fi
 # Bad traffic (twice - the failure path must not poison the cache): every
 # malformed-corpus file must come back source-error (client exit 2)
 # without hurting the daemon.

@@ -41,6 +41,8 @@ struct CodeGenOptions {
   /// Scattering rows whose loops get "#pragma omp parallel for". Usually
   /// computed by the driver (outermost parallel row of the tile space).
   std::set<unsigned> ParallelPragmaRows;
+
+  bool operator==(const CodeGenOptions &O) const = default;
 };
 
 /// Generates the loop AST scanning Scop. Fails only on malformed input

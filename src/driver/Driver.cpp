@@ -3,9 +3,9 @@
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
 // The stage implementations live in service/Pipeline.cpp; this file keeps
-// the pre-service free-function API alive as thin wrappers and implements
-// the PlutoOptions contract (validate / equality / fingerprint) they and
-// the service layer share.
+// the pre-service free-function API alive as thin wrappers, and holds the
+// option table every client-facing spelling of an option comes from, with
+// the PlutoOptions contract (validate / fingerprint) built on it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,35 +13,172 @@
 
 #include "service/Pipeline.h"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
 
 using namespace pluto;
 
-Result<bool> PlutoOptions::validate() const {
-  if (TileSize == 0)
-    return Err("invalid options: tile size must be positive (--tile-size)");
-  if (L2TileSize == 0)
-    return Err(
-        "invalid options: L2 tile size must be positive (--l2tile-size)");
-  if (WavefrontDegrees == 0)
-    return Err("invalid options: wavefront degrees must be positive");
-  if (ParamMin < 0)
-    return Err("invalid options: parameter lower bound must be non-negative "
-               "(--param-min)");
-  if (CG.MaxPieces == 0)
-    return Err("invalid options: codegen piece cap must be positive");
+namespace {
+
+using Kind = OptionField::Kind;
+
+constexpr OptionField Table[] = {
+    {"tile", &PlutoOptions::Tile, "tile permutable bands"},
+    {"tile_size", &PlutoOptions::TileSize, 1, "tile size"},
+    {"l2tile", &PlutoOptions::SecondLevelTile, "second-level tiling"},
+    {"l2tile_size", &PlutoOptions::L2TileSize, 1,
+     "L2 factor, multiplies the L1 size"},
+    {"parallel", &PlutoOptions::Parallelize,
+     "extract parallelism + pragmas"},
+    {"wavefront_degrees", &PlutoOptions::WavefrontDegrees, 1,
+     "degrees of pipelined parallelism"},
+    {"vectorize", &PlutoOptions::Vectorize, "intra-tile reordering + simd"},
+    {"include_input_deps", &PlutoOptions::IncludeInputDeps,
+     "RAR deps in the cost model"},
+    {"param_min", &PlutoOptions::ParamMin, 0, "context assumption p >= N"},
+    {"fast_schedule", &PlutoOptions::FastSchedule,
+     "scheduler scaling fast paths"},
+    {"timeout_ms", &BudgetLimits::WallMs, "wall-clock milliseconds"},
+    {"max_memory_mb", &BudgetLimits::MaxMemoryBytes,
+     "tracked transient allocations, MiB", 20},
+    {"max_work", &BudgetLimits::MaxWorkUnits,
+     "work units: statements, FM rows, pivots"},
+};
+
+} // namespace
+
+std::span<const OptionField> pluto::optionTable() { return Table; }
+
+std::string OptionField::flag() const {
+  std::string F = std::string("--") + Name;
+  std::replace(F.begin() + 2, F.end(), '_', '-');
+  return F;
+}
+
+long long OptionField::lowest() const {
+  return K == Kind::Int ? LLONG_MIN : 0;
+}
+
+long long OptionField::highest() const {
+  switch (K) {
+  case Kind::Bool:
+    return 1;
+  case Kind::Unsigned:
+    return UINT_MAX;
+  case Kind::Int:
+    return LLONG_MAX;
+  case Kind::Budget:
+    return static_cast<long long>(std::min<uint64_t>(UINT64_MAX >> Shift,
+                                                     LLONG_MAX));
+  }
+  return 0;
+}
+
+long long OptionField::get(const PlutoOptions &O,
+                           const BudgetLimits &B) const {
+  switch (K) {
+  case Kind::Bool:
+    return O.*Flag;
+  case Kind::Unsigned:
+    return O.*Uint;
+  case Kind::Int:
+    return O.*Int;
+  case Kind::Budget:
+    return static_cast<long long>(B.*Limit >> Shift);
+  }
+  return 0;
+}
+
+bool OptionField::set(PlutoOptions &O, BudgetLimits &B, long long V) const {
+  if (V < lowest() || V > highest())
+    return false;
+  switch (K) {
+  case Kind::Bool:
+    O.*Flag = V != 0;
+    break;
+  case Kind::Unsigned:
+    O.*Uint = static_cast<unsigned>(V);
+    break;
+  case Kind::Int:
+    O.*Int = V;
+    break;
+  case Kind::Budget:
+    B.*Limit = static_cast<uint64_t>(V) << Shift;
+    break;
+  }
   return true;
 }
 
-bool PlutoOptions::operator==(const PlutoOptions &O) const {
-  return Tile == O.Tile && TileSize == O.TileSize &&
-         SecondLevelTile == O.SecondLevelTile && L2TileSize == O.L2TileSize &&
-         Parallelize == O.Parallelize &&
-         WavefrontDegrees == O.WavefrontDegrees && Vectorize == O.Vectorize &&
-         IncludeInputDeps == O.IncludeInputDeps && ParamMin == O.ParamMin &&
-         FastSchedule == O.FastSchedule && CG.MaxPieces == O.CG.MaxPieces &&
-         CG.EnableSeparation == O.CG.EnableSeparation &&
-         CG.ParallelPragmaRows == O.CG.ParallelPragmaRows;
+std::optional<long long> pluto::parseInteger(std::string_view Text,
+                                             long long Lo, long long Hi) {
+  long long V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End || V < Lo || V > Hi)
+    return std::nullopt;
+  return V;
+}
+
+Result<bool> pluto::parseOptionFlag(std::string_view Arg, PlutoOptions &O,
+                                    BudgetLimits &B) {
+  for (const OptionField &F : Table) {
+    std::string Flag = F.flag();
+    if (F.K == Kind::Bool) {
+      if (Arg == Flag || Arg == "--no-" + Flag.substr(2)) {
+        F.set(O, B, Arg == Flag);
+        return true;
+      }
+      continue;
+    }
+    if (!Arg.starts_with(Flag + "="))
+      continue;
+    std::string_view Text = Arg.substr(Flag.size() + 1);
+    auto V = parseInteger(Text);
+    if (!V || !F.set(O, B, *V))
+      return Err("bad value '" + std::string(Text) + "' for " + Flag +
+                 " (expected an integer in [" + std::to_string(F.lowest()) +
+                 ", " + std::to_string(F.highest()) + "])");
+    return true;
+  }
+  return false;
+}
+
+std::string pluto::optionFlagsHelp() {
+  const PlutoOptions DefaultOpts;
+  const BudgetLimits DefaultBudget;
+  std::string Out = "transformation options (defaults shown):\n";
+  bool InBudget = false;
+  for (const OptionField &F : Table) {
+    if (F.isBudget() && !InBudget) {
+      InBudget = true;
+      Out += "\nresource budget per compile (0 = unlimited; exceeding a "
+             "limit exits 4):\n";
+    }
+    std::string Flag = F.flag();
+    long long Default = F.get(DefaultOpts, DefaultBudget);
+    std::string Shown = std::to_string(Default);
+    if (F.K == Kind::Bool) {
+      Flag += " / --no-" + Flag.substr(2);
+      Shown = Default ? "on" : "off";
+    } else {
+      Flag += "=N";
+    }
+    Out += "  " + Flag;
+    Out += Flag.size() < 32 ? std::string(32 - Flag.size(), ' ')
+                            : "\n" + std::string(34, ' ');
+    Out += std::string(F.Help) + " (" + Shown + ")\n";
+  }
+  return Out;
+}
+
+Result<bool> PlutoOptions::validate() const {
+  for (const OptionField &F : Table)
+    if (!F.isBudget() && F.get(*this, BudgetLimits()) < F.Min)
+      return Err("invalid options: " + F.flag() + " must be at least " +
+                 std::to_string(F.Min) + " (" + F.Help + ")");
+  if (CG.MaxPieces == 0)
+    return Err("invalid options: codegen piece cap must be positive");
+  return true;
 }
 
 PlutoOptions PlutoOptions::normalized() const {
@@ -68,27 +205,26 @@ PlutoOptions PlutoOptions::normalized() const {
 }
 
 std::string PlutoOptions::fingerprint() const {
-  // Canonical key=value encoding of every output-affecting field, in a
-  // fixed order, computed on the normalized form so semantically identical
-  // option sets alias to one fingerprint. The encoding itself is the
-  // fingerprint (it is short and diffable in logs); the service layer
-  // hashes it together with the canonical source into the cache key.
+  // `name=value;` per table row in table order, computed on the normalized
+  // form so semantically identical option sets alias to one fingerprint.
+  // The encoding itself is the fingerprint (it is short and diffable in
+  // logs); the service layer hashes it together with the canonical source
+  // into the cache key.
   const PlutoOptions N = normalized();
-  std::ostringstream OS;
-  OS << "tile=" << N.Tile << ";tile_size=" << N.TileSize
-     << ";l2tile=" << N.SecondLevelTile << ";l2tile_size=" << N.L2TileSize
-     << ";parallel=" << N.Parallelize
-     << ";wavefront_degrees=" << N.WavefrontDegrees
-     << ";vectorize=" << N.Vectorize << ";input_deps=" << N.IncludeInputDeps
-     << ";param_min=" << N.ParamMin << ";fast_schedule=" << N.FastSchedule
-     << ";cg_max_pieces=" << N.CG.MaxPieces
-     << ";cg_separation=" << N.CG.EnableSeparation << ";cg_pragma_rows=";
+  std::string Out;
+  for (const OptionField &F : Table)
+    if (!F.isBudget())
+      Out += std::string(F.Name) + "=" +
+             std::to_string(F.get(N, BudgetLimits())) + ";";
+  Out += "cg_max_pieces=" + std::to_string(N.CG.MaxPieces) +
+         ";cg_separation=" + std::to_string(N.CG.EnableSeparation) +
+         ";cg_pragma_rows=";
   bool First = true;
   for (unsigned Row : N.CG.ParallelPragmaRows) {
-    OS << (First ? "" : ",") << Row;
+    Out += (First ? "" : ",") + std::to_string(Row);
     First = false;
   }
-  return OS.str();
+  return Out;
 }
 
 Result<PlutoResult> pluto::optimizeSource(const std::string &Source,

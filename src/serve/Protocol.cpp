@@ -6,7 +6,7 @@
 
 #include "serve/Protocol.h"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
 
 using namespace pluto;
@@ -48,46 +48,43 @@ std::string head(const std::string &IdJson) {
   return Out;
 }
 
-/// Reads a required-if-present bool member into Field.
-Result<bool> readBool(const JsonValue &V, const char *Key, bool &Field) {
-  if (!V.isBool())
-    return Err(std::string("options.") + Key + " must be a boolean");
-  Field = V.asBool();
+/// Stores the JSON value V into table row F; Where names the member in
+/// the error.
+Result<bool> readField(const OptionField &F, const JsonValue &V,
+                       const std::string &Where, PlutoOptions &O,
+                       BudgetLimits &B) {
+  if (F.K == OptionField::Kind::Bool) {
+    if (!V.isBool())
+      return Err(Where + " must be a boolean");
+    F.set(O, B, V.asBool());
+    return true;
+  }
+  if (!V.isInteger() || !F.set(O, B, V.asInt()))
+    return Err(Where + " must be an integer in [" +
+               std::to_string(F.lowest()) + ", " +
+               std::to_string(F.highest()) + "]");
   return true;
 }
 
-Result<bool> readUnsigned(const JsonValue &V, const char *Key,
-                          unsigned &Field) {
-  if (!V.isInteger() || V.asInt() < 0)
-    return Err(std::string("options.") + Key +
-               " must be a non-negative integer");
-  Field = static_cast<unsigned>(V.asInt());
-  return true;
+void appendField(std::string &Out, const OptionField &F,
+                 const PlutoOptions &O, const BudgetLimits &B) {
+  if (F.K == OptionField::Kind::Bool)
+    appendBool(Out, F.Name, F.get(O, B));
+  else
+    appendInt(Out, F.Name, F.get(O, B));
 }
 
 } // namespace
 
 std::string pluto::serve::optionsToJson(const PlutoOptions &O) {
   std::string Out = "{";
-  appendBool(Out, "tile", O.Tile);
-  Out += ',';
-  appendInt(Out, "tile_size", O.TileSize);
-  Out += ',';
-  appendBool(Out, "l2tile", O.SecondLevelTile);
-  Out += ',';
-  appendInt(Out, "l2tile_size", O.L2TileSize);
-  Out += ',';
-  appendBool(Out, "parallel", O.Parallelize);
-  Out += ',';
-  appendInt(Out, "wavefront_degrees", O.WavefrontDegrees);
-  Out += ',';
-  appendBool(Out, "vectorize", O.Vectorize);
-  Out += ',';
-  appendBool(Out, "include_input_deps", O.IncludeInputDeps);
-  Out += ',';
-  appendInt(Out, "param_min", O.ParamMin);
-  Out += ',';
-  appendBool(Out, "fast_schedule", O.FastSchedule);
+  for (const OptionField &F : optionTable()) {
+    if (F.isBudget())
+      continue;
+    if (Out.size() > 1)
+      Out += ',';
+    appendField(Out, F, O, BudgetLimits());
+  }
   Out += '}';
   return Out;
 }
@@ -96,33 +93,15 @@ Result<PlutoOptions> pluto::serve::optionsFromJson(const JsonValue &V) {
   if (!V.isObject())
     return Err("\"options\" must be a JSON object");
   PlutoOptions O;
+  BudgetLimits Unused;
+  auto Table = optionTable();
   for (const auto &[Key, Val] : V.members()) {
-    Result<bool> R = true;
-    if (Key == "tile")
-      R = readBool(Val, "tile", O.Tile);
-    else if (Key == "tile_size")
-      R = readUnsigned(Val, "tile_size", O.TileSize);
-    else if (Key == "l2tile")
-      R = readBool(Val, "l2tile", O.SecondLevelTile);
-    else if (Key == "l2tile_size")
-      R = readUnsigned(Val, "l2tile_size", O.L2TileSize);
-    else if (Key == "parallel")
-      R = readBool(Val, "parallel", O.Parallelize);
-    else if (Key == "wavefront_degrees")
-      R = readUnsigned(Val, "wavefront_degrees", O.WavefrontDegrees);
-    else if (Key == "vectorize")
-      R = readBool(Val, "vectorize", O.Vectorize);
-    else if (Key == "include_input_deps")
-      R = readBool(Val, "include_input_deps", O.IncludeInputDeps);
-    else if (Key == "param_min") {
-      if (!Val.isInteger())
-        return Err("options.param_min must be an integer");
-      O.ParamMin = Val.asInt();
-    } else if (Key == "fast_schedule")
-      R = readBool(Val, "fast_schedule", O.FastSchedule);
-    else
+    auto Row = std::find_if(Table.begin(), Table.end(), [&](const auto &F) {
+      return !F.isBudget() && Key == F.Name;
+    });
+    if (Row == Table.end())
       return Err("unknown options key \"" + Key + "\"");
-    if (!R)
+    if (auto R = readField(*Row, Val, "options." + Key, O, Unused); !R)
       return Err(R.error());
   }
   return O;
@@ -153,22 +132,15 @@ std::string pluto::serve::encodeRequest(const WireRequest &R) {
     appendStr(Out, "source", R.Req.Source);
     Out += ",\"options\":";
     Out += optionsToJson(R.Req.Opts);
-    // Budget members ride at the top level (not in "options"): they never
-    // change the emitted code, so they must stay out of the options
-    // fingerprint. Old servers ignore unknown top-level members.
-    if (R.Req.Budget.WallMs) {
-      Out += ',';
-      appendInt(Out, "timeout_ms", static_cast<long long>(R.Req.Budget.WallMs));
-    }
-    if (R.Req.Budget.MaxMemoryBytes) {
-      Out += ',';
-      appendInt(Out, "max_memory_mb",
-                static_cast<long long>(R.Req.Budget.MaxMemoryBytes >> 20));
-    }
-    if (R.Req.Budget.MaxWorkUnits) {
-      Out += ',';
-      appendInt(Out, "max_work",
-                static_cast<long long>(R.Req.Budget.MaxWorkUnits));
+    // Budget members ride at the top level (not in "options"), and only
+    // when set: they never change the emitted code, so they must stay out
+    // of the options fingerprint. Old servers ignore unknown top-level
+    // members.
+    for (const OptionField &F : optionTable()) {
+      if (F.isBudget() && R.Req.Budget.*F.Limit) {
+        Out += ',';
+        appendField(Out, F, R.Req.Opts, R.Req.Budget);
+      }
     }
     break;
   }
@@ -240,27 +212,15 @@ Result<WireRequest> pluto::serve::decodeRequest(const std::string &Line) {
   }
 
   // Optional per-request resource budget (0 / absent = unlimited).
-  auto ReadBudget = [&](const char *Key,
-                        uint64_t &Field) -> Result<bool> {
-    const JsonValue *V = Doc->find(Key);
+  for (const OptionField &F : optionTable()) {
+    const JsonValue *V = F.isBudget() ? Doc->find(F.Name) : nullptr;
     if (!V)
-      return true;
-    if (!V->isInteger() || V->asInt() < 0)
-      return Err(std::string("\"") + Key +
-                 "\" must be a non-negative integer");
-    Field = static_cast<uint64_t>(V->asInt());
-    return true;
-  };
-  uint64_t TimeoutMs = 0, MaxMemoryMb = 0, MaxWork = 0;
-  if (auto B = ReadBudget("timeout_ms", TimeoutMs); !B)
-    return Err(B.error());
-  if (auto B = ReadBudget("max_memory_mb", MaxMemoryMb); !B)
-    return Err(B.error());
-  if (auto B = ReadBudget("max_work", MaxWork); !B)
-    return Err(B.error());
-  R.Req.Budget.WallMs = TimeoutMs;
-  R.Req.Budget.MaxMemoryBytes = MaxMemoryMb << 20;
-  R.Req.Budget.MaxWorkUnits = MaxWork;
+      continue;
+    auto B = readField(F, *V, std::string("\"") + F.Name + "\"",
+                       R.Req.Opts, R.Req.Budget);
+    if (!B)
+      return Err(B.error());
+  }
   return R;
 }
 

@@ -15,6 +15,7 @@
 ///                "name": <string, compile/tune only, optional>,
 ///                "source": <string, compile/tune only>,
 ///                "options": <object, compile/tune only, optional>,
+///                <budget row>: <integer, compile/tune only, optional>,
 ///                "spec": <string, tune only, optional>}
 ///   response := {"plutod": 1, "id": <echo>, "status": <StatusCode name>,
 ///                ... status-dependent payload ...}
@@ -29,12 +30,13 @@
 /// a bad-request). Tune responses carry the winner's "key" and
 /// "emitted_c" plus the minified search trace under "trace" on ok;
 /// "error" (and "trace" when the search produced one) otherwise.
-/// The "options" object mirrors the plutopp transformation flags in
-/// snake_case (tile, tile_size, l2tile, l2tile_size, parallel,
-/// wavefront_degrees, vectorize, include_input_deps, param_min,
-/// fast_schedule); absent keys take PlutoOptions defaults and unknown
-/// keys are a bad-request, so client typos fail loudly instead of
-/// silently compiling with defaults.
+/// The "options" object carries the PlutoOptions rows of the option
+/// table (driver/Driver.h optionTable()) under their row names, and the
+/// budget rows ride as top-level members of compile/tune requests; both
+/// are generated from the table, so the keys are the plutopp flags in
+/// snake_case. Absent keys take the defaults; unknown keys and values
+/// outside the member's range are a bad-request, so client typos fail
+/// loudly instead of silently compiling with defaults.
 ///
 /// Encode/decode here is pure string work - no sockets - so the tests
 /// can round-trip the protocol without a daemon.

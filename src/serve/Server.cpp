@@ -112,18 +112,15 @@ Result<std::unique_ptr<Server>> Server::create(ServerConfig C) {
     if (C.Workers == 0)
       C.Workers = 2;
   }
-  if (C.CacheShards == 0)
-    C.CacheShards = 1;
   if (C.MaxQueue == 0)
     C.MaxQueue = 1;
 
   std::unique_ptr<Server> S(new Server(std::move(C)));
 
-  ShardedResultCache::Config CC;
-  CC.Shards = S->Cfg.CacheShards;
+  ResultCache::Config CC;
   CC.MaxBytes = S->Cfg.CacheMaxBytes;
   CC.DiskDir = S->Cfg.CacheDir;
-  S->Cache = std::make_shared<ShardedResultCache>(CC);
+  S->Cache = std::make_shared<ResultCache>(CC);
 
   S->ListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (S->ListenFd < 0)
@@ -263,7 +260,7 @@ std::string Server::metricsJson() const {
     char Buf[768];
     std::snprintf(
         Buf, sizeof(Buf),
-        "\"server\": {\"workers\": %u, \"cache_shards\": %u, "
+        "\"server\": {\"workers\": %u, "
         "\"connections_accepted\": %llu, \"connections_closed\": %llu, "
         "\"open_connections\": %llu, \"requests_accepted\": %llu, "
         "\"requests_completed\": %llu, \"rejected_overload\": %llu, "
@@ -271,7 +268,7 @@ std::string Server::metricsJson() const {
         "\"metrics_requests\": %llu, \"sandbox_restarts\": %llu, "
         "\"breaker_hits\": %llu, \"queue_depth\": %llu, "
         "\"in_flight\": %llu},\n  ",
-        Cfg.Workers, Cfg.CacheShards,
+        Cfg.Workers,
         static_cast<unsigned long long>(S.ConnectionsAccepted),
         static_cast<unsigned long long>(S.ConnectionsClosed),
         static_cast<unsigned long long>(S.OpenConnections),
@@ -509,7 +506,7 @@ CompileResponse Server::isolatedCompile(Pipeline &Session, SandboxWorker &SB,
 
 void Server::workerLoop(unsigned Idx) {
   // One Pipeline session per distinct options fingerprint this worker has
-  // seen: artifact memoization works within a session, the sharded cache
+  // seen: artifact memoization works within a session, the shared cache
   // dedups across workers.
   std::unordered_map<std::string, std::unique_ptr<Pipeline>> Sessions;
 
@@ -562,7 +559,7 @@ void Server::workerLoop(unsigned Idx) {
     } else if (J.IsTune) {
       // Tune jobs bypass the per-fingerprint session map: explore() runs
       // its own frontend sessions per schedule group and compiles every
-      // variant through the shared sharded cache. The search runs
+      // variant through the shared cache. The search runs
       // in-parent even in isolate mode - per-variant status isolation
       // inside explore() contains variant failures. (The spec parsed at
       // admission; re-parsing here cannot fail.)

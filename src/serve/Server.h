@@ -8,7 +8,7 @@
 /// The plutod server core: an AF_UNIX stream listener speaking the NDJSON
 /// protocol of serve/Protocol.h, multiplexing compile jobs onto a pool of
 /// worker threads that each drive per-fingerprint Pipeline sessions
-/// against one shared lock-sharded result cache.
+/// against one shared result cache.
 ///
 /// Threading model (three kinds of threads, no fd is ever touched by
 /// two):
@@ -56,7 +56,6 @@
 #include "observe/PassStats.h"
 #include "serve/Protocol.h"
 #include "serve/Sandbox.h"
-#include "serve/ShardedCache.h"
 #include "service/Pipeline.h"
 
 #include <chrono>
@@ -80,9 +79,7 @@ struct ServerConfig {
   std::string SocketPath;
   /// Compile worker threads; 0 = hardware concurrency.
   unsigned Workers = 0;
-  /// Result-cache shards (>= 1) and total in-memory budget (split across
-  /// shards), plus the optional shared disk tier.
-  unsigned CacheShards = 8;
+  /// Result-cache in-memory budget, plus the optional shared disk tier.
   size_t CacheMaxBytes = 64ull << 20;
   std::string CacheDir;
   /// Bounded admission queue: compile jobs queued across all connections;
@@ -217,7 +214,7 @@ private:
   int WakeRd = -1, WakeWr = -1;
   /// Shared because every Pipeline session holds a reference via
   /// attachCache().
-  std::shared_ptr<ShardedResultCache> Cache;
+  std::shared_ptr<ResultCache> Cache;
 
   std::thread LoopThread;
   std::vector<std::thread> WorkerThreads;

@@ -19,8 +19,8 @@
 /// clients use to re-lower one parsed+analyzed kernel under many emit
 /// configurations without re-running the frontend.
 ///
-/// compile() is the one-shot path batch and CLI traffic take: it consults
-/// an attached ResultCache under the content-addressed key
+/// compileRequest() is the one-shot path batch and CLI traffic take: it
+/// consults an attached ResultCache under the content-addressed key
 ///   sha256(canonical source \x1f options fingerprint \x1f toolchain version)
 /// and only runs the stages on a miss. Canonicalization (CRLF -> LF,
 /// trailing-whitespace strip, outer blank-line trim) makes cosmetically
@@ -47,19 +47,6 @@
 
 namespace pluto {
 
-/// What the legacy compile(std::string) shim hands back for one source
-/// unit. New code should use compileRequest(), whose CompileResponse
-/// carries the same fields plus the StatusCode taxonomy and structured
-/// diagnostics.
-struct CompileOutput {
-  /// Content-addressed cache key of this unit (64 hex chars).
-  std::string Key;
-  /// The complete emitted C translation unit.
-  std::string EmittedC;
-  /// True when EmittedC was served from the cache (memory or disk).
-  bool CacheHit = false;
-};
-
 class Pipeline {
 public:
   /// Validates Opts (PlutoOptions::validate()) and builds a session around
@@ -69,7 +56,8 @@ public:
   const PlutoOptions &options() const { return Opts; }
   const std::string &optionsFingerprint() const { return Fp; }
 
-  /// Shares a result cache with this session; compile() consults it.
+  /// Shares a result cache with this session; compileRequest() consults
+  /// it.
   void attachCache(std::shared_ptr<ResultCache> C) { Cache = std::move(C); }
   const std::shared_ptr<ResultCache> &cache() const { return Cache; }
 
@@ -114,13 +102,8 @@ public:
   /// was coalesced onto another session's in-flight compile.
   CompileResponse compileRequest(const CompileRequest &Req);
 
-  /// One-shot compile of Source (legacy shim over compileRequest): the
-  /// response flattened back to Result<CompileOutput> with the error as a
-  /// bare string.
-  Result<CompileOutput> compile(std::string Source);
-
-  /// The content-addressed key compile() would use for Source under this
-  /// session's options.
+  /// The content-addressed key compileRequest() would use for Source
+  /// under this session's options.
   std::string cacheKey(const std::string &Source) const;
 
   /// Whitespace/line-ending canonicalization applied before keying.

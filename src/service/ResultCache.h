@@ -58,27 +58,26 @@ public:
   /// Default configuration (64 MiB memory budget, no disk tier).
   ResultCache();
   explicit ResultCache(Config C);
-  virtual ~ResultCache() = default;
 
   /// Looks Key up in memory, then on disk (a disk hit is promoted into
   /// memory). Counts a hit/disk-hit/miss.
-  virtual std::optional<std::string> lookup(const std::string &Key);
+  std::optional<std::string> lookup(const std::string &Key);
 
   /// Inserts (or refreshes) Key -> Value in memory and, when enabled, on
   /// disk. Evicts LRU entries until the budget holds.
-  virtual void insert(const std::string &Key, const std::string &Value);
+  void insert(const std::string &Key, const std::string &Value);
 
   /// The single-flight entry point: returns the cached value for Key, or
   /// runs Compute to produce it. If another thread is already computing
   /// the same key, blocks until that leader finishes and shares its result
   /// (counted as cache_coalesced). Failed computes are not cached; every
   /// waiter receives the leader's error.
-  virtual Result<std::string>
+  Result<std::string>
   getOrCompute(const std::string &Key,
                const std::function<Result<std::string>()> &Compute);
 
   /// True when a disk tier was requested and its directory is usable.
-  virtual bool diskEnabled() const { return !DiskRoot.empty(); }
+  bool diskEnabled() const { return !DiskRoot.empty(); }
 
   /// True once repeated disk write failures (ENOSPC, permissions) made the
   /// cache stop attempting writes; reads of existing entries still work
@@ -97,20 +96,8 @@ public:
     uint64_t Hits = 0, DiskHits = 0, Misses = 0, Evictions = 0,
              Coalesced = 0, WriteErrors = 0;
     size_t Bytes = 0, Entries = 0;
-
-    Snapshot &operator+=(const Snapshot &O) {
-      Hits += O.Hits;
-      DiskHits += O.DiskHits;
-      Misses += O.Misses;
-      Evictions += O.Evictions;
-      Coalesced += O.Coalesced;
-      WriteErrors += O.WriteErrors;
-      Bytes += O.Bytes;
-      Entries += O.Entries;
-      return *this;
-    }
   };
-  virtual Snapshot snapshot() const;
+  Snapshot snapshot() const;
 
 private:
   struct Entry {

@@ -402,7 +402,8 @@ BigInt BigInt::ceilDiv(const BigInt &RHS) const {
 
 BigInt BigInt::floorMod(const BigInt &RHS) const {
   BigInt R = *this - floorDiv(RHS) * RHS;
-  assert(!R.isNegative() && "floorMod must be non-negative");
+  assert((R.isZero() || R.isNegative() == RHS.isNegative()) &&
+         "a floor remainder takes the sign of the divisor");
   return R;
 }
 

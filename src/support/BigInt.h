@@ -81,7 +81,8 @@ public:
   BigInt floorDiv(const BigInt &RHS) const;
   /// Ceiling division: rounds toward positive infinity.
   BigInt ceilDiv(const BigInt &RHS) const;
-  /// Non-negative remainder of floor division (always in [0, |RHS|)).
+  /// Remainder of floor division, *this - floorDiv(RHS) * RHS: it takes
+  /// the sign of RHS (in [0, RHS) for a positive RHS, (RHS, 0] otherwise).
   BigInt floorMod(const BigInt &RHS) const;
 
   /// Exact division; asserts that RHS divides this exactly.

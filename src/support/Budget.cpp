@@ -8,8 +8,6 @@
 
 using namespace pluto;
 
-thread_local Budget *pluto::detail::ActiveBudget = nullptr;
-
 namespace {
 std::atomic<bool> GSingleThread{false};
 } // namespace

@@ -57,6 +57,8 @@ struct BudgetLimits {
   /// node). Deterministic across runs, unlike WallMs - tests use this.
   uint64_t MaxWorkUnits = 0;
 
+  bool operator==(const BudgetLimits &O) const = default;
+
   bool unlimited() const {
     return WallMs == 0 && MaxMemoryBytes == 0 && MaxWorkUnits == 0;
   }
@@ -134,7 +136,12 @@ private:
 };
 
 namespace detail {
-extern thread_local Budget *ActiveBudget;
+/// Inline rather than extern: every unit then holds the definition, so in
+/// an executable the compiler addresses it directly off the thread pointer.
+/// Through the extern declaration GCC 12 computed its address with an
+/// `add` the linker relaxes into a flag-less `lea`, and the UBSan null
+/// check after it branched on stale flags (false "null Budget *" reports).
+inline thread_local Budget *ActiveBudget = nullptr;
 } // namespace detail
 
 /// The budget installed on this thread, or null (the default: unlimited).

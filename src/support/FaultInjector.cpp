@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 
 using namespace pluto;
@@ -27,11 +28,13 @@ struct FaultConfig {
   std::vector<SiteRule> Rules;
 };
 
-// Armed-or-not is the only thing the hot path reads; the config object is
-// intentionally leaked on re-arm (sites may race shouldFail with disarm,
-// and the handful of bytes is not worth a hazard scheme in a test-only
-// facility).
+// Armed-or-not is the only thing the hot path reads. A site may still be
+// reading a config that a concurrent re-arm or disarm retired, so no
+// config is ever freed: every one stays reachable from AllConfigs (a
+// handful of bytes per arming in a test-only facility, and not a leak).
 std::atomic<FaultConfig *> GConfig{nullptr};
+std::mutex AllConfigsMu;
+auto *AllConfigs = new std::deque<FaultConfig>; // never relocates entries
 
 bool parseSpec(const std::string &Spec, std::vector<SiteRule> &Out) {
   size_t Pos = 0;
@@ -83,7 +86,11 @@ bool FaultInjector::arm(const std::string &Spec) {
     disarm();
     return true;
   }
-  auto *C = new FaultConfig;
+  FaultConfig *C;
+  {
+    std::lock_guard<std::mutex> Lock(AllConfigsMu);
+    C = &AllConfigs->emplace_back();
+  }
   C->Rules = std::move(Rules);
   GConfig.store(C, std::memory_order_release);
   return true;

@@ -31,16 +31,8 @@ using namespace pluto::tune;
 
 namespace {
 
-bool parseUnsigned(const std::string &S, unsigned &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S.c_str(), &End, 10);
-  if (*End != '\0' || V > 1000000000ul)
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
-}
+/// Largest number a spec value may hold.
+constexpr long long MaxSpecValue = 1000000000;
 
 std::vector<std::string> splitOn(const std::string &S, char Sep) {
   std::vector<std::string> Out;
@@ -59,10 +51,10 @@ Result<std::vector<unsigned>> parseList(const std::string &Key,
                                         const std::string &Val) {
   std::vector<unsigned> Out;
   for (const std::string &Tok : splitOn(Val, ',')) {
-    unsigned V = 0;
-    if (!parseUnsigned(Tok, V))
+    auto V = parseInteger(Tok, 0, MaxSpecValue);
+    if (!V)
       return Err("--tune spec: bad value '" + Tok + "' for '" + Key + "'");
-    Out.push_back(V);
+    Out.push_back(static_cast<unsigned>(*V));
   }
   return Out;
 }
@@ -115,9 +107,10 @@ Result<bool> pluto::tune::parseSpec(const std::string &Spec, SearchSpace &SS,
       TO.RunMeasurements = Val == "1";
     } else if (Key == "n" || Key == "reps" || Key == "warmup" ||
                Key == "threads" || Key == "max-measure") {
-      unsigned V = 0;
-      if (!parseUnsigned(Val, V))
+      auto Parsed = parseInteger(Val, 0, MaxSpecValue);
+      if (!Parsed)
         return Err("--tune spec: bad value '" + Val + "' for '" + Key + "'");
+      unsigned V = static_cast<unsigned>(*Parsed);
       if (Key == "n") {
         if (V == 0)
           return Err("--tune spec: n must be >= 1");

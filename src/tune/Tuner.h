@@ -85,7 +85,7 @@ struct TuneOptions {
   /// interpreter running the ORIGINAL program (identity schedule): a
   /// variant whose JIT output diverges is an error, never a winner.
   bool CheckCorrectness = true;
-  /// Shared result cache for the compile stage (plutod hands its sharded
+  /// Shared result cache for the compile stage (plutod hands its own
   /// cache in; the CLI its configured one). Null = no caching.
   std::shared_ptr<ResultCache> Cache;
   /// Per-variant resource budget (service taxonomy: an exhausted variant

@@ -4,7 +4,8 @@
 //
 // Drives the installed tools/plutopp binary as a subprocess on the
 // examples/ kernels: exit codes, emitted-C shape (and that it compiles,
-// when a system compiler exists), and the --report=json document.
+// when a system compiler exists), and the --report=json document; plus
+// the option checks tools/plutoctl makes before it contacts a daemon.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,9 @@
 
 #ifndef PLUTOPP_CLI_PATH
 #error "PLUTOPP_CLI_PATH must be defined by the build"
+#endif
+#ifndef PLUTOCTL_PATH
+#error "PLUTOCTL_PATH must be defined by the build"
 #endif
 #ifndef PLUTOPP_EXAMPLES_DIR
 #error "PLUTOPP_EXAMPLES_DIR must be defined by the build"
@@ -229,7 +233,8 @@ TEST(CliTest, NoParallelSuppressesPragmas) {
 
 TEST(CliTest, ErrorExitCodes) {
   EXPECT_EQ(runCli("/nonexistent/input.c").ExitCode, 1);
-  EXPECT_EQ(runCli("--frobnicate " + examplePath("matmul.c")).ExitCode, 1);
+  // An unknown flag is a bad request, like every other option error.
+  EXPECT_EQ(runCli("--frobnicate " + examplePath("matmul.c")).ExitCode, 2);
   // Invalid restricted-C input is the "bad input" class of error: exit 2,
   // with a source-located diagnostic on stderr.
   std::string Bad = tempPath("_bad.c");
@@ -298,9 +303,53 @@ TEST(CliTest, InvalidOptionsExitCode2) {
   // Validation happens before input I/O: a nonexistent file with bad
   // options still reports the options error (2), not the I/O error (1).
   EXPECT_EQ(runCli("--tile-size=0 /nonexistent/input.c").ExitCode, 2);
-  // Garbage (non-numeric) arguments remain the generic CLI error.
-  EXPECT_EQ(runCli("--tile-size=banana " + examplePath("matmul.c")).ExitCode,
-            1);
+  // Values that do not parse, or do not fit the field, are bad requests
+  // too: nothing is truncated, wrapped or clamped into range.
+  for (const char *Flag :
+       {"--tile-size=banana", "--tile-size=4294967301", "--tile-size=-1",
+        "--timeout-ms=-5", "--wavefront-degrees=0", "--tile-size="})
+    EXPECT_EQ(runCli(std::string(Flag) + " " + examplePath("matmul.c"))
+                  .ExitCode,
+              2)
+        << Flag;
+  EXPECT_EQ(runCli("--wavefront-degrees=2 " + examplePath("matmul.c"))
+                .ExitCode,
+            0);
+}
+
+// plutoctl parses the same option table and validates before it connects:
+// with no daemon behind --socket, an option error still exits 2 (a bad
+// request), while a valid option set gets as far as the connection (1).
+TEST(CliTest, PlutoctlRejectsBadOptionsBeforeConnecting) {
+  std::string Ctl = std::string(PLUTOCTL_PATH) + " --retries=1 --socket=" +
+                    tempPath("_no_daemon.sock") + " ";
+  auto Exit = [](const std::string &Cmd) {
+    int Status = std::system((Cmd + " < /dev/null 2> /dev/null").c_str());
+    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  };
+  EXPECT_EQ(Exit(Ctl + "--tile-size=-1"), 2);
+  EXPECT_EQ(Exit(Ctl + "--tile-size=0"), 2);
+  EXPECT_EQ(Exit(Ctl + "--frobnicate"), 2);
+  EXPECT_EQ(Exit(Ctl + "--tile-size=16 --timeout-ms=100"), 1);
+}
+
+// Both clients print the same generated help lines for the option table.
+TEST(CliTest, PlutoppAndPlutoctlShareOptionHelp) {
+  std::string Pp = runCli("--help").Stdout;
+  FILE *P = popen((std::string(PLUTOCTL_PATH) + " --help").c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  std::string Ctl;
+  std::array<char, 4096> Buf;
+  size_t N;
+  while ((N = fread(Buf.data(), 1, Buf.size(), P)) > 0)
+    Ctl.append(Buf.data(), N);
+  pclose(P);
+  for (const char *Line : {"  --tile-size=N                   tile size (32)\n",
+                           "  --wavefront-degrees=N",
+                           "  --timeout-ms=N", "/ --no-fast-schedule\n"}) {
+    EXPECT_NE(Pp.find(Line), std::string::npos) << Line;
+    EXPECT_NE(Ctl.find(Line), std::string::npos) << Line;
+  }
 }
 
 TEST(CliTest, OutFlagWritesFileAndFreesStdout) {

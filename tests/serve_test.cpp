@@ -2,20 +2,17 @@
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
-// Wire-protocol round-trips (pure string work, no sockets), the sharded
-// result cache's equivalence with a single shard, and the in-process
-// Server over real AF_UNIX sockets: byte-identical round-trips against
-// Pipeline, malformed/oversized-line resync, bounded-queue overload
-// rejection, per-client fairness, graceful drain with zero dropped jobs,
-// and a multi-threaded mixed-traffic soak that ends by parsing the
-// metrics document.
+// Wire-protocol round-trips (pure string work, no sockets) and the
+// in-process Server over real AF_UNIX sockets: byte-identical round-trips
+// against Pipeline, malformed/oversized-line resync, bounded-queue
+// overload rejection, per-client fairness, graceful drain with zero
+// dropped jobs, and a multi-threaded mixed-traffic soak that ends by
+// parsing the metrics document.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/Protocol.h"
 #include "serve/Server.h"
-#include "serve/ShardedCache.h"
-#include "service/Batch.h"
 #include "service/Pipeline.h"
 #include "support/Json.h"
 
@@ -178,6 +175,7 @@ TEST(Protocol, CompileRequestRoundTripsWithNonDefaultOptions) {
   O.SecondLevelTile = true;
   O.L2TileSize = 4;
   O.Parallelize = false;
+  O.WavefrontDegrees = 3;
   O.Vectorize = false;
   O.IncludeInputDeps = false;
   O.ParamMin = 9;
@@ -223,6 +221,16 @@ TEST(Protocol, DecodeRejectsBadRequests) {
   ASSERT_FALSE(bool(R));
   EXPECT_NE(R.error().find("tille"), std::string::npos)
       << "unknown option keys should be named: " << R.error();
+  // Values the field cannot hold are rejected, not truncated or wrapped:
+  // 4294967301 would otherwise compile as tile size 5.
+  for (const char *Bad : {"4294967301", "-1"}) {
+    auto T = decodeRequest(std::string("{\"plutod\": 1, \"op\": \"compile\", "
+                                       "\"source\": \"x\", \"options\": "
+                                       "{\"tile_size\": ") +
+                           Bad + "}}");
+    ASSERT_FALSE(bool(T)) << Bad;
+    EXPECT_NE(T.error().find("tile_size"), std::string::npos) << T.error();
+  }
 }
 
 TEST(Protocol, ResponseRoundTripsOkAndError) {
@@ -335,89 +343,6 @@ TEST(Protocol, StatusNamesRoundTripAndExitCodesAggregate) {
   EXPECT_EQ(aggregateExitCodes(1, 2), 2);
   EXPECT_EQ(aggregateExitCodes(2, 0), 2);
   EXPECT_EQ(aggregateExitCodes(1, 3), 1);
-}
-
-//===----------------------------------------------------------------------===//
-// Sharded cache.
-//===----------------------------------------------------------------------===//
-
-TEST(ShardedCache, TotalsMatchSingleShardForIdenticalTraffic) {
-  ResultCache Single(
-      ResultCache::Config{16ull << 20, std::string()});
-  ShardedResultCache::Config SC;
-  SC.Shards = 8;
-  SC.MaxBytes = 16ull << 20; // split across shards; no evictions either way
-  ShardedResultCache Sharded(SC);
-
-  // Same traffic against both: N inserts, hits, misses and single-flight
-  // computes.
-  for (unsigned I = 0; I < 64; ++I) {
-    std::string Key = "e3b0c44298fc1c" + std::to_string(I); // hex-ish prefix
-    std::string Value(100 + I, 'v');
-    Single.insert(Key, Value);
-    Sharded.insert(Key, Value);
-  }
-  for (unsigned I = 0; I < 64; ++I) {
-    std::string Key = "e3b0c44298fc1c" + std::to_string(I);
-    EXPECT_TRUE(Single.lookup(Key).has_value());
-    EXPECT_TRUE(Sharded.lookup(Key).has_value());
-  }
-  EXPECT_FALSE(Single.lookup("absent").has_value());
-  EXPECT_FALSE(Sharded.lookup("absent").has_value());
-  for (unsigned I = 0; I < 8; ++I) {
-    std::string Key = "ffee" + std::to_string(I);
-    auto Compute = [&]() -> Result<std::string> {
-      return std::string("computed-") + std::to_string(I);
-    };
-    ASSERT_TRUE(bool(Single.getOrCompute(Key, Compute)));
-    ASSERT_TRUE(bool(Sharded.getOrCompute(Key, Compute)));
-  }
-
-  ResultCache::Snapshot A = Single.snapshot();
-  ResultCache::Snapshot B = Sharded.snapshot();
-  EXPECT_EQ(A.Hits, B.Hits);
-  EXPECT_EQ(A.DiskHits, B.DiskHits);
-  EXPECT_EQ(A.Misses, B.Misses);
-  EXPECT_EQ(A.Evictions, B.Evictions);
-  EXPECT_EQ(A.Coalesced, B.Coalesced);
-  EXPECT_EQ(A.Bytes, B.Bytes);
-  EXPECT_EQ(A.Entries, B.Entries);
-}
-
-TEST(ShardedCache, RoutingIsStableAndInRange) {
-  ShardedResultCache::Config SC;
-  SC.Shards = 8;
-  ShardedResultCache C(SC);
-  EXPECT_EQ(C.shardCount(), 8u);
-  for (const char *Key : {"00ab", "ffcd", "deadbeef", "not-hex-at-all"}) {
-    unsigned S1 = C.shardIndex(Key);
-    unsigned S2 = C.shardIndex(Key);
-    EXPECT_EQ(S1, S2);
-    EXPECT_LT(S1, 8u);
-  }
-}
-
-TEST(ShardedCache, WorksAsThePipelineCacheThroughTheBaseInterface) {
-  // compileRequests() only knows std::shared_ptr<ResultCache>; a sharded
-  // cache must be a drop-in.
-  ShardedResultCache::Config SC;
-  SC.Shards = 4;
-  BatchOptions BO;
-  BO.Jobs = 4;
-  BO.Cache = std::make_shared<ShardedResultCache>(SC);
-
-  std::vector<CompileRequest> Reqs;
-  for (unsigned I = 0; I < 8; ++I)
-    Reqs.push_back({"k", kernelSource(0), PlutoOptions()}); // all identical
-  auto Resps = compileRequests(Reqs, BO);
-  ASSERT_EQ(Resps.size(), 8u);
-  for (auto &R : Resps)
-    ASSERT_TRUE(R.ok()) << R.Error;
-
-  // Single-flight + cache: 8 identical jobs cost one cold compile.
-  ResultCache::Snapshot S = BO.Cache->snapshot();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Hits + S.Coalesced, 7u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -717,7 +642,6 @@ TEST(Server, SoakMixedTrafficThenMetricsAddUp) {
   ServerConfig Cfg;
   Cfg.SocketPath = uniqueSocketPath();
   Cfg.Workers = 4;
-  Cfg.CacheShards = 4;
   auto S = Server::create(Cfg);
   ASSERT_TRUE(bool(S)) << S.error();
   (*S)->start();

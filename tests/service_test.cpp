@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Kernels.h"
+#include "serve/Protocol.h"
 #include "service/Batch.h"
 #include "service/Hash.h"
 #include "service/Pipeline.h"
@@ -76,6 +77,14 @@ std::string readFile(const fs::path &P) {
   return SS.str();
 }
 
+/// One default-options request per examples/*.c kernel.
+std::vector<CompileRequest> exampleRequests() {
+  std::vector<CompileRequest> Reqs;
+  for (const fs::path &K : exampleKernels())
+    Reqs.push_back({K.filename().string(), readFile(K), {}, {}});
+  return Reqs;
+}
+
 //===----------------------------------------------------------------------===//
 // PlutoOptions: validate / equality / fingerprint
 //===----------------------------------------------------------------------===//
@@ -116,8 +125,9 @@ TEST(OptionsTest, ZeroTileSizeFailsFastThroughEveryEntryPoint) {
   O.TileSize = 0;
   EXPECT_FALSE(Pipeline::create(O).hasValue());
   EXPECT_FALSE(optimizeSource(MatMul, O).hasValue());
-  auto B = compileBatch({{"m", MatMul}}, O);
-  EXPECT_FALSE(B.hasValue());
+  auto B = compileRequests({{"m", MatMul, O, {}}});
+  ASSERT_EQ(B.size(), 1u);
+  EXPECT_EQ(B[0].Status, StatusCode::BadRequest);
 }
 
 TEST(OptionsTest, EqualityIsFieldWise) {
@@ -200,6 +210,56 @@ TEST(OptionsTest, FingerprintNormalizesIgnoredFields) {
   // normalized() is idempotent and is what fingerprint() hashes.
   EXPECT_EQ(A.normalized().fingerprint(), A.fingerprint());
   EXPECT_TRUE(A.normalized() == A.normalized().normalized());
+}
+
+// The default options' fingerprint, pinned: any change to it re-keys every
+// cache entry, so it changes only on purpose (the option table renamed the
+// token input_deps= to include_input_deps=, its wire name).
+TEST(OptionsTest, DefaultFingerprintIsPinned) {
+  EXPECT_EQ(PlutoOptions().fingerprint(),
+            "tile=1;tile_size=32;l2tile=0;l2tile_size=8;parallel=1;"
+            "wavefront_degrees=1;vectorize=1;include_input_deps=1;"
+            "param_min=4;fast_schedule=1;cg_max_pieces=24;cg_separation=1;"
+            "cg_pragma_rows=");
+}
+
+// Every row of the option table through the table's own spellings: its
+// flag sets the field, the wire carries it, and the fingerprint sees it
+// (budget rows excepted). FingerprintIsSensitiveToEveryField lists the
+// fields by hand, so a field missing from the table fails there instead.
+TEST(OptionsTest, EveryTableRowParsesRoundTripsAndFingerprints) {
+  PlutoOptions Base;
+  Base.SecondLevelTile = true; // normalized() hides l2tile_size without it
+  for (const OptionField &F : optionTable()) {
+    SCOPED_TRACE(F.Name);
+    PlutoOptions O = Base;
+    BudgetLimits B;
+    bool IsBool = F.K == OptionField::Kind::Bool;
+    long long Want = IsBool ? !F.get(O, B) : F.get(O, B) + 3;
+    std::string Arg = F.flag();
+    if (IsBool && !Want)
+      Arg = "--no-" + Arg.substr(2);
+    if (!IsBool)
+      Arg += "=" + std::to_string(Want);
+    auto P = parseOptionFlag(Arg, O, B);
+    ASSERT_TRUE(P.hasValue()) << P.error();
+    ASSERT_TRUE(*P) << Arg << " is not a table flag";
+    EXPECT_EQ(F.get(O, B), Want);
+    EXPECT_EQ(O != Base, !F.isBudget());
+    EXPECT_EQ(B != BudgetLimits(), F.isBudget());
+
+    serve::WireRequest W;
+    W.Operation = serve::Op::Compile;
+    W.Req = {"unit.c", MatMul, O, B};
+    auto D = serve::decodeRequest(serve::encodeRequest(W));
+    ASSERT_TRUE(D.hasValue()) << D.error();
+    EXPECT_TRUE(D->Req.Opts == O);
+    EXPECT_TRUE(D->Req.Budget == B);
+
+    // Budgets never change the emitted code, so they stay out of the
+    // fingerprint; every other row is in it.
+    EXPECT_EQ(O.fingerprint() != Base.fingerprint(), !F.isBudget());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -406,31 +466,13 @@ TEST(PipelineTest, CacheKeyCanonicalizesWhitespaceButNotSemantics) {
   EXPECT_NE(P2->cacheKey(MatMul), Base);
 }
 
-TEST(PipelineTest, CompileHitsCacheOnSecondCall) {
-  auto P = Pipeline::create();
-  ASSERT_TRUE(P.hasValue());
-  auto Cache = std::make_shared<ResultCache>();
-  P->attachCache(Cache);
-
-  auto Cold = P->compile(MatMul);
-  ASSERT_TRUE(Cold.hasValue());
-  EXPECT_FALSE(Cold->CacheHit);
-
-  auto WarmRes = P->compile(MatMul);
-  ASSERT_TRUE(WarmRes.hasValue());
-  EXPECT_TRUE(WarmRes->CacheHit);
-  EXPECT_EQ(WarmRes->Key, Cold->Key);
-  EXPECT_EQ(WarmRes->EmittedC, Cold->EmittedC);
-  EXPECT_EQ(Cache->snapshot().Hits, 1u);
-}
-
 TEST(PipelineTest, ParseErrorsPropagateAndAreNotCached) {
   auto P = Pipeline::create();
   ASSERT_TRUE(P.hasValue());
   auto Cache = std::make_shared<ResultCache>();
   P->attachCache(Cache);
-  auto R = P->compile("while (1) { a[i] = 0.0; }\n");
-  EXPECT_FALSE(R.hasValue());
+  auto R = P->compileRequest({"bad", "while (1) { a[i] = 0.0; }\n", {}, {}});
+  EXPECT_EQ(R.Status, StatusCode::SourceError);
   EXPECT_EQ(Cache->snapshot().Entries, 0u);
 }
 
@@ -438,128 +480,127 @@ TEST(PipelineTest, ParseErrorsPropagateAndAreNotCached) {
 // kernel, a cold compile, a second cold compile (fresh session), and a
 // cache-served compile must all emit byte-identical C.
 TEST(PipelineTest, ColdAndCachedCompilesAreByteIdenticalForAllExamples) {
-  auto Kernels = exampleKernels();
-  ASSERT_FALSE(Kernels.empty());
   auto Cache = std::make_shared<ResultCache>();
-  for (const fs::path &K : Kernels) {
-    std::string Src = readFile(K);
-
+  for (const CompileRequest &Req : exampleRequests()) {
     auto P1 = Pipeline::create();
     ASSERT_TRUE(P1.hasValue());
-    auto Cold1 = P1->compile(Src);
-    ASSERT_TRUE(Cold1.hasValue()) << K << ": " << Cold1.error();
+    auto Cold1 = P1->compileRequest(Req);
+    ASSERT_TRUE(Cold1.ok()) << Req.Name << ": " << Cold1.Error;
 
     auto P2 = Pipeline::create();
     ASSERT_TRUE(P2.hasValue());
-    auto Cold2 = P2->compile(Src);
-    ASSERT_TRUE(Cold2.hasValue());
-    EXPECT_EQ(Cold1->EmittedC, Cold2->EmittedC) << K;
+    auto Cold2 = P2->compileRequest(Req);
+    ASSERT_TRUE(Cold2.ok());
+    EXPECT_EQ(Cold1.EmittedC, Cold2.EmittedC) << Req.Name;
 
     auto P3 = Pipeline::create();
     ASSERT_TRUE(P3.hasValue());
     P3->attachCache(Cache);
-    auto Seed = P3->compile(Src); // populates
-    ASSERT_TRUE(Seed.hasValue());
-    auto Warm = P3->compile(Src); // served
-    ASSERT_TRUE(Warm.hasValue());
-    EXPECT_TRUE(Warm->CacheHit) << K;
-    EXPECT_EQ(Warm->EmittedC, Cold1->EmittedC) << K;
+    auto Seed = P3->compileRequest(Req); // populates
+    ASSERT_TRUE(Seed.ok());
+    auto Warm = P3->compileRequest(Req); // served
+    ASSERT_TRUE(Warm.ok());
+    EXPECT_TRUE(Warm.CacheHit) << Req.Name;
+    EXPECT_EQ(Warm.EmittedC, Cold1.EmittedC) << Req.Name;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// compileBatch
+// compileRequests
 //===----------------------------------------------------------------------===//
 
 TEST(BatchTest, DeterministicOrderingAndFailureIsolation) {
-  std::vector<CompileJob> Jobs = {
-      {"matmul", MatMul},
-      {"bad", "while (1) { a[i] = 0.0; }\n"},
-      {"jacobi", Jacobi},
-      {"matmul-again", MatMul},
+  std::vector<CompileRequest> Reqs = {
+      {"matmul", MatMul, {}, {}},
+      {"bad", "while (1) { a[i] = 0.0; }\n", {}, {}},
+      {"jacobi", Jacobi, {}, {}},
+      {"matmul-again", MatMul, {}, {}},
   };
-  auto R = compileBatch(Jobs, PlutoOptions(), BatchOptions());
-  ASSERT_TRUE(R.hasValue());
-  ASSERT_EQ(R->size(), 4u);
-  ASSERT_TRUE((*R)[0].hasValue());
-  EXPECT_FALSE((*R)[1].hasValue()); // only the bad job fails
-  ASSERT_TRUE((*R)[2].hasValue());
-  ASSERT_TRUE((*R)[3].hasValue());
+  auto R = compileRequests(Reqs);
+  ASSERT_EQ(R.size(), 4u);
+  for (size_t I = 0; I < R.size(); ++I)
+    EXPECT_EQ(R[I].Name, Reqs[I].Name);
+  ASSERT_TRUE(R[0].ok());
+  EXPECT_EQ(R[1].Status, StatusCode::SourceError); // only the bad job fails
+  ASSERT_TRUE(R[2].ok());
+  ASSERT_TRUE(R[3].ok());
   // Identical jobs dedup onto one compile: same key, same bytes.
-  EXPECT_EQ((*R)[0]->Key, (*R)[3]->Key);
-  EXPECT_EQ((*R)[0]->EmittedC, (*R)[3]->EmittedC);
-  EXPECT_NE((*R)[0]->Key, (*R)[2]->Key);
+  EXPECT_EQ(R[0].Key, R[3].Key);
+  EXPECT_EQ(R[0].EmittedC, R[3].EmittedC);
+  EXPECT_NE(R[0].Key, R[2].Key);
 }
 
 TEST(BatchTest, ConcurrentMatchesSerialByteForByte) {
-  auto Kernels = exampleKernels();
-  ASSERT_FALSE(Kernels.empty());
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
+  std::vector<CompileRequest> Reqs = exampleRequests();
+  ASSERT_FALSE(Reqs.empty());
 
   BatchOptions Serial;
   Serial.Jobs = 1;
-  auto RS = compileBatch(Jobs, PlutoOptions(), Serial);
-  ASSERT_TRUE(RS.hasValue());
+  auto RS = compileRequests(Reqs, Serial);
 
   BatchOptions Par;
   Par.Jobs = 4;
-  auto RP = compileBatch(Jobs, PlutoOptions(), Par);
-  ASSERT_TRUE(RP.hasValue());
+  auto RP = compileRequests(Reqs, Par);
 
-  ASSERT_EQ(RS->size(), RP->size());
-  for (size_t I = 0; I < RS->size(); ++I) {
-    ASSERT_TRUE((*RS)[I].hasValue()) << Jobs[I].Name;
-    ASSERT_TRUE((*RP)[I].hasValue()) << Jobs[I].Name;
-    EXPECT_EQ((*RS)[I]->EmittedC, (*RP)[I]->EmittedC) << Jobs[I].Name;
+  ASSERT_EQ(RS.size(), RP.size());
+  for (size_t I = 0; I < RS.size(); ++I) {
+    ASSERT_TRUE(RS[I].ok()) << Reqs[I].Name;
+    ASSERT_TRUE(RP[I].ok()) << Reqs[I].Name;
+    EXPECT_EQ(RS[I].EmittedC, RP[I].EmittedC) << Reqs[I].Name;
   }
 }
 
 TEST(BatchTest, SharedCacheMakesSecondBatchAllHits) {
-  auto Kernels = exampleKernels();
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
-
+  std::vector<CompileRequest> Reqs = exampleRequests();
   BatchOptions BO;
   BO.Jobs = 2;
   BO.Cache = std::make_shared<ResultCache>();
-  auto Cold = compileBatch(Jobs, PlutoOptions(), BO);
-  ASSERT_TRUE(Cold.hasValue());
-  auto Warm = compileBatch(Jobs, PlutoOptions(), BO);
-  ASSERT_TRUE(Warm.hasValue());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    ASSERT_TRUE((*Warm)[I].hasValue());
-    EXPECT_TRUE((*Warm)[I]->CacheHit) << Jobs[I].Name;
-    EXPECT_EQ((*Warm)[I]->EmittedC, (*Cold)[I]->EmittedC);
+  auto Cold = compileRequests(Reqs, BO);
+  auto Warm = compileRequests(Reqs, BO);
+  for (size_t I = 0; I < Reqs.size(); ++I) {
+    ASSERT_TRUE(Warm[I].ok());
+    EXPECT_TRUE(Warm[I].CacheHit) << Reqs[I].Name;
+    EXPECT_EQ(Warm[I].EmittedC, Cold[I].EmittedC);
   }
+}
+
+// Single-flight at batch level: eight identical requests on four workers
+// cost exactly one cold compile; the other seven wait on the leader or
+// hit the cache.
+TEST(BatchTest, IdenticalRequestsCompileOnce) {
+  BatchOptions BO;
+  BO.Jobs = 4;
+  BO.Cache = std::make_shared<ResultCache>();
+  std::vector<CompileRequest> Reqs(8, CompileRequest{"k", MatMul, {}, {}});
+  auto Resps = compileRequests(Reqs, BO);
+  ASSERT_EQ(Resps.size(), 8u);
+  for (const CompileResponse &R : Resps)
+    ASSERT_TRUE(R.ok()) << R.Error;
+  ResultCache::Snapshot S = BO.Cache->snapshot();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits + S.Coalesced, 7u);
 }
 
 // The warm-vs-cold acceptance criterion at API level: serving the corpus
 // from the cache must be at least 10x faster than compiling it.
 TEST(BatchTest, WarmCacheIsAtLeastTenTimesFasterThanCold) {
-  auto Kernels = exampleKernels();
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
-
+  std::vector<CompileRequest> Reqs = exampleRequests();
   BatchOptions BO;
   BO.Cache = std::make_shared<ResultCache>();
   auto T0 = std::chrono::steady_clock::now();
-  auto Cold = compileBatch(Jobs, PlutoOptions(), BO);
+  auto Cold = compileRequests(Reqs, BO);
   auto T1 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(Cold.hasValue());
+  for (const CompileResponse &R : Cold)
+    ASSERT_TRUE(R.ok()) << R.Name;
 
   // Best warm run of three, to be robust against scheduler noise.
   double WarmBest = 1e9;
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto W0 = std::chrono::steady_clock::now();
-    auto Warm = compileBatch(Jobs, PlutoOptions(), BO);
+    auto Warm = compileRequests(Reqs, BO);
     auto W1 = std::chrono::steady_clock::now();
-    ASSERT_TRUE(Warm.hasValue());
-    for (const auto &R : *Warm)
-      ASSERT_TRUE(R.hasValue() && R->CacheHit);
+    for (const CompileResponse &R : Warm)
+      ASSERT_TRUE(R.ok() && R.CacheHit);
     WarmBest =
         std::min(WarmBest, std::chrono::duration<double>(W1 - W0).count());
   }
@@ -597,6 +638,7 @@ TEST(CompileServiceTest, PipelineCompileRequestReportsOkThenCacheHit) {
   EXPECT_TRUE(Again.CacheHit);
   EXPECT_EQ(Again.Key, R.Key);
   EXPECT_EQ(Again.EmittedC, R.EmittedC);
+  EXPECT_EQ(Cache->snapshot().Hits, 1u);
 }
 
 TEST(CompileServiceTest, SourceErrorsCarryStructuredDiagnostics) {

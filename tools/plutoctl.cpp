@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,7 +40,7 @@ using namespace pluto::serve;
 
 namespace {
 
-const char *Usage =
+const char *UsageHead =
     "usage: plutoctl --socket=PATH [options] [input.c ...]\n"
     "\n"
     "Client for the plutod compile daemon. Compiles the given restricted-C\n"
@@ -50,32 +51,39 @@ const char *Usage =
     "budget exhausted.\n"
     "\n"
     "operations:\n"
-    "  (default)                  compile the inputs\n"
-    "  --ping                     health-check the daemon\n"
-    "  --metrics                  print the daemon's metrics document\n"
+    "  (default)                       compile the inputs\n"
+    "  --ping                          health-check the daemon\n"
+    "  --metrics                       print the daemon's metrics document\n"
     "\n"
     "connection options:\n"
-    "  --timeout=MS               per-wait deadline talking to the daemon\n"
-    "                             (30000; 0 = wait forever)\n"
-    "  --retries=N                connection attempts before giving up\n"
-    "                             (5, exponential backoff from 50 ms);\n"
-    "                             rides out a daemon that is still\n"
-    "                             starting or briefly restarting\n"
+    "  --timeout=MS                    per-wait deadline talking to the\n"
+    "                                  daemon (30000; 0 = wait forever)\n"
+    "  --retries=N                     connection attempts before giving up\n"
+    "                                  (5, exponential backoff from 50 ms);\n"
+    "                                  rides out a daemon that is still\n"
+    "                                  starting or briefly restarting\n"
     "\n"
-    "per-request resource budget (forwarded on the wire):\n"
-    "  --compile-timeout-ms=N     wall-clock budget per compile\n"
-    "  --max-memory-mb=N          memory budget per compile in MiB\n"
-    "  --max-work=N               deterministic work-unit budget\n"
-    "\n"
-    "transformation options (plutopp names, forwarded on the wire):\n"
-    "  --tile/--no-tile, --tile-size=N, --l2tile/--no-l2tile,\n"
-    "  --l2tile-size=N, --parallel/--no-parallel,\n"
-    "  --vectorize/--no-vectorize,\n"
-    "  --include-input-deps/--no-include-input-deps,\n"
-    "  --fast-schedule/--no-fast-schedule, --param-min=N\n"
+    "The transformation and budget options are plutopp's, forwarded on the\n"
+    "wire and checked here before the daemon is contacted.\n"
+    "\n";
+
+const char *UsageTail =
     "\n"
     "output options:\n"
-    "  --out-dir=DIR              write each unit to DIR/<stem>.pluto.c\n";
+    "  --out-dir=DIR                   write each unit to DIR/<stem>.pluto.c\n";
+
+/// Prints the whole --help text to Out.
+void usage(FILE *Out) {
+  std::fputs(UsageHead, Out);
+  std::fputs(optionFlagsHelp().c_str(), Out);
+  std::fputs(UsageTail, Out);
+}
+
+/// Reports a flag whose value does not parse; a bad request.
+int badValue(const std::string &A) {
+  std::fprintf(stderr, "plutoctl: bad numeric argument in '%s'\n", A.c_str());
+  return 2;
+}
 
 struct Client {
   int Fd = -1;
@@ -226,11 +234,15 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto Num = [&](size_t Prefix) -> long long {
-      return std::strtoll(A.c_str() + Prefix, nullptr, 10);
-    };
+    auto Opt = parseOptionFlag(A, Opts, Budget);
+    if (!Opt) {
+      std::fprintf(stderr, "plutoctl: %s\n", Opt.error().c_str());
+      return 2;
+    }
+    if (*Opt)
+      continue;
     if (A == "--help" || A == "-h") {
-      std::fputs(Usage, stdout);
+      usage(stdout);
       return 0;
     } else if (A.rfind("--socket=", 0) == 0)
       Socket = A.substr(9);
@@ -240,56 +252,33 @@ int main(int Argc, char **Argv) {
       DoMetrics = true;
     else if (A.rfind("--out-dir=", 0) == 0)
       OutDir = A.substr(10);
-    else if (A.rfind("--timeout=", 0) == 0)
-      TimeoutMs = static_cast<int>(Num(10));
-    else if (A.rfind("--retries=", 0) == 0)
-      Retries = static_cast<unsigned>(Num(10));
-    else if (A.rfind("--compile-timeout-ms=", 0) == 0)
-      Budget.WallMs = static_cast<uint64_t>(Num(21));
-    else if (A.rfind("--max-memory-mb=", 0) == 0)
-      Budget.MaxMemoryBytes = static_cast<uint64_t>(Num(16)) << 20;
-    else if (A.rfind("--max-work=", 0) == 0)
-      Budget.MaxWorkUnits = static_cast<uint64_t>(Num(11));
-    else if (A == "--tile")
-      Opts.Tile = true;
-    else if (A == "--no-tile")
-      Opts.Tile = false;
-    else if (A.rfind("--tile-size=", 0) == 0)
-      Opts.TileSize = static_cast<unsigned>(Num(12));
-    else if (A == "--l2tile")
-      Opts.SecondLevelTile = true;
-    else if (A == "--no-l2tile")
-      Opts.SecondLevelTile = false;
-    else if (A.rfind("--l2tile-size=", 0) == 0)
-      Opts.L2TileSize = static_cast<unsigned>(Num(14));
-    else if (A == "--parallel")
-      Opts.Parallelize = true;
-    else if (A == "--no-parallel")
-      Opts.Parallelize = false;
-    else if (A == "--vectorize")
-      Opts.Vectorize = true;
-    else if (A == "--no-vectorize")
-      Opts.Vectorize = false;
-    else if (A == "--include-input-deps")
-      Opts.IncludeInputDeps = true;
-    else if (A == "--no-include-input-deps")
-      Opts.IncludeInputDeps = false;
-    else if (A == "--fast-schedule")
-      Opts.FastSchedule = true;
-    else if (A == "--no-fast-schedule")
-      Opts.FastSchedule = false;
-    else if (A.rfind("--param-min=", 0) == 0)
-      Opts.ParamMin = Num(12);
-    else if (!A.empty() && A[0] == '-') {
-      std::fprintf(stderr, "plutoctl: unknown option '%s'\n%s", A.c_str(),
-                   Usage);
+    else if (A.rfind("--timeout=", 0) == 0) {
+      auto V = parseInteger(A.substr(10), 0, INT_MAX);
+      if (!V)
+        return badValue(A);
+      TimeoutMs = static_cast<int>(*V);
+    } else if (A.rfind("--retries=", 0) == 0) {
+      auto V = parseInteger(A.substr(10), 0, UINT_MAX);
+      if (!V)
+        return badValue(A);
+      Retries = static_cast<unsigned>(*V);
+    } else if (!A.empty() && A[0] == '-') {
+      std::fprintf(stderr, "plutoctl: unknown option '%s'\n", A.c_str());
+      usage(stderr);
       return 2;
     } else
       Inputs.push_back(A);
   }
 
   if (Socket.empty()) {
-    std::fprintf(stderr, "plutoctl: --socket=PATH is required\n%s", Usage);
+    std::fprintf(stderr, "plutoctl: --socket=PATH is required\n");
+    usage(stderr);
+    return 2;
+  }
+  // The same checks plutopp makes, before any input is read or the daemon
+  // is contacted.
+  if (auto V = Opts.validate(); !V) {
+    std::fprintf(stderr, "plutoctl: %s\n", V.error().c_str());
     return 2;
   }
 

@@ -17,9 +17,10 @@
 #include "service/Version.h"
 #include "support/FaultInjector.h"
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unistd.h>
@@ -40,11 +41,10 @@ const char *Usage =
     "  --socket=PATH              AF_UNIX socket path to listen on\n"
     "  --workers=N                compile worker threads (0 = all\n"
     "                             hardware threads)\n"
-    "  --shards=N                 result-cache lock shards (8)\n"
     "  --queue=N                  max queued compile jobs before new\n"
     "                             requests are rejected overloaded (128)\n"
     "  --cache-bytes=N            in-memory cache budget in bytes\n"
-    "                             (67108864), split across shards\n"
+    "                             (67108864)\n"
     "  --cache-dir=DIR            persistent result cache shared with\n"
     "                             plutopp --cache-dir\n"
     "  --max-request-bytes=N      per-request-line byte cap (8388608)\n"
@@ -74,15 +74,6 @@ void onSignal(int) {
   (void)!write(SigPipe[1], &B, 1);
 }
 
-long long numArg(const std::string &Arg, size_t Prefix, bool &Ok) {
-  errno = 0;
-  char *End = nullptr;
-  const char *Begin = Arg.c_str() + Prefix;
-  long long V = std::strtoll(Begin, &End, 10);
-  Ok = End != Begin && *End == '\0' && errno == 0 && V >= 0;
-  return V;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -92,6 +83,13 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     bool Ok = true;
+    // The non-negative integer after the Prefix-byte flag name; clears Ok
+    // when the value does not parse or exceeds Hi.
+    auto Num = [&](size_t Prefix, long long Hi = LLONG_MAX) {
+      auto V = parseInteger(std::string_view(A).substr(Prefix), 0, Hi);
+      Ok = V.has_value();
+      return V.value_or(0);
+    };
     if (A == "--help" || A == "-h") {
       std::fputs(Usage, stdout);
       return 0;
@@ -101,27 +99,25 @@ int main(int Argc, char **Argv) {
     } else if (A.rfind("--socket=", 0) == 0)
       Cfg.SocketPath = A.substr(9);
     else if (A.rfind("--workers=", 0) == 0)
-      Cfg.Workers = static_cast<unsigned>(numArg(A, 10, Ok));
-    else if (A.rfind("--shards=", 0) == 0)
-      Cfg.CacheShards = static_cast<unsigned>(numArg(A, 9, Ok));
+      Cfg.Workers = static_cast<unsigned>(Num(10, UINT_MAX));
     else if (A.rfind("--queue=", 0) == 0)
-      Cfg.MaxQueue = static_cast<size_t>(numArg(A, 8, Ok));
+      Cfg.MaxQueue = static_cast<size_t>(Num(8));
     else if (A.rfind("--cache-bytes=", 0) == 0)
-      Cfg.CacheMaxBytes = static_cast<size_t>(numArg(A, 14, Ok));
+      Cfg.CacheMaxBytes = static_cast<size_t>(Num(14));
     else if (A.rfind("--cache-dir=", 0) == 0)
       Cfg.CacheDir = A.substr(12);
     else if (A.rfind("--max-request-bytes=", 0) == 0)
-      Cfg.MaxRequestBytes = static_cast<size_t>(numArg(A, 20, Ok));
+      Cfg.MaxRequestBytes = static_cast<size_t>(Num(20));
     else if (A.rfind("--timeout-ms=", 0) == 0)
-      Cfg.RequestTimeoutMs = numArg(A, 13, Ok);
+      Cfg.RequestTimeoutMs = Num(13);
     else if (A == "--isolate")
       Cfg.Isolate = true;
     else if (A.rfind("--compile-timeout-ms=", 0) == 0)
-      Cfg.CompileTimeoutMs = numArg(A, 21, Ok);
+      Cfg.CompileTimeoutMs = Num(21);
     else if (A.rfind("--max-memory-mb=", 0) == 0)
-      Cfg.MaxMemoryMb = numArg(A, 16, Ok);
+      Cfg.MaxMemoryMb = Num(16);
     else if (A.rfind("--breaker-ttl-ms=", 0) == 0)
-      Cfg.BreakerTtlMs = numArg(A, 17, Ok);
+      Cfg.BreakerTtlMs = Num(17);
     else if (A == "--quiet")
       Cfg.LogStream = nullptr;
     else {
@@ -163,10 +159,9 @@ int main(int Argc, char **Argv) {
 
   (*S)->start();
   std::fprintf(stderr,
-               "plutod %s listening on %s (workers=%u, shards=%u, "
-               "queue=%zu)\n",
+               "plutod %s listening on %s (workers=%u, queue=%zu)\n",
                ToolchainVersion, (*S)->socketPath().c_str(), Cfg.Workers,
-               Cfg.CacheShards, Cfg.MaxQueue);
+               Cfg.MaxQueue);
 
   // Block until a termination signal arrives.
   char B;

@@ -6,16 +6,18 @@
 // for the compilation service layer: read one or many restricted-C affine
 // loop nests, compile them through pluto::Pipeline sessions - concurrently
 // with --jobs, against a content-addressed result cache with --cache-dir -
-// and emit tiled OpenMP C. Every paper knob is exposed symmetrically
-// (--x / --no-x), and --report dumps the toolchain-wide diagnostics from
-// src/observe including the cache hit/miss/eviction counters.
+// and emit tiled OpenMP C. The paper knobs and the budget flags, with
+// their help lines, come from the option table (driver/Driver.h), the
+// same one plutoctl and the wire use; --report dumps the toolchain-wide
+// diagnostics from src/observe including the cache hit/miss/eviction
+// counters.
 //
 // Exit codes come from the shared StatusCode table (service/
 // CompileService.h): 0 success, 1 internal/schedule failure (also plain
-// I/O problems), 2 invalid options or source errors, 3 overloaded (only
-// reachable through a daemon; never in-process), 4 resource budget
-// exhausted (--timeout-ms/--max-memory-mb/--max-work). Multi-file batches
-// fold per-unit codes with the documented precedence 2 > 1 > 4 > 3 > 0.
+// I/O problems), 2 invalid or unknown options and source errors, 3
+// overloaded (only reachable through a daemon; never in-process), 4
+// resource budget exhausted. Multi-file batches fold per-unit codes with
+// the documented precedence 2 > 1 > 4 > 3 > 0.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,8 @@
 #include "support/Json.h"
 #include "tune/Tuner.h"
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -41,28 +42,16 @@ using namespace pluto;
 
 namespace {
 
-const char *UsageText =
+const char *UsageHead =
     "usage: plutopp [options] [input.c ...]\n"
     "\n"
     "Reads restricted-C affine loop nests (stdin when no input file is\n"
     "given) and emits tiled OpenMP C. With several inputs the units are\n"
     "compiled as one batch (see --jobs) and written to stdout in input\n"
     "order, separated by banner comments, unless --out-dir is given.\n"
-    "\n"
-    "transformation options (defaults shown):\n"
-    "  --tile / --no-tile              tile permutable bands (on)\n"
-    "  --tile-size=N                   tile size (32)\n"
-    "  --l2tile / --no-l2tile          second-level tiling (off)\n"
-    "  --l2tile-size=N                 L2 factor, multiplies L1 size (8)\n"
-    "  --parallel / --no-parallel      extract parallelism + pragmas (on)\n"
-    "  --vectorize / --no-vectorize    intra-tile reordering + simd (on)\n"
-    "  --include-input-deps / --no-include-input-deps\n"
-    "                                  RAR deps in the cost model (on)\n"
-    "  --fast-schedule / --no-fast-schedule\n"
-    "                                  scheduler scaling fast paths:\n"
-    "                                  clustered decomposition, dimension\n"
-    "                                  matching, warm-started lexmin (on)\n"
-    "  --param-min=N                   context assumption p >= N (4)\n"
+    "\n";
+
+const char *UsageTail =
     "\n"
     "service options:\n"
     "  --jobs=N                        compile inputs on N worker threads\n"
@@ -71,15 +60,6 @@ const char *UsageText =
     "                                  cache shared across runs/processes\n"
     "  --cache-bytes=N                 in-memory cache budget in bytes\n"
     "                                  (67108864)\n"
-    "\n"
-    "resource budget (per unit; exceeding any limit exits 4):\n"
-    "  --timeout-ms=N                  wall-clock budget per compile\n"
-    "                                  (0 = unlimited)\n"
-    "  --max-memory-mb=N               budget on tracked transient\n"
-    "                                  allocations in MiB (0 = unlimited)\n"
-    "  --max-work=N                    deterministic work-unit budget -\n"
-    "                                  parsed statements, FM rows, simplex\n"
-    "                                  pivots... (0 = unlimited)\n"
     "\n"
     "autotuning (single input only):\n"
     "  --tune[=spec]                   search the option space empirically:\n"
@@ -120,16 +100,10 @@ const char *UsageText =
     "or source errors (every problem is reported with its line:col span),\n"
     "4 resource budget exhausted\n";
 
-/// Parses the =N suffix of A (after the Len-byte prefix); exits on garbage.
-long long numArg(const std::string &A, size_t Len) {
-  char *End = nullptr;
-  long long V = std::strtoll(A.c_str() + Len, &End, 10);
-  if (!End || *End || End == A.c_str() + Len) {
-    std::fprintf(stderr, "plutopp: bad numeric argument in '%s'\n",
-                 A.c_str());
-    std::exit(1);
-  }
-  return V;
+/// Reports a service flag whose value does not parse; a bad request.
+int badValue(const std::string &A) {
+  std::fprintf(stderr, "plutopp: bad numeric argument in '%s'\n", A.c_str());
+  return 2;
 }
 
 /// `path/to/foo.c` -> `foo` (the --out-dir output stem).
@@ -149,71 +123,29 @@ int main(int argc, char **argv) {
   std::string OutPath, OutDir, CacheDir;
   size_t CacheBytes = 64ull << 20;
   unsigned Jobs = 1;
-  bool JobsGiven = false;
   enum class ReportMode { None, Text, Json } Report = ReportMode::None;
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--tile")
-      Opts.Tile = true;
-    else if (A == "--no-tile")
-      Opts.Tile = false;
-    else if (A.rfind("--tile-size=", 0) == 0) {
-      // Range checks are deliberately left to PlutoOptions::validate() so
-      // the CLI and library agree on what is rejected (exit code 2 below).
-      long long V = numArg(A, 12);
-      Opts.TileSize = V < 0 ? 0u : static_cast<unsigned>(V);
-    } else if (A == "--l2tile")
-      Opts.SecondLevelTile = true;
-    else if (A == "--no-l2tile")
-      Opts.SecondLevelTile = false;
-    else if (A.rfind("--l2tile-size=", 0) == 0) {
-      long long V = numArg(A, 14);
-      Opts.L2TileSize = V < 0 ? 0u : static_cast<unsigned>(V);
-    } else if (A == "--parallel")
-      Opts.Parallelize = true;
-    else if (A == "--no-parallel")
-      Opts.Parallelize = false;
-    else if (A == "--vectorize")
-      Opts.Vectorize = true;
-    else if (A == "--no-vectorize")
-      Opts.Vectorize = false;
-    else if (A == "--include-input-deps")
-      Opts.IncludeInputDeps = true;
-    else if (A == "--no-include-input-deps")
-      Opts.IncludeInputDeps = false;
-    else if (A == "--fast-schedule")
-      Opts.FastSchedule = true;
-    else if (A == "--no-fast-schedule")
-      Opts.FastSchedule = false;
-    else if (A.rfind("--param-min=", 0) == 0)
-      Opts.ParamMin = numArg(A, 12);
-    else if (A.rfind("--jobs=", 0) == 0) {
-      long long V = numArg(A, 7);
-      if (V < 0) {
-        std::fprintf(stderr, "plutopp: --jobs must be >= 0\n");
-        return 2;
-      }
-      Jobs = static_cast<unsigned>(V);
-      JobsGiven = true;
-    } else if (A.rfind("--timeout-ms=", 0) == 0) {
-      long long V = numArg(A, 13);
-      Budget.WallMs = V < 0 ? 0u : static_cast<uint64_t>(V);
-    } else if (A.rfind("--max-memory-mb=", 0) == 0) {
-      long long V = numArg(A, 16);
-      Budget.MaxMemoryBytes = V < 0 ? 0u : static_cast<uint64_t>(V) << 20;
-    } else if (A.rfind("--max-work=", 0) == 0) {
-      long long V = numArg(A, 11);
-      Budget.MaxWorkUnits = V < 0 ? 0u : static_cast<uint64_t>(V);
+    auto Opt = parseOptionFlag(A, Opts, Budget);
+    if (!Opt) {
+      std::fprintf(stderr, "plutopp: %s\n", Opt.error().c_str());
+      return 2;
+    }
+    if (*Opt)
+      continue;
+    if (A.rfind("--jobs=", 0) == 0) {
+      auto V = parseInteger(A.substr(7), 0, UINT_MAX);
+      if (!V)
+        return badValue(A);
+      Jobs = static_cast<unsigned>(*V);
     } else if (A.rfind("--cache-dir=", 0) == 0)
       CacheDir = A.substr(12);
     else if (A.rfind("--cache-bytes=", 0) == 0) {
-      long long V = numArg(A, 14);
-      if (V <= 0) {
-        std::fprintf(stderr, "plutopp: --cache-bytes must be positive\n");
-        return 2;
-      }
-      CacheBytes = static_cast<size_t>(V);
+      auto V = parseInteger(A.substr(14), 1);
+      if (!V)
+        return badValue(A);
+      CacheBytes = static_cast<size_t>(*V);
     } else if (A == "--tune")
       Tune = true;
     else if (A.rfind("--tune=", 0) == 0) {
@@ -230,12 +162,14 @@ int main(int argc, char **argv) {
     else if (A == "--report=json")
       Report = ReportMode::Json;
     else if (A == "--help" || A == "-h") {
-      std::fputs(UsageText, stdout);
+      std::fputs(UsageHead, stdout);
+      std::fputs(optionFlagsHelp().c_str(), stdout);
+      std::fputs(UsageTail, stdout);
       return 0;
     } else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "plutopp: unknown option '%s' (see --help)\n",
                    A.c_str());
-      return 1;
+      return 2;
     } else {
       InputPaths.push_back(A);
     }
@@ -269,11 +203,11 @@ int main(int argc, char **argv) {
   }
 
   // Assemble the batch: named files, or stdin as a single anonymous unit.
-  std::vector<CompileJob> Batch;
+  std::vector<CompileRequest> Batch;
   if (InputPaths.empty()) {
     std::stringstream SS;
     SS << std::cin.rdbuf();
-    Batch.push_back({"<stdin>", SS.str()});
+    Batch.push_back({"<stdin>", SS.str(), Opts, Budget});
   } else {
     for (const std::string &Path : InputPaths) {
       std::ifstream In(Path);
@@ -283,7 +217,7 @@ int main(int argc, char **argv) {
       }
       std::stringstream SS;
       SS << In.rdbuf();
-      Batch.push_back({Path, SS.str()});
+      Batch.push_back({Path, SS.str(), Opts, Budget});
     }
   }
 
@@ -298,7 +232,7 @@ int main(int argc, char **argv) {
   }
 
   BatchOptions BO;
-  BO.Jobs = JobsGiven ? Jobs : 1;
+  BO.Jobs = Jobs;
   {
     ResultCache::Config CC;
     CC.MaxBytes = CacheBytes;
@@ -415,11 +349,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  std::vector<CompileRequest> Reqs;
-  Reqs.reserve(Batch.size());
-  for (const CompileJob &J : Batch)
-    Reqs.push_back({J.Name, J.Source, Opts, Budget});
-  std::vector<CompileResponse> Resps = compileRequests(Reqs, BO);
+  std::vector<CompileResponse> Resps = compileRequests(Batch, BO);
   setActiveStats(nullptr);
   setActiveTrace(nullptr);
 
