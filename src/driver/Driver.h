@@ -110,15 +110,15 @@ struct OptionField {
   constexpr OptionField(const char *N, bool PlutoOptions::*M, const char *H)
       : Name(N), K(Kind::Bool), Help(H), Flag(M) {}
   constexpr OptionField(const char *N, unsigned PlutoOptions::*M,
-                        long long Min, const char *H)
-      : Name(N), K(Kind::Unsigned), Min(Min), Help(H), Uint(M) {}
+                        long long Lo, const char *H)
+      : Name(N), K(Kind::Unsigned), Min(Lo), Help(H), Uint(M) {}
   constexpr OptionField(const char *N, long long PlutoOptions::*M,
-                        long long Min, const char *H)
-      : Name(N), K(Kind::Int), Min(Min), Help(H), Int(M) {}
+                        long long Lo, const char *H)
+      : Name(N), K(Kind::Int), Min(Lo), Help(H), Int(M) {}
   /// A budget row; its value is the member >> Shift (MiB for bytes).
   constexpr OptionField(const char *N, uint64_t BudgetLimits::*M,
-                        const char *H, unsigned Shift = 0)
-      : Name(N), K(Kind::Budget), Help(H), Limit(M), Shift(Shift) {}
+                        const char *H, unsigned S = 0)
+      : Name(N), K(Kind::Budget), Help(H), Limit(M), Shift(S) {}
 
   const char *Name;
   Kind K;

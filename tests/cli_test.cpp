@@ -41,12 +41,12 @@ struct RunResult {
   std::string Stdout;
 };
 
-/// Runs `PLUTOPP_CLI_PATH <args>` capturing stdout; stderr goes to the
-/// test log. popen gives no portable stderr capture, so tests that need
-/// the report use --out (which moves the report to stdout).
-RunResult runCli(const std::string &Args) {
+/// Runs `<Tool> <args>` capturing stdout; stderr goes to the test log.
+/// popen gives no portable stderr capture, so tests that need the report
+/// use --out (which moves the report to stdout).
+RunResult runTool(const std::string &Tool, const std::string &Args) {
   RunResult R;
-  std::string Cmd = std::string(PLUTOPP_CLI_PATH) + " " + Args;
+  std::string Cmd = Tool + " " + Args;
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
     return R;
@@ -57,6 +57,10 @@ RunResult runCli(const std::string &Args) {
   int Status = pclose(P);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+RunResult runCli(const std::string &Args) {
+  return runTool(PLUTOPP_CLI_PATH, Args);
 }
 
 std::string examplePath(const std::string &Name) {
@@ -321,29 +325,21 @@ TEST(CliTest, InvalidOptionsExitCode2) {
 // with no daemon behind --socket, an option error still exits 2 (a bad
 // request), while a valid option set gets as far as the connection (1).
 TEST(CliTest, PlutoctlRejectsBadOptionsBeforeConnecting) {
-  std::string Ctl = std::string(PLUTOCTL_PATH) + " --retries=1 --socket=" +
-                    tempPath("_no_daemon.sock") + " ";
-  auto Exit = [](const std::string &Cmd) {
-    int Status = std::system((Cmd + " < /dev/null 2> /dev/null").c_str());
-    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  std::string Socket = "--retries=1 --socket=" + tempPath("_no_daemon.sock");
+  auto Exit = [&](const std::string &Args) {
+    return runTool(PLUTOCTL_PATH, Socket + " " + Args + " < /dev/null")
+        .ExitCode;
   };
-  EXPECT_EQ(Exit(Ctl + "--tile-size=-1"), 2);
-  EXPECT_EQ(Exit(Ctl + "--tile-size=0"), 2);
-  EXPECT_EQ(Exit(Ctl + "--frobnicate"), 2);
-  EXPECT_EQ(Exit(Ctl + "--tile-size=16 --timeout-ms=100"), 1);
+  EXPECT_EQ(Exit("--tile-size=-1"), 2);
+  EXPECT_EQ(Exit("--tile-size=0"), 2);
+  EXPECT_EQ(Exit("--frobnicate"), 2);
+  EXPECT_EQ(Exit("--tile-size=16 --timeout-ms=100"), 1);
 }
 
 // Both clients print the same generated help lines for the option table.
 TEST(CliTest, PlutoppAndPlutoctlShareOptionHelp) {
   std::string Pp = runCli("--help").Stdout;
-  FILE *P = popen((std::string(PLUTOCTL_PATH) + " --help").c_str(), "r");
-  ASSERT_NE(P, nullptr);
-  std::string Ctl;
-  std::array<char, 4096> Buf;
-  size_t N;
-  while ((N = fread(Buf.data(), 1, Buf.size(), P)) > 0)
-    Ctl.append(Buf.data(), N);
-  pclose(P);
+  std::string Ctl = runTool(PLUTOCTL_PATH, "--help").Stdout;
   for (const char *Line : {"  --tile-size=N                   tile size (32)\n",
                            "  --wavefront-degrees=N",
                            "  --timeout-ms=N", "/ --no-fast-schedule\n"}) {
