@@ -19,8 +19,9 @@
 #ifndef PLUTOPP_BENCH_HARNESS_H
 #define PLUTOPP_BENCH_HARNESS_H
 
-#include "driver/Driver.h"
+#include "../tests/Session.h"
 #include "runtime/Jit.h"
+#include "service/Pipeline.h"
 #include "transform/PlutoTransform.h"
 
 #include <chrono>
@@ -125,25 +126,25 @@ inline std::vector<double> constVector(const std::vector<std::string> &Names,
   return V;
 }
 
-/// Compiles one AST into a callable kernel.
-inline Result<CompiledKernel> compileVariant(const PlutoResult &R,
+/// Compiles one AST of the parsed program into a callable kernel.
+inline Result<CompiledKernel> compileVariant(const ParsedProgram &PP,
                                              const CgNode &Ast,
                                              const Problem &P) {
   EmitOptions EO;
   EO.Extents = P.ExtentExprs;
-  EO.SymConsts = R.Parsed.SymConsts;
-  std::string C = emitC(R.program(), Ast, EO);
+  EO.SymConsts = PP.SymConsts;
+  std::string C = emitC(PP.Prog, Ast, EO);
   return CompiledKernel::compile(C);
 }
 
 /// Verifies Variant output against the original kernel on the full problem.
-inline bool verify(const PlutoResult &R, const CompiledKernel &Orig,
+inline bool verify(const ParsedProgram &PP, const CompiledKernel &Orig,
                    const CompiledKernel &Var, const Problem &P) {
   std::vector<std::vector<double>> S1, S2;
-  std::vector<double *> A1 = allocBuffers(R.program(), P, S1);
-  std::vector<double *> A2 = allocBuffers(R.program(), P, S2);
-  std::vector<long long> PV = paramVector(R.program(), P);
-  std::vector<double> CV = constVector(R.Parsed.SymConsts, P);
+  std::vector<double *> A1 = allocBuffers(PP.Prog, P, S1);
+  std::vector<double *> A2 = allocBuffers(PP.Prog, P, S2);
+  std::vector<long long> PV = paramVector(PP.Prog, P);
+  std::vector<double> CV = constVector(PP.SymConsts, P);
   omp_set_num_threads(1);
   Orig.call(A1, PV, CV);
   Var.call(A2, PV, CV);
@@ -165,15 +166,15 @@ inline bool verify(const PlutoResult &R, const CompiledKernel &Orig,
 /// pseudo-random contents before every rep (outside the timed region) so
 /// each rep runs the kernel on the same input: timing the previous rep's
 /// output would measure an already-converged/steady state instead.
-inline double timeKernel(const PlutoResult &R, const CompiledKernel &K,
+inline double timeKernel(const ParsedProgram &PP, const CompiledKernel &K,
                          const Problem &P, int Threads, int Reps = 3) {
   std::vector<std::vector<double>> Storage;
-  std::vector<long long> PV = paramVector(R.program(), P);
-  std::vector<double> CV = constVector(R.Parsed.SymConsts, P);
+  std::vector<long long> PV = paramVector(PP.Prog, P);
+  std::vector<double> CV = constVector(PP.SymConsts, P);
   omp_set_num_threads(Threads);
   double Best = 1e30;
   for (int I = 0; I < Reps; ++I) {
-    std::vector<double *> A = allocBuffers(R.program(), P, Storage);
+    std::vector<double *> A = allocBuffers(PP.Prog, P, Storage);
     auto T0 = std::chrono::steady_clock::now();
     K.call(A, PV, CV);
     auto T1 = std::chrono::steady_clock::now();
@@ -185,7 +186,7 @@ inline double timeKernel(const PlutoResult &R, const CompiledKernel &K,
 /// Prints the paper-style table: one row per variant, one column per thread
 /// count (sequential variants only at 1 thread), GFLOPS and speedup over
 /// the original.
-inline void runAndReport(const PlutoResult &R, const Problem &P,
+inline void runAndReport(const ParsedProgram &PP, const Problem &P,
                          const CompiledKernel &Orig,
                          std::vector<Variant> &Variants) {
   std::vector<int> Threads = benchThreads();
@@ -195,7 +196,7 @@ inline void runAndReport(const PlutoResult &R, const Problem &P,
     std::printf(" %s=%lld", K.c_str(), V);
   std::printf("  (%.3g GFLOP/run; host cores: %d)\n", P.Flops / 1e9,
               omp_get_num_procs());
-  double BaseTime = timeKernel(R, Orig, P, 1);
+  double BaseTime = timeKernel(PP, Orig, P, 1);
   std::printf("%-28s %8s %10s %10s %9s\n", "variant", "threads", "time(s)",
               "GFLOPS", "speedup");
   std::printf("%-28s %8d %10.4f %10.3f %9.2fx\n", "original (cc -O3)", 1,
@@ -203,45 +204,84 @@ inline void runAndReport(const PlutoResult &R, const Problem &P,
   for (Variant &V : Variants) {
     std::vector<int> Sweep = V.Parallel ? Threads : std::vector<int>{1};
     for (int T : Sweep) {
-      double Time = timeKernel(R, V.Kernel, P, T);
+      double Time = timeKernel(PP, V.Kernel, P, T);
       std::printf("%-28s %8d %10.4f %10.3f %9.2fx\n", V.Name.c_str(), T,
                   Time, P.Flops / Time / 1e9, BaseTime / Time);
     }
   }
 }
 
+/// The verified variants of one problem, in the order they were added.
+struct VariantSet {
+  const Problem &P;
+  const CompiledKernel &Orig;
+  /// Column width of the variant names in the "built" lines.
+  int NameWidth;
+  std::vector<Variant> Variants;
+
+  /// Compiles one lowered variant, verifies it against the original on the
+  /// full problem, prints its "built" line and keeps it when it verifies.
+  /// A failed lowering or compile is reported and skipped. R may point into
+  /// a temporary session (`session(Src, O).lowered()`): add() is done with
+  /// it when it returns.
+  void add(const std::string &Name, Result<const PlutoResult *> R,
+           bool Parallel) {
+    if (!R) {
+      std::fprintf(stderr, "%s: pipeline error: %s\n", Name.c_str(),
+                   R.error().c_str());
+      return;
+    }
+    auto K = compileVariant((*R)->Parsed, *(*R)->Ast, P);
+    if (!K) {
+      std::fprintf(stderr, "%s: %s\n", Name.c_str(), K.error().c_str());
+      return;
+    }
+    bool Ok = verify((*R)->Parsed, Orig, *K, P);
+    std::printf("  built %-*s verify: %s\n", NameWidth, Name.c_str(),
+                Ok ? "ok" : "FAIL");
+    if (Ok)
+      Variants.push_back({Name, std::move(*K), Parallel});
+  }
+
+  /// The same for a result lowered outside a session (lowerForced).
+  void add(const std::string &Name, const Result<PlutoResult> &R,
+           bool Parallel) {
+    add(Name, R ? Result<const PlutoResult *>(&*R) : Err(R.error()),
+        Parallel);
+  }
+};
+
 /// Forced-transformation helper: builds a schedule from per-statement row
-/// matrices, appends the textual-order dimension, validates it against the
-/// dependences, marks the first BandWidth rows as one permutable band, and
-/// lowers it through the same tiling/codegen pipeline. This is how the
+/// matrices over the session's parsed program, appends the textual-order
+/// dimension, validates it against the session's dependences, marks the
+/// first BandWidth rows as one permutable band, and lowers it through the
+/// same tiling/codegen stages under the session's options. This is how the
 /// paper evaluates prior approaches (Sec. 7: "the transformations were
 /// forced to be what those approaches would have generated").
-inline Result<PlutoResult> lowerForced(const std::string &Source,
+inline Result<PlutoResult> lowerForced(Pipeline &S,
                                        std::vector<IntMatrix> Rows,
-                                       unsigned BandWidth,
-                                       const PlutoOptions &Opts) {
-  auto Parsed = parseSource(Source);
+                                       unsigned BandWidth) {
+  auto Parsed = S.parsed();
   if (!Parsed)
     return Err(Parsed.error());
-  for (const std::string &Pm : Parsed->Prog.ParamNames)
-    Parsed->Prog.addContextBound(Pm, Opts.ParamMin);
-  DepOptions DO;
-  DO.IncludeInputDeps = Opts.IncludeInputDeps;
-  DependenceGraph DG = computeDependences(Parsed->Prog, DO);
+  auto Deps = S.dependences();
+  if (!Deps)
+    return Err(Deps.error());
+  const Program &Prog = (*Parsed)->Prog;
+  DependenceGraph DG = **Deps;
   Schedule Sched;
   Sched.StmtRows = std::move(Rows);
   Sched.Rows.resize(Sched.StmtRows.empty()
                         ? 0
                         : Sched.StmtRows[0].numRows());
-  appendTextualOrderRow(Parsed->Prog, Sched);
+  appendTextualOrderRow(Prog, Sched);
   Sched.Rows.back().IsScalar = true;
-  if (!analyzeSchedule(Parsed->Prog, DG, Sched))
+  if (!analyzeSchedule(Prog, DG, Sched))
     return Err(std::string("forced schedule is illegal"));
   for (unsigned R = 0; R < BandWidth && R < Sched.numRows(); ++R)
     if (!Sched.Rows[R].IsScalar)
       Sched.Rows[R].BandId = 0;
-  return lowerSchedule(std::move(*Parsed), std::move(DG), std::move(Sched),
-                       Opts);
+  return S.lowerSchedule(**Parsed, std::move(DG), std::move(Sched));
 }
 
 } // namespace bench

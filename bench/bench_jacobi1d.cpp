@@ -48,63 +48,42 @@ int main() {
   }
 
   // Original (runs through the same emitter: identity schedule).
-  PlutoOptions SeqOpts;
-  SeqOpts.Tile = false;
-  SeqOpts.Parallelize = false;
-  SeqOpts.Vectorize = false;
-  SeqOpts.IncludeInputDeps = false;
-  auto Base = optimizeSource(P.Source, SeqOpts);
-  if (!Base) {
-    std::fprintf(stderr, "pipeline error: %s\n", Base.error().c_str());
+  Pipeline Base = session(P.Source);
+  auto Parsed = Base.parsed();
+  if (!Parsed) {
+    std::fprintf(stderr, "pipeline error: %s\n", Parsed.error().c_str());
     return 1;
   }
-  auto OrigAst = buildOriginalAst(Base->program());
-  auto Orig = compileVariant(*Base, **OrigAst, P);
+  auto OrigAst = Base.originalAst((*Parsed)->Prog);
+  auto Orig = compileVariant(**Parsed, **OrigAst, P);
   if (!Orig) {
     std::fprintf(stderr, "%s\n", Orig.error().c_str());
     return 1;
   }
 
-  std::vector<Variant> Variants;
-  auto add = [&](const std::string &Name, Result<PlutoResult> R,
-                 bool Parallel) {
-    if (!R) {
-      std::fprintf(stderr, "%s: pipeline error: %s\n", Name.c_str(),
-                   R.error().c_str());
-      return;
-    }
-    auto K = compileVariant(*R, *R->Ast, P);
-    if (!K) {
-      std::fprintf(stderr, "%s: %s\n", Name.c_str(), K.error().c_str());
-      return;
-    }
-    bool Ok = verify(*R, *Orig, *K, P);
-    std::printf("  built %-32s verify: %s\n", Name.c_str(),
-                Ok ? "ok" : "FAIL");
-    if (!Ok)
-      return;
-    Variants.push_back({Name, std::move(*K), Parallel});
-  };
+  VariantSet Set{P, *Orig, 32, {}};
 
   // Pluto, locality only (Fig. 6(a)).
   PlutoOptions TileSeq;
   TileSeq.TileSize = 256; // Paper used 256 for this kernel (Fig. 3(d)).
   TileSeq.Parallelize = false;
   TileSeq.IncludeInputDeps = false;
-  add("pluto (tiled, seq)", optimizeSource(P.Source, TileSeq), false);
+  Set.add("pluto (tiled, seq)", session(P.Source, TileSeq).lowered(), false);
 
-  // Pluto, tiled + wavefront parallel (Fig. 6(b)).
+  // Pluto, tiled + wavefront parallel (Fig. 6(b)). The forced baselines
+  // below reuse this session's parse and dependences.
   PlutoOptions TilePar = TileSeq;
   TilePar.Parallelize = true;
-  add("pluto (tiled, wavefront)", optimizeSource(P.Source, TilePar), true);
+  Pipeline Par = session(P.Source, TilePar);
+  Set.add("pluto (tiled, wavefront)", Par.lowered(), true);
 
   // Baseline: affine partitioning, maximally independent time partitions.
   {
     std::vector<IntMatrix> Rows;
     Rows.push_back(IntMatrix({{2, 1, 0}, {3, 1, 0}})); // S0 over (t, i).
     Rows.push_back(IntMatrix({{2, 1, 1}, {3, 1, 1}})); // S1 over (t, j).
-    add("affine partitioning (forced)",
-        lowerForced(P.Source, std::move(Rows), 2, TilePar), true);
+    Set.add("affine partitioning (forced)",
+            lowerForced(Par, std::move(Rows), 2), true);
   }
 
   // Baseline: scheduling + FCO allocation (time tiling enabled).
@@ -112,42 +91,31 @@ int main() {
     std::vector<IntMatrix> Rows;
     Rows.push_back(IntMatrix({{2, 0, 0}, {2, 1, 0}})); // theta=2t, pi=2t+i.
     Rows.push_back(IntMatrix({{2, 0, 1}, {2, 1, 1}})); // theta=2t+1.
-    add("scheduling + FCO (forced)",
-        lowerForced(P.Source, std::move(Rows), 2, TilePar), true);
+    Set.add("scheduling + FCO (forced)",
+            lowerForced(Par, std::move(Rows), 2), true);
   }
 
-  // Baseline: inner space parallelism only (production auto-parallelizer).
+  // Baseline: inner space parallelism only (production auto-parallelizer):
+  // the identity schedule of the unbounded program, with the space-loop
+  // row (i / j, row 3) marked parallel.
   {
-    PlutoOptions Inner;
-    Inner.Tile = false;
-    Inner.Parallelize = false;
-    Inner.Vectorize = false;
-    Inner.IncludeInputDeps = false;
-    auto Parsed = parseSource(P.Source);
-    if (Parsed) {
-      Schedule Ident = identitySchedule(Parsed->Prog);
-      Scop Sc = buildScop(Parsed->Prog, Ident);
+    ParseResult Unbounded = parseSourceDiags(P.Source);
+    if (Unbounded.Program) {
+      PlutoResult R;
+      R.Parsed = std::move(*Unbounded.Program);
+      R.Sched = identitySchedule(R.Parsed.Prog);
+      R.Sc = buildScop(R.Parsed.Prog, R.Sched);
       CodeGenOptions CG;
-      CG.ParallelPragmaRows = {3}; // Row 3 is the space-loop row (i / j).
-      auto Ast = generateAst(Sc, CG);
+      CG.ParallelPragmaRows = {3};
+      auto Ast = generateAst(R.Sc, CG);
       if (Ast) {
         simplifyAst(*Ast);
-        PlutoResult R;
-        R.Parsed = std::move(*Parsed);
-        R.Sched = std::move(Ident);
-        R.Sc = std::move(Sc);
         R.Ast = std::move(*Ast);
-        auto K = compileVariant(R, *R.Ast, P);
-        if (K && verify(R, *Orig, *K, P)) {
-          std::printf("  built %-32s verify: ok\n",
-                      "inner space parallel only");
-          Variants.push_back(
-              {"inner space parallel only", std::move(*K), true});
-        }
+        Set.add("inner space parallel only", &R, true);
       }
     }
   }
 
-  runAndReport(*Base, P, *Orig, Variants);
+  runAndReport(**Parsed, P, *Orig, Set.Variants);
   return 0;
 }

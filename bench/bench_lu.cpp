@@ -39,42 +39,21 @@ int main() {
     return 0;
   }
 
-  PlutoOptions SeqOpts;
-  SeqOpts.Tile = false;
-  SeqOpts.Parallelize = false;
-  SeqOpts.Vectorize = false;
-  SeqOpts.IncludeInputDeps = false;
-  auto Base = optimizeSource(P.Source, SeqOpts);
-  if (!Base) {
-    std::fprintf(stderr, "pipeline error: %s\n", Base.error().c_str());
+  // Original (runs through the same emitter: identity schedule).
+  Pipeline Base = session(P.Source);
+  auto Parsed = Base.parsed();
+  if (!Parsed) {
+    std::fprintf(stderr, "pipeline error: %s\n", Parsed.error().c_str());
     return 1;
   }
-  auto OrigAst = buildOriginalAst(Base->program());
-  auto Orig = compileVariant(*Base, **OrigAst, P);
+  auto OrigAst = Base.originalAst((*Parsed)->Prog);
+  auto Orig = compileVariant(**Parsed, **OrigAst, P);
   if (!Orig) {
     std::fprintf(stderr, "%s\n", Orig.error().c_str());
     return 1;
   }
 
-  std::vector<Variant> Variants;
-  auto add = [&](const std::string &Name, Result<PlutoResult> R,
-                 bool Parallel) {
-    if (!R) {
-      std::fprintf(stderr, "%s: pipeline error: %s\n", Name.c_str(),
-                   R.error().c_str());
-      return;
-    }
-    auto K = compileVariant(*R, *R->Ast, P);
-    if (!K) {
-      std::fprintf(stderr, "%s: %s\n", Name.c_str(), K.error().c_str());
-      return;
-    }
-    bool Ok = verify(*R, *Orig, *K, P);
-    std::printf("  built %-36s verify: %s\n", Name.c_str(),
-                Ok ? "ok" : "FAIL");
-    if (Ok)
-      Variants.push_back({Name, std::move(*K), Parallel});
-  };
+  VariantSet Set{P, *Orig, 36, {}};
 
   PlutoOptions TileSeq;
   // Rough model, like the paper's thumb rule: three TxT tiles should fit
@@ -82,25 +61,27 @@ int main() {
   TileSeq.TileSize = 128;
   TileSeq.Parallelize = false;
   TileSeq.IncludeInputDeps = false;
-  add("pluto (3-d tiled, seq)", optimizeSource(P.Source, TileSeq), false);
+  Set.add("pluto (3-d tiled, seq)", session(P.Source, TileSeq).lowered(),
+          false);
 
   // Ablation: the paper's L1-sized tiles, far too small for this host.
   PlutoOptions Tile32 = TileSeq;
   Tile32.TileSize = 32;
-  add("pluto (tile 32, ablation)", optimizeSource(P.Source, Tile32), false);
+  Set.add("pluto (tile 32, ablation)", session(P.Source, Tile32).lowered(),
+          false);
 
   PlutoOptions TilePar1 = TileSeq;
   TilePar1.Parallelize = true;
   TilePar1.WavefrontDegrees = 1;
-  add("pluto (tiled, 1-d pipeline)", optimizeSource(P.Source, TilePar1),
-      true);
+  Set.add("pluto (tiled, 1-d pipeline)", session(P.Source, TilePar1).lowered(),
+          true);
 
   PlutoOptions TilePar2 = TileSeq;
   TilePar2.Parallelize = true;
   TilePar2.WavefrontDegrees = 2;
-  add("pluto (tiled, 2-d pipeline)", optimizeSource(P.Source, TilePar2),
-      true);
+  Set.add("pluto (tiled, 2-d pipeline)", session(P.Source, TilePar2).lowered(),
+          true);
 
-  runAndReport(*Base, P, *Orig, Variants);
+  runAndReport(**Parsed, P, *Orig, Set.Variants);
   return 0;
 }

@@ -43,41 +43,21 @@ int main() {
     return 0;
   }
 
-  PlutoOptions SeqOpts;
-  SeqOpts.Tile = false;
-  SeqOpts.Parallelize = false;
-  SeqOpts.Vectorize = false;
-  auto Base = optimizeSource(P.Source, SeqOpts);
-  if (!Base) {
-    std::fprintf(stderr, "pipeline error: %s\n", Base.error().c_str());
+  // Original (runs through the same emitter: identity schedule).
+  Pipeline Base = session(P.Source);
+  auto Parsed = Base.parsed();
+  if (!Parsed) {
+    std::fprintf(stderr, "pipeline error: %s\n", Parsed.error().c_str());
     return 1;
   }
-  auto OrigAst = buildOriginalAst(Base->program());
-  auto Orig = compileVariant(*Base, **OrigAst, P);
+  auto OrigAst = Base.originalAst((*Parsed)->Prog);
+  auto Orig = compileVariant(**Parsed, **OrigAst, P);
   if (!Orig) {
     std::fprintf(stderr, "%s\n", Orig.error().c_str());
     return 1;
   }
 
-  std::vector<Variant> Variants;
-  auto add = [&](const std::string &Name, Result<PlutoResult> R,
-                 bool Parallel) {
-    if (!R) {
-      std::fprintf(stderr, "%s: pipeline error: %s\n", Name.c_str(),
-                   R.error().c_str());
-      return;
-    }
-    auto K = compileVariant(*R, *R->Ast, P);
-    if (!K) {
-      std::fprintf(stderr, "%s: %s\n", Name.c_str(), K.error().c_str());
-      return;
-    }
-    bool Ok = verify(*R, *Orig, *K, P);
-    std::printf("  built %-36s verify: %s\n", Name.c_str(),
-                Ok ? "ok" : "FAIL");
-    if (Ok)
-      Variants.push_back({Name, std::move(*K), Parallel});
-  };
+  VariantSet Set{P, *Orig, 36, {}};
 
   // Baseline: unfused, each MV sync-free parallel on its outer loop (what
   // techniques without input dependences produce; barrier between MVs).
@@ -85,8 +65,8 @@ int main() {
     PlutoOptions NoRar;
     NoRar.IncludeInputDeps = false;
     NoRar.TileSize = 64;
-    add("unfused, sync-free parallel", optimizeSource(P.Source, NoRar),
-        true);
+    Set.add("unfused, sync-free parallel", session(P.Source, NoRar).lowered(),
+            true);
   }
 
   // Baseline: fusion of ij with ij (reuse on A not exploited; forced).
@@ -97,8 +77,9 @@ int main() {
     PlutoOptions Forced;
     Forced.TileSize = 64;
     Forced.IncludeInputDeps = true;
-    add("fused ij with ij (forced)",
-        lowerForced(P.Source, std::move(Rows), 2, Forced), true);
+    Pipeline S = session(P.Source, Forced);
+    Set.add("fused ij with ij (forced)", lowerForced(S, std::move(Rows), 2),
+            true);
   }
 
   // Pluto: fused ij with ji, untiled (MVT has no blockable reuse - every
@@ -108,7 +89,7 @@ int main() {
     PlutoOptions O;
     O.Tile = false;
     O.Vectorize = false;
-    add("pluto (fused ij/ji)", optimizeSource(P.Source, O), true);
+    Set.add("pluto (fused ij/ji)", session(P.Source, O).lowered(), true);
   }
 
   // Pluto: fused ij with ji, tiled, pipelined (no vectorization pass).
@@ -116,7 +97,7 @@ int main() {
     PlutoOptions O;
     O.TileSize = 64;
     O.Vectorize = false;
-    add("pluto (fused ij/ji, tiled)", optimizeSource(P.Source, O), true);
+    Set.add("pluto (fused ij/ji, tiled)", session(P.Source, O).lowered(), true);
   }
 
   // Pluto + intra-tile reordering / vectorization (E8 preview).
@@ -124,9 +105,9 @@ int main() {
     PlutoOptions O;
     O.TileSize = 64;
     O.Vectorize = true;
-    add("pluto + vectorization pass", optimizeSource(P.Source, O), true);
+    Set.add("pluto + vectorization pass", session(P.Source, O).lowered(), true);
   }
 
-  runAndReport(*Base, P, *Orig, Variants);
+  runAndReport(**Parsed, P, *Orig, Set.Variants);
   return 0;
 }

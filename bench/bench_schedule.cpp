@@ -46,9 +46,9 @@ const Prepared &prepared(unsigned NumStatements) {
     if (P->Prog.Stmts.size() == NumStatements)
       return *P;
   auto P = std::make_unique<Prepared>();
-  auto Parsed = parseSource(generateStressProgram(NumStatements));
-  assert(Parsed && "stress program must parse");
-  P->Prog = Parsed->Prog;
+  ParseResult Parsed = parseSourceDiags(generateStressProgram(NumStatements));
+  assert(Parsed.ok() && "stress program must parse");
+  P->Prog = Parsed.Program->Prog;
   for (const std::string &Pm : P->Prog.ParamNames)
     P->Prog.addContextBound(Pm, 4);
   P->Deps = computeDependences(P->Prog);
@@ -60,9 +60,7 @@ void BM_Schedule(benchmark::State &State, unsigned NumStatements,
                  bool Fast) {
   const Prepared &P = prepared(NumStatements);
   TransformOptions Opts;
-  Opts.Decompose = Fast;
-  Opts.DimensionMatch = Fast;
-  Opts.WarmStart = Fast;
+  Opts.FastPaths = Fast;
   for (auto _ : State) {
     DependenceGraph Copy = P.Deps;
     auto S = computeSchedule(P.Prog, Copy, Opts);

@@ -40,59 +40,41 @@ int main() {
     return 0;
   }
 
-  PlutoOptions SeqOpts;
-  SeqOpts.Tile = false;
-  SeqOpts.Parallelize = false;
-  SeqOpts.Vectorize = false;
-  SeqOpts.IncludeInputDeps = false;
-  auto Base = optimizeSource(P.Source, SeqOpts);
-  if (!Base) {
-    std::fprintf(stderr, "pipeline error: %s\n", Base.error().c_str());
+  // Original (runs through the same emitter: identity schedule).
+  Pipeline Base = session(P.Source);
+  auto Parsed = Base.parsed();
+  if (!Parsed) {
+    std::fprintf(stderr, "pipeline error: %s\n", Parsed.error().c_str());
     return 1;
   }
-  auto OrigAst = buildOriginalAst(Base->program());
-  auto Orig = compileVariant(*Base, **OrigAst, P);
+  auto OrigAst = Base.originalAst((*Parsed)->Prog);
+  auto Orig = compileVariant(**Parsed, **OrigAst, P);
   if (!Orig) {
     std::fprintf(stderr, "%s\n", Orig.error().c_str());
     return 1;
   }
 
-  std::vector<Variant> Variants;
-  auto add = [&](const std::string &Name, Result<PlutoResult> R,
-                 bool Parallel) {
-    if (!R) {
-      std::fprintf(stderr, "%s: pipeline error: %s\n", Name.c_str(),
-                   R.error().c_str());
-      return;
-    }
-    auto K = compileVariant(*R, *R->Ast, P);
-    if (!K) {
-      std::fprintf(stderr, "%s: %s\n", Name.c_str(), K.error().c_str());
-      return;
-    }
-    bool Ok = verify(*R, *Orig, *K, P);
-    std::printf("  built %-36s verify: %s\n", Name.c_str(),
-                Ok ? "ok" : "FAIL");
-    if (Ok)
-      Variants.push_back({Name, std::move(*K), Parallel});
-  };
+  VariantSet Set{P, *Orig, 36, {}};
 
   PlutoOptions TileSeq;
   TileSeq.TileSize = 32;
   TileSeq.Parallelize = false;
   TileSeq.IncludeInputDeps = false;
-  add("pluto (3-d tiled, seq)", optimizeSource(P.Source, TileSeq), false);
+  Set.add("pluto (3-d tiled, seq)", session(P.Source, TileSeq).lowered(),
+          false);
 
   PlutoOptions Pipe1 = TileSeq;
   Pipe1.Parallelize = true;
   Pipe1.WavefrontDegrees = 1;
-  add("pluto (tiled, 1-d pipeline)", optimizeSource(P.Source, Pipe1), true);
+  Set.add("pluto (tiled, 1-d pipeline)", session(P.Source, Pipe1).lowered(),
+          true);
 
   PlutoOptions Pipe2 = TileSeq;
   Pipe2.Parallelize = true;
   Pipe2.WavefrontDegrees = 2;
-  add("pluto (tiled, 2-d pipeline)", optimizeSource(P.Source, Pipe2), true);
+  Set.add("pluto (tiled, 2-d pipeline)", session(P.Source, Pipe2).lowered(),
+          true);
 
-  runAndReport(*Base, P, *Orig, Variants);
+  runAndReport(**Parsed, P, *Orig, Set.Variants);
   return 0;
 }

@@ -39,9 +39,9 @@ const NamedKernel Kernels[] = {
 };
 
 Program parsedProgram(const char *Src) {
-  auto P = parseSource(Src);
-  assert(P && "kernel must parse");
-  Program Prog = P->Prog;
+  ParseResult P = parseSourceDiags(Src);
+  assert(P.ok() && "kernel must parse");
+  Program Prog = P.Program->Prog;
   for (const std::string &Pm : Prog.ParamNames)
     Prog.addContextBound(Pm, 4);
   return Prog;
@@ -49,7 +49,7 @@ Program parsedProgram(const char *Src) {
 
 void BM_Parse(benchmark::State &State, const char *Src) {
   for (auto _ : State) {
-    auto P = parseSource(Src);
+    ParseResult P = parseSourceDiags(Src);
     benchmark::DoNotOptimize(P);
   }
 }
@@ -109,7 +109,9 @@ void BM_EndToEnd(benchmark::State &State, const char *Src) {
   PlutoOptions Opts;
   Opts.TileSize = 32;
   for (auto _ : State) {
-    auto R = optimizeSource(Src, Opts);
+    Pipeline P = Pipeline::create(Opts).takeValue();
+    P.setSource(Src);
+    auto R = P.lowered();
     benchmark::DoNotOptimize(R.hasValue());
   }
 }

@@ -2,8 +2,8 @@
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
-// Uses the Pipeline session API (rather than the one-shot driver) to
-// explore the paper's design space on the Gauss-Seidel kernel: inspect the
+// Uses the Pipeline session's memoized stage accessors to explore the
+// paper's design space on the Gauss-Seidel kernel: inspect the
 // dependence polyhedra, compare the automatic schedule with forced
 // (illegal and legal) alternatives, then hand the tile/wavefront space to
 // the tune::explore autotuner in static mode - enumerate, dedupe, compile,

@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "runtime/Jit.h"
+#include "service/Pipeline.h"
 
 #include <chrono>
 #include <cmath>
@@ -38,13 +38,20 @@ int main() {
   PlutoOptions Opts;
   Opts.TileSize = 256;
   Opts.IncludeInputDeps = false;
-  auto R = optimizeSource(Source, Opts);
-  if (!R) {
-    std::fprintf(stderr, "pluto error: %s\n", R.error().c_str());
+  auto P = Pipeline::create(Opts);
+  if (!P) {
+    std::fprintf(stderr, "pluto error: %s\n", P.error().c_str());
     return 1;
   }
+  P->setSource(Source);
+  auto L = P->lowered();
+  if (!L) {
+    std::fprintf(stderr, "pluto error: %s\n", L.error().c_str());
+    return 1;
+  }
+  const PlutoResult &R = **L;
   std::printf("transformation found:\n%s\n",
-              R->Sched.toString(R->program()).c_str());
+              R.Sched.toString(R.program()).c_str());
 
   if (!CompiledKernel::compilerAvailable()) {
     std::printf("no C compiler on this host; stopping after codegen.\n");
@@ -53,10 +60,9 @@ int main() {
 
   EmitOptions EO;
   EO.Extents = {{"a", {"N"}}, {"b", {"N"}}};
-  auto Tiled = CompiledKernel::compile(emitC(R->program(), *R->Ast, EO));
-  auto OrigAst = buildOriginalAst(R->program());
-  auto Orig =
-      CompiledKernel::compile(emitC(R->program(), **OrigAst, EO));
+  auto Tiled = CompiledKernel::compile(emitC(R.program(), *R.Ast, EO));
+  auto OrigAst = P->originalAst(R.program());
+  auto Orig = CompiledKernel::compile(emitC(R.program(), **OrigAst, EO));
   if (!Tiled || !Orig) {
     std::fprintf(stderr, "compile error: %s\n",
                  (!Tiled ? Tiled.error() : Orig.error()).c_str());

@@ -2,7 +2,7 @@
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
-// Feed an affine C loop nest to the one-shot pipeline and print what every
+// Feed an affine C loop nest to a Pipeline session and print what every
 // stage produced: dependences, the statement-wise affine transformation,
 // and the final tiled OpenMP C. Build & run:
 //
@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "service/Pipeline.h"
 
 #include <cstdio>
 
@@ -32,25 +32,31 @@ int main() {
   Opts.TileSize = 32;
   Opts.IncludeInputDeps = false;
 
-  auto R = optimizeSource(Source, Opts);
-  if (!R) {
-    std::fprintf(stderr, "pluto error: %s\n", R.error().c_str());
+  auto P = Pipeline::create(Opts);
+  if (!P) {
+    std::fprintf(stderr, "pluto error: %s\n", P.error().c_str());
     return 1;
   }
+  P->setSource(Source);
+  auto L = P->lowered();
+  if (!L) {
+    std::fprintf(stderr, "pluto error: %s\n", L.error().c_str());
+    return 1;
+  }
+  const PlutoResult &R = **L;
 
   std::printf("=== input ===\n%s\n", Source);
 
-  DependenceGraph DG = R->DG;
   std::printf("=== dependences (%zu edges, %u legality) ===\n%s\n",
-              DG.Deps.size(), DG.numLegalityDeps(),
-              DG.toString(R->program()).c_str());
+              R.DG.Deps.size(), R.DG.numLegalityDeps(),
+              R.DG.toString(R.program()).c_str());
 
   std::printf("=== statement-wise transformation ===\n%s\n",
-              R->Sched.toString(R->program()).c_str());
+              R.Sched.toString(R.program()).c_str());
 
   EmitOptions EO;
   EO.Extents = {{"a", {"N", "N"}}, {"b", {"N", "N"}}, {"c", {"N", "N"}}};
   std::printf("=== generated tiled OpenMP C ===\n%s\n",
-              emitC(R->program(), *R->Ast, EO).c_str());
+              emitC(R.program(), *R.Ast, EO).c_str());
   return 0;
 }

@@ -13,7 +13,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DPLUTOPP_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # abort_on_error makes ASan failures hard test failures under ctest;
-# detect_leaks covers the dlopen/JIT paths too.
+# detect_leaks covers the dlopen/JIT paths too, the bench smoke runs (the
+# forced-schedule baselines) included.
 ASAN_OPTIONS=abort_on_error=1:detect_leaks=1 \
 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
@@ -63,30 +64,6 @@ if ! diff -r "$OUT1" "$OUT2" > /dev/null; then
 fi
 rm -rf "$CACHE_DIR" "$OUT1" "$OUT2"
 echo "ci-sanitize: CLI + service smoke-run OK"
-
-# Scheduler-scaling smoke run: a deterministic 25-statement stress program
-# (tools/stressgen) compiled with the scaling fast paths on and off, both
-# under ASan+UBSan. The two emitted C files must be byte-identical - the
-# fast paths' equivalence contract, checked here on the sanitizer build on
-# top of the unit-test coverage.
-GEN="$BUILD_DIR/tools/stressgen"
-STRESS="$BUILD_DIR/ci-stress25.c"
-"$GEN" 25 1 > "$STRESS"
-ASAN_OPTIONS=abort_on_error=1:detect_leaks=1 \
-UBSAN_OPTIONS=print_stacktrace=1 \
-  "$CLI" --fast-schedule "$STRESS" > "$BUILD_DIR/ci-stress25-fast.c" \
-    2> /dev/null
-ASAN_OPTIONS=abort_on_error=1:detect_leaks=1 \
-UBSAN_OPTIONS=print_stacktrace=1 \
-  "$CLI" --no-fast-schedule "$STRESS" > "$BUILD_DIR/ci-stress25-exact.c" \
-    2> /dev/null
-if ! diff "$BUILD_DIR/ci-stress25-fast.c" "$BUILD_DIR/ci-stress25-exact.c" \
-    > /dev/null; then
-  echo "ci-sanitize: fast-path transform differs from exact on stress25" >&2
-  exit 1
-fi
-rm -f "$STRESS" "$BUILD_DIR/ci-stress25-fast.c" "$BUILD_DIR/ci-stress25-exact.c"
-echo "ci-sanitize: scheduler fast-path equivalence OK"
 
 # Frontend diagnostics smoke run: every file of the malformed-input corpus
 # must be rejected with exit code 2 (the bad-input class) under the

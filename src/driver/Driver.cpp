@@ -1,17 +1,14 @@
-//===- driver/Driver.cpp - Compatibility shims over Pipeline --------------===//
+//===- driver/Driver.cpp - The option table and its users -----------------===//
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
-// The stage implementations live in service/Pipeline.cpp; this file keeps
-// the pre-service free-function API alive as thin wrappers, and holds the
-// option table every client-facing spelling of an option comes from, with
-// the PlutoOptions contract (validate / fingerprint) built on it.
+// The option table every client-facing spelling of an option comes from,
+// with the PlutoOptions contract (validate / fingerprint) built on it. The
+// stage implementations live in service/Pipeline.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-
-#include "service/Pipeline.h"
 
 #include <algorithm>
 #include <charconv>
@@ -36,8 +33,6 @@ constexpr OptionField Table[] = {
     {"include_input_deps", &PlutoOptions::IncludeInputDeps,
      "RAR deps in the cost model"},
     {"param_min", &PlutoOptions::ParamMin, 0, "context assumption p >= N"},
-    {"fast_schedule", &PlutoOptions::FastSchedule,
-     "scheduler scaling fast paths"},
     {"timeout_ms", &BudgetLimits::WallMs, "wall-clock milliseconds"},
     {"max_memory_mb", &BudgetLimits::MaxMemoryBytes,
      "tracked transient allocations, MiB", 20},
@@ -225,30 +220,4 @@ std::string PlutoOptions::fingerprint() const {
     First = false;
   }
   return Out;
-}
-
-Result<PlutoResult> pluto::optimizeSource(const std::string &Source,
-                                          const PlutoOptions &Opts) {
-  auto P = Pipeline::create(Opts);
-  if (!P)
-    return Err(P.error());
-  P->setSource(Source);
-  return P->takeLowered();
-}
-
-Result<PlutoResult> pluto::lowerSchedule(ParsedProgram Parsed,
-                                         DependenceGraph DG, Schedule Sched,
-                                         const PlutoOptions &Opts) {
-  auto P = Pipeline::create(Opts);
-  if (!P)
-    return Err(P.error());
-  return P->lowerSchedule(std::move(Parsed), std::move(DG), std::move(Sched));
-}
-
-Result<CgNodePtr> pluto::buildOriginalAst(const Program &Prog,
-                                          const PlutoOptions &Opts) {
-  auto P = Pipeline::create(Opts);
-  if (!P)
-    return Err(P.error());
-  return P->originalAst(Prog);
 }

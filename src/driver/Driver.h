@@ -1,4 +1,4 @@
-//===- driver/Driver.h - Pipeline options and one-shot shims ----*- C++-*-===//
+//===- driver/Driver.h - Pipeline options and results ------------*- C++-*-===//
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
@@ -9,17 +9,13 @@
 /// (paper Figure 5): parse -> dependence analysis -> Pluto transformation
 /// -> tiling -> wavefront -> intra-tile reordering -> code generation.
 ///
-/// The documented public entry point is `pluto::Pipeline`
-/// (service/Pipeline.h): a session object that validates and fingerprints
-/// its PlutoOptions once, exposes every stage with memoized intermediate
-/// artifacts, and plugs into the content-addressed result cache and the
-/// concurrent batch driver (service/Batch.h). One-shot traffic should use
-/// the CompileRequest/CompileResponse API (service/CompileService.h),
-/// whose StatusCode taxonomy is shared by the CLI exit codes and the
-/// plutod wire protocol. The three free functions below predate the
-/// service layer and are [[deprecated]] compatibility shims over
-/// Pipeline; they will not grow new features and new code must not call
-/// them.
+/// The pipeline itself runs in `pluto::Pipeline` (service/Pipeline.h): a
+/// session object that validates and fingerprints its PlutoOptions once,
+/// exposes every stage with memoized intermediate artifacts, and plugs
+/// into the content-addressed result cache and the concurrent batch driver
+/// (service/Batch.h). One-shot traffic uses its CompileRequest /
+/// CompileResponse API (service/CompileService.h), whose StatusCode
+/// taxonomy is shared by the CLI exit codes and the plutod wire protocol.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +39,8 @@ namespace pluto {
 
 /// Options for the optimization pipeline. Construct, adjust fields, then
 /// hand to Pipeline::create(), which rejects invalid combinations via
-/// validate(); the one-shot shims below validate the same way. Every field
-/// a client can set is also a row of optionTable() below.
+/// validate(). Every field a client can set is also a row of optionTable()
+/// below.
 struct PlutoOptions {
   /// Tile every permutable band of width >= 2 (Algorithm 1).
   bool Tile = true;
@@ -63,11 +59,6 @@ struct PlutoOptions {
   bool IncludeInputDeps = true;
   /// Context assumption added for every parameter: p >= ParamMin.
   long long ParamMin = 4;
-  /// Enable the scheduler's scaling fast paths (clustered decomposition,
-  /// dimension matching, warm-started lexmin). Off reproduces the exact
-  /// monolithic search; the fast paths fall back to it whenever they
-  /// cannot prove they match, so results agree on the supported corpus.
-  bool FastSchedule = true;
   CodeGenOptions CG;
 
   /// Checks every table field against its row's minimum (zero tile sizes
@@ -143,7 +134,7 @@ struct OptionField {
   bool set(PlutoOptions &O, BudgetLimits &B, long long V) const;
 };
 
-/// The ten PlutoOptions rows, then the three BudgetLimits rows, in wire
+/// The nine PlutoOptions rows, then the three BudgetLimits rows, in wire
 /// and fingerprint order.
 std::span<const OptionField> optionTable();
 
@@ -174,30 +165,6 @@ struct PlutoResult {
 
   const Program &program() const { return Parsed.Prog; }
 };
-
-/// \deprecated Compatibility shim over Pipeline: runs the full pipeline on
-/// restricted-C source. Equivalent to Pipeline::create(Opts) + setSource()
-/// + takeLowered(); prefer Pipeline, which can also reuse artifacts and
-/// hit the result cache, or Pipeline::compileRequest() for the structured
-/// StatusCode result shape.
-Result<PlutoResult> optimizeSource(const std::string &Source,
-                                   const PlutoOptions &Opts = PlutoOptions());
-
-/// \deprecated Compatibility shim over Pipeline::lowerSchedule(): applies the
-/// post-schedule stages (scop building, tiling, wavefront, vectorization,
-/// codegen) to an existing schedule - the hook used to evaluate forced
-/// comparison transformations (Section 7's baselines).
-Result<PlutoResult> lowerSchedule(ParsedProgram Parsed, DependenceGraph DG,
-                                  Schedule Sched, const PlutoOptions &Opts);
-
-/// \deprecated Compatibility shim over Pipeline::originalAst(): builds the
-/// untransformed-program AST (identity 2d+1 schedule) for baseline
-/// execution through the same code generator. The same `Opts.ParamMin`
-/// context assumption the optimizing path applies is added here too, so
-/// original and transformed code are generated under an identical context
-/// (adding it twice is harmless - duplicate context rows normalize away).
-Result<CgNodePtr> buildOriginalAst(const Program &Prog,
-                                   const PlutoOptions &Opts = PlutoOptions());
 
 } // namespace pluto
 

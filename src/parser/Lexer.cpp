@@ -138,11 +138,3 @@ std::vector<Token> pluto::tokenize(const std::string &Source,
   return Tokens;
 }
 
-std::vector<Token> pluto::tokenize(const std::string &Source,
-                                   std::string &Error) {
-  std::vector<Diagnostic> Diags;
-  std::vector<Token> Tokens = tokenize(Source, Diags);
-  Error = Diags.empty() ? std::string() : Diags.front().toString();
-  return Tokens;
-}
-

@@ -52,10 +52,6 @@ struct Token {
 std::vector<Token> tokenize(const std::string &Source,
                             std::vector<Diagnostic> &Diags);
 
-/// Single-string compatibility wrapper: tokenizes with full recovery and
-/// sets Error to the first diagnostic (empty when the input is clean).
-std::vector<Token> tokenize(const std::string &Source, std::string &Error);
-
 } // namespace pluto
 
 #endif // PLUTOPP_PARSER_LEXER_H

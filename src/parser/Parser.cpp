@@ -834,10 +834,3 @@ ParseResult pluto::parseSourceDiags(const std::string &Source) {
     R.Program = std::move(*Prog);
   return R;
 }
-
-Result<ParsedProgram> pluto::parseSource(const std::string &Source) {
-  ParseResult R = parseSourceDiags(Source);
-  if (R.Program)
-    return std::move(*R.Program);
-  return Err(joinDiagnostics(R.Diags));
-}

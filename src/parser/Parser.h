@@ -56,10 +56,6 @@ struct ParseResult {
 /// Parses Source into the polyhedral IR with full error recovery.
 ParseResult parseSourceDiags(const std::string &Source);
 
-/// Single-string compatibility shim over parseSourceDiags(): on failure the
-/// error message is every diagnostic joined with newlines.
-Result<ParsedProgram> parseSource(const std::string &Source);
-
 } // namespace pluto
 
 #endif // PLUTOPP_PARSER_PARSER_H

@@ -357,11 +357,15 @@ void ConstraintSystem::eliminateVar(unsigned Var) {
   // FM generates |Lower| * |Upper| rows; bulk-charge the compile budget one
   // inner row's worth per outer iteration and bail out on exhaustion (the
   // partially-built system is garbage, which the stage driver discards).
+  // Formed counts the pairs actually combined, so a step the budget stops
+  // early reports only its share.
   uint64_t FmRowBytes = static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
+  uint64_t Formed = 0;
   for (unsigned L : Lower) {
     if (!budgetCharge(Upper.size()) ||
         !budgetChargeMemory(Upper.size() * FmRowBytes))
       break;
+    Formed += Upper.size();
     for (unsigned U : Upper) {
       const std::vector<BigInt> &RL = Ineqs.row(L);
       const std::vector<BigInt> &RU = Ineqs.row(U);
@@ -379,8 +383,7 @@ void ConstraintSystem::eliminateVar(unsigned Var) {
   for (unsigned R = 0; R < Eqs.numRows(); ++R)
     NewEqs.addRow(dropColumn(Eqs.row(R)));
   if (activeStats()) {
-    uint64_t Generated = static_cast<uint64_t>(None.size()) +
-                         static_cast<uint64_t>(Lower.size()) * Upper.size();
+    uint64_t Generated = None.size() + Formed;
     count(Counter::FmEliminations);
     count(Counter::FmRowsGenerated, Generated);
     count(Counter::FmRowsPruned, Generated - NewIneqs.numRows());
@@ -497,10 +500,12 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
       size_t PassThrough = Next.size();
       uint64_t FmRowBytes =
           static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
+      uint64_t Formed = 0; // Pairs combined, as in eliminateVar.
       for (const FmRow &L : Lower) {
         if (!budgetCharge(Upper.size()) ||
             !budgetChargeMemory(Upper.size() * FmRowBytes))
           break;
+        Formed += Upper.size();
         for (const FmRow &U : Upper) {
           std::vector<unsigned> Anc = mergeAnc(L.Anc, U.Anc);
           if (Anc.size() > P + 1)
@@ -535,12 +540,9 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
         }
       }
       if (activeStats()) {
-        uint64_t Generated =
-            static_cast<uint64_t>(Lower.size()) * Upper.size();
         count(Counter::FmEliminations);
-        count(Counter::FmRowsGenerated, Generated);
-        count(Counter::FmRowsPruned,
-              Generated - (Next.size() - PassThrough));
+        count(Counter::FmRowsGenerated, Formed);
+        count(Counter::FmRowsPruned, Formed - (Next.size() - PassThrough));
       }
       Rows = std::move(Next);
       if (budgetExhausted()) {

@@ -16,13 +16,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <memory>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <unordered_map>
 
 using namespace pluto;
 using namespace pluto::serve;
@@ -86,12 +84,10 @@ void applyCpuLimit(uint64_t WallMs) {
   ::setrlimit(RLIMIT_CPU, &RL);
 }
 
-/// Serves one decoded line in the child: compile through a per-fingerprint
-/// Pipeline session (no cache - the parent caches) and return the encoded
-/// response line.
-std::string
-serveOne(const std::string &Line,
-         std::unordered_map<std::string, std::unique_ptr<Pipeline>> &Sessions) {
+/// Serves one decoded line in the child: compile through a Pipeline
+/// session of its own (no cache - the parent caches) and return the
+/// encoded response line.
+std::string serveOne(const std::string &Line) {
   auto R = decodeRequest(Line);
   if (!R)
     return encodeSimpleResponse("null", StatusCode::BadRequest, R.error());
@@ -107,19 +103,10 @@ serveOne(const std::string &Line,
 
   applyCpuLimit(R->Req.Budget.WallMs);
 
-  std::string Fp = R->Req.Opts.fingerprint();
-  auto It = Sessions.find(Fp);
-  if (It == Sessions.end()) {
-    auto P = Pipeline::create(R->Req.Opts);
-    if (!P)
-      return encodeSimpleResponse(R->Id, StatusCode::BadRequest, P.error());
-    It = Sessions
-             .emplace(std::move(Fp),
-                      std::make_unique<Pipeline>(std::move(*P)))
-             .first;
-  }
-  CompileResponse Resp = It->second->compileRequest(R->Req);
-  return encodeResponse(R->Id, Resp);
+  auto P = Pipeline::create(R->Req.Opts);
+  if (!P)
+    return encodeSimpleResponse(R->Id, StatusCode::BadRequest, P.error());
+  return encodeResponse(R->Id, P->compileRequest(R->Req));
 }
 
 /// The child's whole life: read request lines off the socketpair, compile,
@@ -149,7 +136,6 @@ serveOne(const std::string &Line,
   }
 #endif
 
-  std::unordered_map<std::string, std::unique_ptr<Pipeline>> Sessions;
   std::string Buf;
   char Chunk[65536];
   for (;;) {
@@ -168,7 +154,7 @@ serveOne(const std::string &Line,
     Buf.erase(0, Pos + 1);
     if (Line.empty())
       continue;
-    std::string Out = serveOne(Line, Sessions);
+    std::string Out = serveOne(Line);
     Out += '\n';
     if (!writeAll(Fd, Out))
       _exit(0);

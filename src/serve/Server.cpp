@@ -19,7 +19,6 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#include <unordered_map>
 
 using namespace pluto;
 using namespace pluto::serve;
@@ -449,7 +448,8 @@ void Server::handleLine(const std::shared_ptr<Conn> &C, std::string Line) {
   }
 }
 
-CompileResponse Server::isolatedCompile(Pipeline &Session, SandboxWorker &SB,
+CompileResponse Server::isolatedCompile(const Pipeline &Session,
+                                        SandboxWorker &SB,
                                         const CompileRequest &Req) {
   // The parent keeps keying and caching; only cold compiles cross into
   // the child. (No single-flight coalescing here: two workers may race on
@@ -505,11 +505,6 @@ CompileResponse Server::isolatedCompile(Pipeline &Session, SandboxWorker &SB,
 }
 
 void Server::workerLoop(unsigned Idx) {
-  // One Pipeline session per distinct options fingerprint this worker has
-  // seen: artifact memoization works within a session, the shared cache
-  // dedups across workers.
-  std::unordered_map<std::string, std::unique_ptr<Pipeline>> Sessions;
-
   // Server-wide budget floor, merged tightest with each request's own.
   BudgetLimits ServerLimits;
   if (Cfg.CompileTimeoutMs > 0)
@@ -557,9 +552,9 @@ void Server::workerLoop(unsigned Idx) {
                    std::to_string(Cfg.RequestTimeoutMs) +
                    " ms in the queue";
     } else if (J.IsTune) {
-      // Tune jobs bypass the per-fingerprint session map: explore() runs
-      // its own frontend sessions per schedule group and compiles every
-      // variant through the shared cache. The search runs
+      // Tune jobs run explore(), which keeps its own frontend session per
+      // schedule group and compiles every variant through the shared
+      // cache. The search runs
       // in-parent even in isolate mode - per-variant status isolation
       // inside explore() contains variant failures. (The spec parsed at
       // admission; re-parsing here cannot fail.)
@@ -579,24 +574,18 @@ void Server::workerLoop(unsigned Idx) {
                                     minifyJson(TR.traceJson()));
     } else {
       J.Req.Budget = BudgetLimits::tightest(J.Req.Budget, ServerLimits);
-      std::string Fp = J.Req.Opts.fingerprint();
-      auto It = Sessions.find(Fp);
-      if (It == Sessions.end()) {
-        auto P = Pipeline::create(J.Req.Opts);
-        if (!P) { // unreachable: options were validated at admission
-          Resp.Status = StatusCode::BadRequest;
-          Resp.Name = J.Req.Name;
-          Resp.Error = P.error();
-        } else {
-          auto Owned = std::make_unique<Pipeline>(std::move(*P));
-          Owned->attachCache(Cache);
-          It = Sessions.emplace(std::move(Fp), std::move(Owned)).first;
-        }
+      // One session per request; the shared cache dedups across requests
+      // and workers.
+      auto P = Pipeline::create(J.Req.Opts);
+      if (!P) { // unreachable: options were validated at admission
+        Resp.Status = StatusCode::BadRequest;
+        Resp.Name = J.Req.Name;
+        Resp.Error = P.error();
+      } else {
+        P->attachCache(Cache);
+        Resp = Cfg.Isolate ? isolatedCompile(*P, *Sandboxes[Idx], J.Req)
+                           : P->compileRequest(J.Req);
       }
-      if (It != Sessions.end())
-        Resp = Cfg.Isolate
-                   ? isolatedCompile(*It->second, *Sandboxes[Idx], J.Req)
-                   : It->second->compileRequest(J.Req);
     }
 
     double Ms = std::chrono::duration<double, std::milli>(Clock::now() -

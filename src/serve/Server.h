@@ -7,7 +7,7 @@
 /// \file
 /// The plutod server core: an AF_UNIX stream listener speaking the NDJSON
 /// protocol of serve/Protocol.h, multiplexing compile jobs onto a pool of
-/// worker threads that each drive per-fingerprint Pipeline sessions
+/// worker threads that compile each job in its own Pipeline session
 /// against one shared result cache.
 ///
 /// Threading model (three kinds of threads, no fd is ever touched by
@@ -18,10 +18,10 @@
 ///    stream into request lines) and all writes (draining per-connection
 ///    outbound buffers), and answers ping/metrics/bad-request/overload
 ///    inline;
-///  - N worker threads pop admitted compile jobs, run them through a
-///    Pipeline session cached per options fingerprint, and append the
-///    encoded response to the owning connection's outbound buffer (then
-///    wake the event loop through the self-pipe);
+///  - N worker threads pop admitted compile jobs, run each through a
+///    Pipeline session of its own, and append the encoded response to
+///    the owning connection's outbound buffer (then wake the event loop
+///    through the self-pipe);
 ///  - callers' threads only use start()/drain()/stats()/metricsJson().
 ///
 /// Robustness contract (what serve_test and the sanitizer soak pin):
@@ -199,7 +199,7 @@ private:
   void workerLoop(unsigned Idx);
   /// Isolated compile path: parent-side cache lookup and circuit-breaker
   /// check, then the round trip through worker Idx's sandbox child.
-  CompileResponse isolatedCompile(Pipeline &Session, SandboxWorker &SB,
+  CompileResponse isolatedCompile(const Pipeline &Session, SandboxWorker &SB,
                                   const CompileRequest &Req);
   /// Handles one complete request line from C (event-loop thread only).
   void handleLine(const std::shared_ptr<Conn> &C, std::string Line);

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 
 using namespace pluto;
 
@@ -30,28 +29,21 @@ pluto::compileRequests(const std::vector<CompileRequest> &Reqs,
 
   std::atomic<size_t> Next{0};
   auto Work = [&] {
-    // One session per distinct options fingerprint this worker sees;
-    // typical traffic has one or a handful, so no eviction policy.
-    std::unordered_map<std::string, std::unique_ptr<Pipeline>> Sessions;
     for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
          I < Reqs.size(); I = Next.fetch_add(1, std::memory_order_relaxed)) {
       const CompileRequest &Req = Reqs[I];
-      std::string Fp = Req.Opts.fingerprint();
-      auto It = Sessions.find(Fp);
-      if (It == Sessions.end()) {
-        auto P = Pipeline::create(Req.Opts);
-        if (!P) {
-          CompileResponse &Resp = Results[I];
-          Resp.Status = StatusCode::BadRequest;
-          Resp.Name = Req.Name;
-          Resp.Error = P.error();
-          continue;
-        }
-        auto Owned = std::make_unique<Pipeline>(std::move(*P));
-        Owned->attachCache(Cache);
-        It = Sessions.emplace(std::move(Fp), std::move(Owned)).first;
+      // One session per request: compileRequest() resets the session
+      // anyway, and the shared cache is what dedups across requests.
+      auto P = Pipeline::create(Req.Opts);
+      if (!P) {
+        CompileResponse &Resp = Results[I];
+        Resp.Status = StatusCode::BadRequest;
+        Resp.Name = Req.Name;
+        Resp.Error = P.error();
+        continue;
       }
-      Results[I] = It->second->compileRequest(Req);
+      P->attachCache(Cache);
+      Results[I] = P->compileRequest(Req);
     }
   };
 

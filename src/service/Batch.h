@@ -6,9 +6,8 @@
 ///
 /// \file
 /// compileRequests(): run many CompileRequests - each carrying its own
-/// option set - on a pool of worker threads, each worker driving Pipeline
-/// sessions (one per distinct options fingerprint) against one shared
-/// ResultCache. Guarantees:
+/// option set - on a pool of worker threads, each request through its own
+/// Pipeline session against one shared ResultCache. Guarantees:
 ///
 ///  - deterministic result ordering: Results[i] always corresponds to
 ///    Reqs[i], whatever the completion order was;

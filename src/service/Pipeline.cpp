@@ -2,8 +2,7 @@
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
-// Owns the stage implementations that used to live in driver/Driver.cpp;
-// the free functions there are now shims over this class.
+// Owns the stage implementations of the paper's Figure 5 flow.
 //
 //===----------------------------------------------------------------------===//
 
@@ -215,14 +214,10 @@ Result<const Schedule *> Pipeline::scheduled() {
   if (!D)
     return Err(D.error());
   ScopedPassTimer Timer(Pass::Schedule);
-  TransformOptions TO;
-  TO.Decompose = Opts.FastSchedule;
-  TO.DimensionMatch = Opts.FastSchedule;
-  TO.WarmStart = Opts.FastSchedule;
   // computeSchedule records per-edge satisfaction levels into the graph;
-  // the memoized DepsArt carries them afterwards, exactly like the
-  // DG member of the one-shot PlutoResult always has.
-  auto S = computeSchedule(ParsedArt->Prog, *DepsArt, TO);
+  // the memoized DepsArt carries them afterwards, as does the DG member of
+  // the lowered PlutoResult.
+  auto S = computeSchedule(ParsedArt->Prog, *DepsArt);
   if (budgetTripped()) {
     // Exhaustion wins over whatever the truncated search produced (a
     // garbage schedule or a spurious abort).
@@ -258,16 +253,6 @@ Result<const PlutoResult *> Pipeline::lowered() {
     return Err(L.error());
   LoweredArt = std::move(*L);
   return static_cast<const PlutoResult *>(&*LoweredArt);
-}
-
-Result<PlutoResult> Pipeline::takeLowered() {
-  auto L = lowered();
-  if (!L)
-    return Err(L.error());
-  PlutoResult R = std::move(*LoweredArt);
-  LoweredArt.reset();
-  EmittedArt.reset();
-  return R;
 }
 
 Result<const std::string *> Pipeline::emitted() {
@@ -336,16 +321,15 @@ std::string Pipeline::cacheKey(const std::string &Source) const {
 CompileResponse Pipeline::compileRequest(const CompileRequest &Req) {
   CompileResponse Resp;
   Resp.Name = Req.Name;
-  // Fingerprint comparison, not field-wise equality: batch and daemon
-  // workers route requests to sessions keyed by fingerprint, and the
-  // fingerprint deliberately looks through fields the pipeline ignores
+  // Fingerprint comparison, not field-wise equality: the fingerprint
+  // deliberately looks through fields the pipeline ignores
   // (PlutoOptions::normalized()) - e.g. WavefrontDegrees when Parallelize
   // is off. Such requests are legitimately served by this session.
   if (Req.Opts != Opts && Req.Opts.fingerprint() != Fp) {
     Resp.Status = StatusCode::BadRequest;
     Resp.Error = "request options do not match this session's options "
-                 "(route requests to a session with a matching "
-                 "fingerprint, or use compileRequests())";
+                 "(create a session with the request's options, or use "
+                 "compileRequests())";
     return Resp;
   }
   Resp.Key = cacheKey(Req.Source);

@@ -87,17 +87,12 @@ public:
   /// parametric extents from the first parameter - the CLI default).
   Result<const std::string *> emitted();
 
-  /// Moves the lowered result out of the session (recomputable on demand;
-  /// parse/deps/schedule artifacts stay memoized). The compatibility shim
-  /// optimizeSource() is exactly create + setSource + takeLowered.
-  Result<PlutoResult> takeLowered();
-
   /// One-shot compile of Req through the attached cache (cold compile
   /// when no cache is attached), reporting through the service's
   /// StatusCode taxonomy. Resets the session to Req.Source. Req.Opts must
   /// match this session's options fingerprint (callers with heterogeneous
-  /// option sets route requests to matching sessions - see
-  /// compileRequests()); a mismatch is a bad-request response. On source-error the response
+  /// option sets create a session per request - see compileRequests()); a
+  /// mismatch is a bad-request response. On source-error the response
   /// carries every recovered frontend diagnostic, even when the failure
   /// was coalesced onto another session's in-flight compile.
   CompileResponse compileRequest(const CompileRequest &Req);

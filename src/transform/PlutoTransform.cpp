@@ -479,7 +479,7 @@ private:
   /// Attempts to find the next hyperplane; appends the row on success.
   FindResult findHyperplane() {
     ensureCache();
-    if (Opts.DimensionMatch && needsMoreIndependentRows()) {
+    if (Opts.FastPaths && needsMoreIndependentRows()) {
       if (tryDimensionMatch()) {
         count(Counter::ScheduleFastPathHits);
         return FindResult::Found;
@@ -491,7 +491,7 @@ private:
     IntMatrix Extras = independenceRows();
     ilp::LexMinResult Sol;
     bool Solved = false;
-    if (Opts.WarmStart) {
+    if (Opts.FastPaths) {
       // The integer lexmin is unique, so the warm solve returns exactly
       // what the cold one would; a wedged warm tableau (Aborted) gets one
       // cold retry before the budget is reported as exhausted.
@@ -876,7 +876,7 @@ Result<Schedule> pluto::computeSchedule(const Program &Prog,
     D.SatisfiedAtRow = -1;
   unsigned NumStmts = static_cast<unsigned>(Prog.Stmts.size());
   std::vector<std::vector<unsigned>> Comps;
-  if (Opts.Decompose && NumStmts > 0)
+  if (Opts.FastPaths && NumStmts > 0)
     Comps = DG.weakComponents(NumStmts);
   for (const std::vector<unsigned> &C : Comps)
     countClusterOfSize(static_cast<unsigned>(C.size()));

@@ -167,8 +167,8 @@ PlutoOptions foldPoint(const PlutoOptions &Base, bool Fuse, bool Vec,
 /// Key of the schedule-stage option subset: variants sharing it share one
 /// parse + dependence + schedule computation.
 std::string scheduleGroupKey(const PlutoOptions &O) {
-  return std::string(O.IncludeInputDeps ? "i1;" : "i0;") +
-         (O.FastSchedule ? "f1;" : "f0;") + "p" + std::to_string(O.ParamMin);
+  return std::string(O.IncludeInputDeps ? "i1;" : "i0;") + "p" +
+         std::to_string(O.ParamMin);
 }
 
 /// Wall ceiling applied per variant when the caller sets no budget at all:
@@ -328,7 +328,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
   // under their own emit configuration (the Pipeline session seam).
   //===--------------------------------------------------------------------===//
   struct Group {
-    std::unique_ptr<Pipeline> Pipe;
+    std::optional<Pipeline> Pipe;
     StatusCode Status = StatusCode::Ok;
     std::string Error;
   };
@@ -345,7 +345,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
         G.Status = StatusCode::BadRequest;
         G.Error = P.error();
       } else {
-        G.Pipe = std::make_unique<Pipeline>(P.takeValue());
+        G.Pipe.emplace(P.takeValue());
         G.Pipe->setSource(Source);
         bool SourceFailed = false;
         bool Exhausted = runBudgeted(VariantLimits, [&] {
@@ -511,7 +511,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
     for (auto &KV : Groups)
       if (KV.second.Pipe && KV.second.Status == StatusCode::Ok) {
         Parsed0 = *KV.second.Pipe->parsed();
-        Pipe0 = KV.second.Pipe.get();
+        Pipe0 = &*KV.second.Pipe;
         break;
       }
     if (Parsed0) {

@@ -5,11 +5,13 @@
 // Drives the installed tools/plutopp binary as a subprocess on the
 // examples/ kernels: exit codes, emitted-C shape (and that it compiles,
 // when a system compiler exists), and the --report=json document; plus
-// the option checks tools/plutoctl makes before it contacts a daemon.
+// the option checks tools/plutoctl makes before it contacts a daemon and
+// its input/--out-dir handling against an in-process daemon.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Jit.h"
+#include "serve/Server.h"
 
 #include <gtest/gtest.h>
 
@@ -341,8 +343,8 @@ TEST(CliTest, PlutoppAndPlutoctlShareOptionHelp) {
   std::string Pp = runCli("--help").Stdout;
   std::string Ctl = runTool(PLUTOCTL_PATH, "--help").Stdout;
   for (const char *Line : {"  --tile-size=N                   tile size (32)\n",
-                           "  --wavefront-degrees=N",
-                           "  --timeout-ms=N", "/ --no-fast-schedule\n"}) {
+                           "  --wavefront-degrees=N", "  --timeout-ms=N",
+                           "/ --no-include-input-deps\n"}) {
     EXPECT_NE(Pp.find(Line), std::string::npos) << Line;
     EXPECT_NE(Ctl.find(Line), std::string::npos) << Line;
   }
@@ -508,6 +510,37 @@ TEST(CliTest, BatchJobsWithPersistentCacheIsWarmAndIdentical) {
   fs::remove_all(CacheDir, Ec);
   fs::remove_all(OutDir1, Ec);
   fs::remove_all(OutDir2, Ec);
+}
+
+// plutoctl's I/O matches plutopp's, against a live in-process daemon: an
+// unreadable input exits 1 (read before the daemon is contacted), and a
+// missing --out-dir is created and receives the bytes plutopp writes.
+TEST(CliTest, PlutoctlInputAndOutDirMatchPlutopp) {
+  namespace fs = std::filesystem;
+  pluto::serve::ServerConfig Cfg;
+  Cfg.SocketPath = tempPath("_ctl.sock");
+  Cfg.Workers = 1;
+  auto Server = pluto::serve::Server::create(Cfg);
+  ASSERT_TRUE(bool(Server)) << Server.error();
+  (*Server)->start();
+  std::string Ctl = std::string(PLUTOCTL_PATH) + " --socket=" + Cfg.SocketPath;
+
+  EXPECT_EQ(runCli("/nonexistent/x.c").ExitCode, 1);
+  EXPECT_EQ(runTool(Ctl, "/nonexistent/x.c").ExitCode, 1);
+
+  std::string PpDir = tempPath("_pp_out") + "/new";
+  std::string CtlDir = tempPath("_ctl_out") + "/new";
+  std::string Input = " " + examplePath("matmul.c");
+  EXPECT_EQ(runCli("--out-dir=" + PpDir + Input).ExitCode, 0);
+  EXPECT_EQ(runTool(Ctl, "--out-dir=" + CtlDir + Input).ExitCode, 0);
+  std::string Want = readFile(PpDir + "/matmul.pluto.c");
+  ASSERT_FALSE(Want.empty());
+  EXPECT_EQ(readFile(CtlDir + "/matmul.pluto.c"), Want);
+
+  (*Server)->drain();
+  std::error_code Ec;
+  fs::remove_all(fs::path(PpDir).parent_path(), Ec);
+  fs::remove_all(fs::path(CtlDir).parent_path(), Ec);
 }
 
 TEST(CliTest, EmittedCodeCompiles) {

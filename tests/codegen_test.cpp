@@ -14,6 +14,7 @@
 #include "driver/Driver.h"
 #include "driver/Kernels.h"
 #include "runtime/Interpreter.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -59,12 +60,14 @@ void checkEquivalence(const char *Src, const PlutoOptions &Opts,
                       const ExtentMap &Extents,
                       const std::map<std::string, long long> &Params,
                       const std::map<std::string, double> &Syms = {}) {
-  auto Res = optimizeSource(Src, Opts);
-  ASSERT_TRUE(Res) << (Res ? "" : Res.error());
-  auto Orig = buildOriginalAst(Res->program());
-  ASSERT_TRUE(Orig) << (Orig ? "" : Orig.error());
-  auto Want = runAst(Res->program(), **Orig, Extents, Params, Syms);
-  auto Got = runAst(Res->program(), *Res->Ast, Extents, Params, Syms);
+  Pipeline S = session(Src, Opts);
+  auto Res = S.lowered();
+  ASSERT_TRUE(Res) << Res.error();
+  const Program &Prog = (*Res)->program();
+  auto Orig = S.originalAst(Prog);
+  ASSERT_TRUE(Orig) << Orig.error();
+  auto Want = runAst(Prog, **Orig, Extents, Params, Syms);
+  auto Got = runAst(Prog, *(*Res)->Ast, Extents, Params, Syms);
   expectSameTensors(Want, Got);
 }
 
@@ -77,17 +80,19 @@ PlutoOptions withTile(unsigned Size, bool Wavefront = true) {
 }
 
 TEST(CodegenTest, OriginalMatMulMatchesDirectComputation) {
-  auto P = parseSource(kernels::MatMul);
+  Pipeline S = session(kernels::MatMul);
+  auto P = S.parsed();
   ASSERT_TRUE(P) << P.error();
-  auto Ast = buildOriginalAst(P->Prog);
+  const Program &Prog = (*P)->Prog;
+  auto Ast = S.originalAst(Prog);
   ASSERT_TRUE(Ast) << Ast.error();
   long long N = 7;
-  auto Out = runAst(P->Prog, **Ast, {{"a", {N, N}}, {"b", {N, N}},
-                                     {"c", {N, N}}},
+  auto Out = runAst(Prog, **Ast, {{"a", {N, N}}, {"b", {N, N}},
+                                  {"c", {N, N}}},
                     {{"N", N}}, {});
   // Reference: recompute with the same initial fill.
   Interpreter Ref;
-  Ref.allocate(P->Prog, {{"a", {N, N}}, {"b", {N, N}}, {"c", {N, N}}});
+  Ref.allocate(Prog, {{"a", {N, N}}, {"b", {N, N}}, {"c", {N, N}}});
   unsigned Seed = 1;
   for (auto &[Name, T] : Ref.Arrays)
     T.fillPattern(Seed++);
@@ -175,11 +180,12 @@ TEST(CodegenTest, NoVectorizeEquivalent) {
 }
 
 TEST(CodegenTest, EmitterProducesCompilableLookingSource) {
-  auto Res = optimizeSource(kernels::Jacobi1D, withTile(4));
-  ASSERT_TRUE(Res) << (Res ? "" : Res.error());
+  Pipeline S = session(kernels::Jacobi1D, withTile(4));
+  auto Res = S.lowered();
+  ASSERT_TRUE(Res) << Res.error();
   EmitOptions EO;
   EO.Extents = {{"a", {"N"}}, {"b", {"N"}}};
-  std::string C = emitC(Res->program(), *Res->Ast, EO);
+  std::string C = emitC((*Res)->program(), *(*Res)->Ast, EO);
   EXPECT_NE(C.find("#define S0(t, i)"), std::string::npos);
   EXPECT_NE(C.find("#define S1(t, j)"), std::string::npos);
   // Arrays appear in first-appearance order: b (written by S0) then a.
@@ -191,11 +197,12 @@ TEST(CodegenTest, EmitterProducesCompilableLookingSource) {
 }
 
 TEST(CodegenTest, ParallelPragmaEmittedForMatMul) {
-  auto Res = optimizeSource(kernels::MatMul, withTile(8));
-  ASSERT_TRUE(Res) << (Res ? "" : Res.error());
+  Pipeline S = session(kernels::MatMul, withTile(8));
+  auto Res = S.lowered();
+  ASSERT_TRUE(Res) << Res.error();
   EmitOptions EO;
   EO.Extents = {{"a", {"N", "N"}}, {"b", {"N", "N"}}, {"c", {"N", "N"}}};
-  std::string C = emitC(Res->program(), *Res->Ast, EO);
+  std::string C = emitC((*Res)->program(), *(*Res)->Ast, EO);
   EXPECT_NE(C.find("#pragma omp parallel for"), std::string::npos);
 }
 

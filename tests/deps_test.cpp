@@ -16,9 +16,9 @@ using namespace pluto;
 namespace {
 
 Program parse(const char *Src) {
-  auto P = parseSource(Src);
-  EXPECT_TRUE(P) << (P ? "" : P.error());
-  Program Prog = P->Prog;
+  ParseResult P = parseSourceDiags(Src);
+  EXPECT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  Program Prog = P.Program->Prog;
   for (const std::string &Param : Prog.ParamNames)
     Prog.addContextBound(Param, 4); // Parameters are "large" (paper Sec. 7).
   return Prog;

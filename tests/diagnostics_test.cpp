@@ -5,7 +5,7 @@
 // The multi-error frontend: exact line:column tracking through tabs, CR,
 // LF and CRLF line endings; lexer recovery over invalid characters; parser
 // recovery at statement/loop boundaries so one pass reports every problem;
-// snippet rendering; the single-string compatibility shims; and the
+// snippet rendering; the joined error string of Pipeline::parsed(); and the
 // malformed-input corpus under tests/corpus/ (golden span assertions).
 //
 //===----------------------------------------------------------------------===//
@@ -117,14 +117,6 @@ TEST(LexerTracking, TabThenInvalidCharColumn) {
   EXPECT_EQ(Diags[0].Col, 2u);
 }
 
-TEST(LexerTracking, StringCompatWrapperReportsFirstError) {
-  std::string Error;
-  tokenize("x = 1;", Error);
-  EXPECT_TRUE(Error.empty());
-  tokenize("@ #", Error);
-  EXPECT_NE(Error.find("line 1, col 1"), std::string::npos) << Error;
-}
-
 //===----------------------------------------------------------------------===//
 // Parser recovery: every problem, one pass
 //===----------------------------------------------------------------------===//
@@ -206,8 +198,11 @@ TEST(ParserRecovery, ValidInputHasNoDiagnostics) {
   EXPECT_TRUE(R.Diags.empty()) << joinDiagnostics(R.Diags);
 }
 
-TEST(ParserRecovery, CompatShimJoinsEveryDiagnostic) {
-  auto R = parseSource(ThreeErrors);
+TEST(ParserRecovery, ParsedErrorJoinsEveryDiagnostic) {
+  auto P = Pipeline::create(PlutoOptions());
+  ASSERT_TRUE(P) << P.error();
+  P->setSource(ThreeErrors);
+  auto R = P->parsed();
   ASSERT_FALSE(R);
   EXPECT_NE(R.error().find("line 2"), std::string::npos) << R.error();
   EXPECT_NE(R.error().find("line 4"), std::string::npos) << R.error();

@@ -15,6 +15,7 @@
 #include "driver/Driver.h"
 
 #include "runtime/Interpreter.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -147,37 +148,39 @@ TEST_P(PipelineFuzz, TransformedMatchesOriginal) {
   Opts.IncludeInputDeps = Rng() % 2 == 0;
   Opts.CG.EnableSeparation = Rng() % 4 != 0;
 
-  auto R = optimizeSource(Src, Opts);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(Src, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
 
   // Independent legality oracle on the found schedule.
   {
-    DependenceGraph DG = R->DG;
-    Schedule S = R->Sched;
-    EXPECT_TRUE(analyzeSchedule(R->program(), DG, S))
+    DependenceGraph DG = R.DG;
+    Schedule S = R.Sched;
+    EXPECT_TRUE(analyzeSchedule(R.program(), DG, S))
         << "schedule fails the independent legality check";
   }
 
-  auto Orig = buildOriginalAst(R->program());
+  auto Orig = Session.originalAst(R.program());
   ASSERT_TRUE(Orig) << Orig.error();
 
   for (long long N : {5LL, 11LL}) {
     std::map<std::string, std::vector<long long>> Extents;
-    for (const ArrayInfo &A : R->program().Arrays)
+    for (const ArrayInfo &A : R.program().Arrays)
       Extents[A.Name] = std::vector<long long>(A.Rank, N + 5);
     auto runWith = [&](const CgNode &Ast) {
       Interpreter I;
-      I.allocate(R->program(), Extents);
+      I.allocate(R.program(), Extents);
       unsigned S = 1;
       for (auto &[Name, T] : I.Arrays)
         T.fillPattern(S++);
       I.Params = {{"N", N}};
-      auto Ok = I.run(R->program(), Ast);
+      auto Ok = I.run(R.program(), Ast);
       EXPECT_TRUE(Ok) << (Ok ? "" : Ok.error());
       return I.Arrays;
     };
     auto Want = runWith(**Orig);
-    auto Got = runWith(*R->Ast);
+    auto Got = runWith(*R.Ast);
     for (const auto &[Name, TW] : Want) {
       const Tensor &TG = Got.at(Name);
       ASSERT_EQ(TW.Data.size(), TG.Data.size());

@@ -13,6 +13,7 @@
 #include "driver/Kernels.h"
 #include "observe/PassStats.h"
 #include "observe/Trace.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -51,7 +52,8 @@ std::string emitWithDefaultExtents(const PlutoResult &R) {
 
 TEST(PassStatsTest, DisabledCollectsNothing) {
   ASSERT_EQ(activeStats(), nullptr);
-  auto R = optimizeSource(kernels::MatMul, PlutoOptions());
+  Pipeline Session = session(kernels::MatMul);
+  auto R = Session.lowered();
   ASSERT_TRUE(R) << R.error();
   // Nothing was installed, so a fresh sink stays all-zero.
   PassStats S;
@@ -66,7 +68,8 @@ TEST(PassStatsTest, FullPipelinePopulatesEveryLayer) {
   Trace T;
   setActiveStats(&S);
   setActiveTrace(&T);
-  auto R = optimizeSource(kernels::MatMul, PlutoOptions());
+  Pipeline Session = session(kernels::MatMul);
+  auto R = Session.lowered();
   setActiveStats(nullptr);
   setActiveTrace(nullptr);
   ASSERT_TRUE(R) << R.error();
@@ -120,7 +123,8 @@ TEST(PassStatsTest, JsonHasDocumentedShape) {
   Trace T;
   setActiveStats(&S);
   setActiveTrace(&T);
-  auto R = optimizeSource(kernels::Jacobi1D, PlutoOptions());
+  Pipeline Session = session(kernels::Jacobi1D);
+  auto R = Session.lowered();
   setActiveStats(nullptr);
   setActiveTrace(nullptr);
   ASSERT_TRUE(R) << R.error();
@@ -155,8 +159,8 @@ TEST(TraceTest, JsonEscapesMessages) {
 }
 
 //===----------------------------------------------------------------------===//
-// Regression: buildOriginalAst must see the same ParamMin context as
-// optimizeSource (it used to build the reference AST unbounded).
+// Regression: Pipeline::originalAst must see the same ParamMin context as
+// the optimizing stages (it used to build the reference AST unbounded).
 //===----------------------------------------------------------------------===//
 
 TEST(DriverContextTest, OriginalAstUsesParamMinContext) {
@@ -164,59 +168,64 @@ TEST(DriverContextTest, OriginalAstUsesParamMinContext) {
   // parametric bound is redundant and codegen drops it; unbounded it must
   // stay. This makes the applied context directly visible in the AST.
   const char *Src = "for (i = 0; i < min(N, 3); i++) { x[i] = x[i] + 1.0; }";
-  auto P = parseSource(Src);
-  ASSERT_TRUE(P) << P.error();
+  ParseResult P = parseSourceDiags(Src);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
 
   PlutoOptions Opts;
-  auto DefaultAst = buildOriginalAst(P->Prog, Opts);
+  auto Session = Pipeline::create(Opts);
+  ASSERT_TRUE(Session) << Session.error();
+  auto DefaultAst = Session->originalAst(P.Program->Prog);
   ASSERT_TRUE(DefaultAst) << DefaultAst.error();
 
   // Reference: the same build from a program bounded by hand.
-  Program Bounded = P->Prog;
+  Program Bounded = P.Program->Prog;
   for (const std::string &Name : Bounded.ParamNames)
     Bounded.addContextBound(Name, Opts.ParamMin);
-  auto BoundedAst = buildOriginalAst(Bounded, Opts);
+  auto BoundedAst = Session->originalAst(Bounded);
   ASSERT_TRUE(BoundedAst) << BoundedAst.error();
 
   // Control: a genuinely unbounded identity build (the old behavior).
-  Schedule Ident = identitySchedule(P->Prog);
-  Scop Sc = buildScop(P->Prog, Ident);
+  Schedule Ident = identitySchedule(P.Program->Prog);
+  Scop Sc = buildScop(P.Program->Prog, Ident);
   auto UnboundedAst = generateAst(Sc, CodeGenOptions());
   ASSERT_TRUE(UnboundedAst) << UnboundedAst.error();
   simplifyAst(*UnboundedAst);
 
   EmitOptions EO;
   EO.Extents["x"] = {"N"};
-  std::string Default = emitC(P->Prog, **DefaultAst, EO);
+  std::string Default = emitC(P.Program->Prog, **DefaultAst, EO);
   std::string Ref = emitC(Bounded, **BoundedAst, EO);
-  std::string Unbounded = emitC(P->Prog, **UnboundedAst, EO);
+  std::string Unbounded = emitC(P.Program->Prog, **UnboundedAst, EO);
 
   // The kernel discriminates (the context visibly simplifies the bound)...
   ASSERT_NE(Ref, Unbounded);
-  // ...and buildOriginalAst is on the bounded side of that divide.
+  // ...and originalAst is on the bounded side of that divide.
   EXPECT_EQ(Default, Ref);
 }
 
 TEST(DriverContextTest, OriginalAstIdempotentOnBoundedPrograms) {
-  // suite_test passes R->program(), which already carries the context;
-  // re-applying it must not change the result (duplicates normalize away).
+  // suite_test passes the lowered program, which already carries the
+  // context; re-applying it must not change the result (duplicates
+  // normalize away).
   PlutoOptions Opts;
-  auto R = optimizeSource(kernels::Jacobi1D, Opts);
-  ASSERT_TRUE(R) << R.error();
-  auto Once = buildOriginalAst(R->program(), Opts);
+  Pipeline Session = session(kernels::Jacobi1D, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
+  auto Once = Session.originalAst(R.program());
   ASSERT_TRUE(Once) << Once.error();
 
-  Program Twice = R->program();
+  Program Twice = R.program();
   for (const std::string &Name : Twice.ParamNames)
     Twice.addContextBound(Name, Opts.ParamMin);
-  auto Again = buildOriginalAst(Twice, Opts);
+  auto Again = Session.originalAst(Twice);
   ASSERT_TRUE(Again) << Again.error();
 
   EmitOptions EO;
   EO.Extents["a"] = {"N"};
   EO.Extents["b"] = {"N"};
-  EO.SymConsts = R->Parsed.SymConsts;
-  EXPECT_EQ(emitC(R->program(), **Once, EO), emitC(Twice, **Again, EO));
+  EO.SymConsts = R.Parsed.SymConsts;
+  EXPECT_EQ(emitC(R.program(), **Once, EO), emitC(Twice, **Again, EO));
 }
 
 //===----------------------------------------------------------------------===//
@@ -233,10 +242,10 @@ TEST(DriverPragmaTest, MultiBandForcedScheduleGetsPragmaPerBand) {
   // single global pick at row 0 would leave S1's j loop without a pragma.
   const char *Src = "for (i = 0; i < N; i++) { x[i] = x[i] + 1.0; }\n"
                     "for (j = 0; j < N; j++) { y[j] = y[j] + 2.0; }\n";
-  auto P = parseSource(Src);
-  ASSERT_TRUE(P) << P.error();
+  ParseResult P = parseSourceDiags(Src);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
   DepOptions DO;
-  DependenceGraph DG = computeDependences(P->Prog, DO);
+  DependenceGraph DG = computeDependences(P.Program->Prog, DO);
 
   Schedule Sched;
   Sched.StmtRows.resize(2);
@@ -265,8 +274,10 @@ TEST(DriverPragmaTest, MultiBandForcedScheduleGetsPragmaPerBand) {
   PlutoOptions Opts;
   Opts.Tile = false;
   Opts.Vectorize = false;
-  auto R = lowerSchedule(std::move(*P), std::move(DG), std::move(Sched),
-                         Opts);
+  auto Session = Pipeline::create(Opts);
+  ASSERT_TRUE(Session) << Session.error();
+  auto R = Session->lowerSchedule(std::move(*P.Program), std::move(DG),
+                                  std::move(Sched));
   ASSERT_TRUE(R) << R.error();
 
   // Both statements' loops carry a pragma, on disjoint paths.
@@ -283,10 +294,12 @@ TEST(DriverPragmaTest, NestedBandPicksCollapseToOutermostPragma) {
   // Tiled matmul has a tile band and a point band, each with parallel
   // rows. Per-band picks plus the nested-pragma suppression must yield
   // exactly one `parallel for` on any path (no nested parallel regions).
-  auto R = optimizeSource(kernels::MatMul, PlutoOptions());
-  ASSERT_TRUE(R) << R.error();
-  EXPECT_GE(countParallelLoops(*R->Ast), 1u);
-  EXPECT_EQ(maxParallelOnPath(*R->Ast), 1u);
+  Pipeline Session = session(kernels::MatMul);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
+  EXPECT_GE(countParallelLoops(*R.Ast), 1u);
+  EXPECT_EQ(maxParallelOnPath(*R.Ast), 1u);
 }
 
 TEST(DriverPragmaTest, ExplicitPragmaRowsAreRespected) {
@@ -295,9 +308,11 @@ TEST(DriverPragmaTest, ExplicitPragmaRowsAreRespected) {
   Opts.CG.ParallelPragmaRows = {0};
   Opts.Tile = false;
   Opts.Vectorize = false;
-  auto R = optimizeSource(kernels::MatMul, Opts);
-  ASSERT_TRUE(R) << R.error();
-  EXPECT_EQ(countParallelLoops(*R->Ast), 1u);
+  Pipeline Session = session(kernels::MatMul, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
+  EXPECT_EQ(countParallelLoops(*R.Ast), 1u);
 }
 
 } // namespace

@@ -229,9 +229,9 @@ struct DepCase {
 class DepCompleteness : public ::testing::TestWithParam<DepCase> {};
 
 TEST_P(DepCompleteness, EveryConflictCovered) {
-  auto Parsed = parseSource(GetParam().Src);
-  ASSERT_TRUE(Parsed) << Parsed.error();
-  Program Prog = Parsed->Prog;
+  ParseResult Parsed = parseSourceDiags(GetParam().Src);
+  ASSERT_TRUE(Parsed.ok()) << joinDiagnostics(Parsed.Diags);
+  Program Prog = Parsed.Program->Prog;
   for (const std::string &Pm : Prog.ParamNames)
     Prog.addContextBound(Pm, 4);
   DepOptions DO;

@@ -16,9 +16,9 @@ using namespace pluto;
 namespace {
 
 TEST(LexerTest, TokenKinds) {
-  std::string Error;
-  auto Toks = tokenize("for (i = 0; i <= N-1; i++) a[i] += 0.5;", Error);
-  EXPECT_TRUE(Error.empty());
+  std::vector<Diagnostic> Diags;
+  auto Toks = tokenize("for (i = 0; i <= N-1; i++) a[i] += 0.5;", Diags);
+  EXPECT_TRUE(Diags.empty());
   ASSERT_GE(Toks.size(), 5u);
   EXPECT_TRUE(Toks[0].isIdent("for"));
   EXPECT_TRUE(Toks[1].isPunct("("));
@@ -34,16 +34,16 @@ TEST(LexerTest, TokenKinds) {
 }
 
 TEST(LexerTest, SkipsCommentsAndPragmas) {
-  std::string Error;
-  auto Toks = tokenize("// line\n#pragma scop\n/* block\n */ x", Error);
-  EXPECT_TRUE(Error.empty());
+  std::vector<Diagnostic> Diags;
+  auto Toks = tokenize("// line\n#pragma scop\n/* block\n */ x", Diags);
+  EXPECT_TRUE(Diags.empty());
   ASSERT_EQ(Toks.size(), 2u); // "x" + End.
   EXPECT_TRUE(Toks[0].isIdent("x"));
 }
 
 TEST(LexerTest, TracksLines) {
-  std::string Error;
-  auto Toks = tokenize("a\nb", Error);
+  std::vector<Diagnostic> Diags;
+  auto Toks = tokenize("a\nb", Diags);
   EXPECT_EQ(Toks[0].Line, 1u);
   EXPECT_EQ(Toks[1].Line, 2u);
 }
@@ -83,9 +83,9 @@ TEST(ExprTest, ToCWithSubstitution) {
 }
 
 TEST(ParserTest, MatMul) {
-  auto P = parseSource(kernels::MatMul);
-  ASSERT_TRUE(P) << P.error();
-  const Program &Prog = P->Prog;
+  ParseResult P = parseSourceDiags(kernels::MatMul);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Program &Prog = P.Program->Prog;
   ASSERT_EQ(Prog.Stmts.size(), 1u);
   const Statement &S = Prog.Stmts[0];
   EXPECT_EQ(S.IterNames, (std::vector<std::string>{"i", "j", "k"}));
@@ -100,9 +100,9 @@ TEST(ParserTest, MatMul) {
 }
 
 TEST(ParserTest, MatMulAccessMaps) {
-  auto P = parseSource(kernels::MatMul);
-  ASSERT_TRUE(P) << P.error();
-  const Statement &S = P->Prog.Stmts[0];
+  ParseResult P = parseSourceDiags(kernels::MatMul);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Statement &S = P.Program->Prog.Stmts[0];
   // a[i][k]: row0 selects i, row1 selects k. Columns: i j k N 1.
   const Access *ARead = nullptr;
   for (const Access &A : S.Accesses)
@@ -115,9 +115,9 @@ TEST(ParserTest, MatMulAccessMaps) {
 }
 
 TEST(ParserTest, Jacobi1DImperfectNest) {
-  auto P = parseSource(kernels::Jacobi1D);
-  ASSERT_TRUE(P) << P.error();
-  const Program &Prog = P->Prog;
+  ParseResult P = parseSourceDiags(kernels::Jacobi1D);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Program &Prog = P.Program->Prog;
   ASSERT_EQ(Prog.Stmts.size(), 2u);
   EXPECT_EQ(Prog.Stmts[0].IterNames,
             (std::vector<std::string>{"t", "i"}));
@@ -132,27 +132,27 @@ TEST(ParserTest, Jacobi1DImperfectNest) {
 }
 
 TEST(ParserTest, Fdtd2DSymConsts) {
-  auto P = parseSource(kernels::Fdtd2D);
-  ASSERT_TRUE(P) << P.error();
-  EXPECT_EQ(P->Prog.Stmts.size(), 4u);
+  ParseResult P = parseSourceDiags(kernels::Fdtd2D);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  EXPECT_EQ(P.Program->Prog.Stmts.size(), 4u);
   // coeff1/coeff2 are read-only scalars in bodies: symbolic constants.
-  EXPECT_EQ(P->SymConsts,
+  EXPECT_EQ(P.Program->SymConsts,
             (std::vector<std::string>{"coeff1", "coeff2"}));
   // fict is a read-only 1-d array.
-  const ArrayInfo *Fict = P->Prog.findArray("fict");
+  const ArrayInfo *Fict = P.Program->Prog.findArray("fict");
   ASSERT_NE(Fict, nullptr);
   EXPECT_EQ(Fict->Rank, 1u);
   EXPECT_FALSE(Fict->IsWritten);
-  const ArrayInfo *Hz = P->Prog.findArray("hz");
+  const ArrayInfo *Hz = P.Program->Prog.findArray("hz");
   ASSERT_NE(Hz, nullptr);
   EXPECT_TRUE(Hz->IsWritten);
 }
 
 TEST(ParserTest, LUTriangularDomain) {
-  auto P = parseSource(kernels::LU);
-  ASSERT_TRUE(P) << P.error();
-  ASSERT_EQ(P->Prog.Stmts.size(), 2u);
-  const Statement &S2 = P->Prog.Stmts[1];
+  ParseResult P = parseSourceDiags(kernels::LU);
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  ASSERT_EQ(P.Program->Prog.Stmts.size(), 2u);
+  const Statement &S2 = P.Program->Prog.Stmts[1];
   EXPECT_EQ(S2.IterNames, (std::vector<std::string>{"k", "i", "j"}));
   // Domain contains i >= k+1, i.e. row (-1, 1, 0, 0, -1) over (k,i,j,N,1).
   ConstraintSystem D = S2.Domain;
@@ -161,9 +161,9 @@ TEST(ParserTest, LUTriangularDomain) {
 }
 
 TEST(ParserTest, CompoundAssignmentReads) {
-  auto P = parseSource("for (i = 0; i < N; i++) { s[i] += q[i]; }");
-  ASSERT_TRUE(P) << P.error();
-  const Statement &S = P->Prog.Stmts[0];
+  ParseResult P = parseSourceDiags("for (i = 0; i < N; i++) { s[i] += q[i]; }");
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Statement &S = P.Program->Prog.Stmts[0];
   // s write, s read (compound), q read.
   ASSERT_EQ(S.Accesses.size(), 3u);
   EXPECT_TRUE(S.Accesses[0].IsWrite);
@@ -172,43 +172,44 @@ TEST(ParserTest, CompoundAssignmentReads) {
 }
 
 TEST(ParserTest, MinMaxBounds) {
-  auto P = parseSource(
+  ParseResult P = parseSourceDiags(
       "for (i = max(0, M - 4); i <= min(N, M + 4); i++) { a[i] = i; }");
-  ASSERT_TRUE(P) << P.error();
-  const Statement &S = P->Prog.Stmts[0];
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Statement &S = P.Program->Prog.Stmts[0];
   // 2 lower + 2 upper bounds.
   EXPECT_EQ(S.Domain.numIneqs(), 4u);
 }
 
 TEST(ParserTest, StrictBoundAndDeclSkipping) {
-  auto P = parseSource("int i, j;\ndouble a[100];\n"
-                       "for (i = 0; i < 10; i++) a[i] = 1.0;");
-  ASSERT_TRUE(P) << P.error();
-  const Statement &S = P->Prog.Stmts[0];
+  ParseResult P = parseSourceDiags("int i, j;\ndouble a[100];\n"
+                                   "for (i = 0; i < 10; i++) a[i] = 1.0;");
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const Statement &S = P.Program->Prog.Stmts[0];
   // i <= 9 must be implied.
   EXPECT_TRUE(
       S.Domain.impliesIneq({BigInt(-1), BigInt(9)}));
 }
 
 TEST(ParserTest, RejectsNonAffine) {
-  auto P1 = parseSource("for (i = 0; i < N; i++) a[i*i] = 0.0;");
-  EXPECT_FALSE(P1);
-  auto P2 = parseSource("for (i = 0; i < N*M; i++) a[i] = 0.0;");
-  EXPECT_FALSE(P2);
-  auto P3 = parseSource("for (i = 0; i < N; i++) if (i > 2) a[i] = 0.0;");
-  EXPECT_FALSE(P3);
-  auto P4 = parseSource("for (i = N; i > 0; i--) a[i] = 0.0;");
-  EXPECT_FALSE(P4);
+  ParseResult P1 = parseSourceDiags("for (i = 0; i < N; i++) a[i*i] = 0.0;");
+  EXPECT_FALSE(P1.ok());
+  ParseResult P2 = parseSourceDiags("for (i = 0; i < N*M; i++) a[i] = 0.0;");
+  EXPECT_FALSE(P2.ok());
+  ParseResult P3 =
+      parseSourceDiags("for (i = 0; i < N; i++) if (i > 2) a[i] = 0.0;");
+  EXPECT_FALSE(P3.ok());
+  ParseResult P4 = parseSourceDiags("for (i = N; i > 0; i--) a[i] = 0.0;");
+  EXPECT_FALSE(P4.ok());
 }
 
 TEST(ParserTest, RejectsEmptyRegion) {
-  EXPECT_FALSE(parseSource("int x;"));
+  EXPECT_FALSE(parseSourceDiags("int x;").ok());
 }
 
 TEST(ParserTest, ScalarWriteBecomesZeroDimArray) {
-  auto P = parseSource("for (i = 0; i < N; i++) { s = s + a[i]; }");
-  ASSERT_TRUE(P) << P.error();
-  const ArrayInfo *S = P->Prog.findArray("s");
+  ParseResult P = parseSourceDiags("for (i = 0; i < N; i++) { s = s + a[i]; }");
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  const ArrayInfo *S = P.Program->Prog.findArray("s");
   ASSERT_NE(S, nullptr);
   EXPECT_EQ(S->Rank, 0u);
   EXPECT_TRUE(S->IsWritten);
@@ -218,8 +219,8 @@ TEST(ParserTest, AllPaperKernelsParse) {
   for (const char *Src :
        {kernels::Jacobi1D, kernels::Fdtd2D, kernels::LU, kernels::MVT,
         kernels::Seidel2D, kernels::MatMul, kernels::Sweep2D}) {
-    auto P = parseSource(Src);
-    EXPECT_TRUE(P) << P.error();
+    ParseResult P = parseSourceDiags(Src);
+    EXPECT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
   }
 }
 

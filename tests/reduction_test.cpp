@@ -18,6 +18,7 @@
 #include "driver/Kernels.h"
 #include "runtime/Interpreter.h"
 #include "runtime/Jit.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -35,11 +36,11 @@ unsigned countReductionDeps(const DependenceGraph &DG) {
 }
 
 DependenceGraph depsOf(const char *Src, bool InputDeps = true) {
-  auto P = parseSource(Src);
-  EXPECT_TRUE(P) << (P ? "" : P.error());
+  ParseResult P = parseSourceDiags(Src);
+  EXPECT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
   DepOptions DO;
   DO.IncludeInputDeps = InputDeps;
-  return computeDependences(P->Prog, DO);
+  return computeDependences(P.Program->Prog, DO);
 }
 
 //===----------------------------------------------------------------------===//
@@ -96,10 +97,12 @@ TEST(ReductionDetect, MinusAndTimesOpsCarryTheirOperator) {
 //===----------------------------------------------------------------------===//
 
 TEST(ReductionSchedule, DotProductLoopIsParallelWithClause) {
-  auto R = optimizeSource(kernels::DotProduct);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(kernels::DotProduct);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   bool Found = false;
-  for (const auto &Row : R->Sched.Rows)
+  for (const auto &Row : R.Sched.Rows)
     if (Row.IsParallel && !Row.Reductions.empty()) {
       Found = true;
       ASSERT_EQ(Row.Reductions.size(), 1u);
@@ -109,21 +112,23 @@ TEST(ReductionSchedule, DotProductLoopIsParallelWithClause) {
   EXPECT_TRUE(Found) << "no reduction-parallel row in the schedule";
   // The relaxation is pragma-deep only: the schedule itself still honors
   // the reduction dependence, so the independent legality oracle passes.
-  DependenceGraph DG = R->DG;
-  Schedule S = R->Sched;
-  EXPECT_TRUE(analyzeSchedule(R->program(), DG, S));
+  DependenceGraph DG = R.DG;
+  Schedule S = R.Sched;
+  EXPECT_TRUE(analyzeSchedule(R.program(), DG, S));
 }
 
 TEST(ReductionSchedule, WithoutRelaxationDotProductSerializes) {
   // Strip the tags and re-run parallelism detection: the loop must fall
   // back to sequential, proving the clause is what buys the parallelism.
-  auto R = optimizeSource(kernels::DotProduct);
-  ASSERT_TRUE(R) << R.error();
-  DependenceGraph DG = R->DG;
+  Pipeline Session = session(kernels::DotProduct);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
+  DependenceGraph DG = R.DG;
   for (Dependence &D : DG.Deps)
     D.IsReduction = false;
-  Schedule S = R->Sched;
-  detectParallelism(R->program(), DG, S);
+  Schedule S = R.Sched;
+  detectParallelism(R.program(), DG, S);
   for (const auto &Row : S.Rows)
     EXPECT_FALSE(Row.IsParallel && S.Rows.size() == 1);
 }
@@ -133,11 +138,13 @@ TEST(ReductionSchedule, WithoutRelaxationDotProductSerializes) {
 //===----------------------------------------------------------------------===//
 
 TEST(ReductionEmit, ScalarClauseAndHoistedLocal) {
-  auto R = optimizeSource(kernels::DotProduct);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(kernels::DotProduct);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = {{"a", {"N"}}, {"b", {"N"}}};
-  std::string C = emitC(R->program(), *R->Ast, EO);
+  std::string C = emitC(R.program(), *R.Ast, EO);
   EXPECT_NE(C.find("reduction(+:s)"), std::string::npos) << C;
   // The scalar rides a function-local, not the usual deref macro, so the
   // clause names a real variable.
@@ -149,11 +156,13 @@ TEST(ReductionEmit, ScalarClauseAndHoistedLocal) {
 TEST(ReductionEmit, RankOneTargetUsesArraySection) {
   PlutoOptions Opts;
   Opts.Tile = false; // Untiled, the reduction loop itself gets the pragma.
-  auto R = optimizeSource(kernels::MatVecT, Opts);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(kernels::MatVecT, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = {{"y", {"N"}}, {"a", {"N", "N"}}, {"x", {"N"}}};
-  std::string C = emitC(R->program(), *R->Ast, EO);
+  std::string C = emitC(R.program(), *R.Ast, EO);
   EXPECT_NE(C.find("#pragma omp parallel for"), std::string::npos) << C;
   EXPECT_NE(C.find("reduction(+:y[0:(N)])"), std::string::npos) << C;
 }
@@ -161,11 +170,13 @@ TEST(ReductionEmit, RankOneTargetUsesArraySection) {
 TEST(ReductionEmit, SerialOutputUnchangedForPlainKernels) {
   // No reduction in matmul (`c = c + e` form): byte contract intact, no
   // clause ever appears.
-  auto R = optimizeSource(kernels::MatMul);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(kernels::MatMul);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = {{"a", {"N", "N"}}, {"b", {"N", "N"}}, {"c", {"N", "N"}}};
-  std::string C = emitC(R->program(), *R->Ast, EO);
+  std::string C = emitC(R.program(), *R.Ast, EO);
   EXPECT_EQ(C.find("reduction("), std::string::npos);
 }
 
@@ -184,19 +195,21 @@ struct DiffCase {
 void runDifferential(const DiffCase &C) {
   if (!CompiledKernel::compilerAvailable())
     GTEST_SKIP() << "no system C compiler";
-  auto R = optimizeSource(C.Src);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(C.Src);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = C.SymExtents;
-  std::string Code = emitC(R->program(), *R->Ast, EO);
+  std::string Code = emitC(R.program(), *R.Ast, EO);
   auto K = CompiledKernel::compile(Code);
   ASSERT_TRUE(K) << (K ? "" : K.error()) << "\n" << Code;
 
   // Serial oracle: the interpreter on the original program order.
-  auto Orig = buildOriginalAst(R->program());
+  auto Orig = Session.originalAst(R.program());
   ASSERT_TRUE(Orig) << Orig.error();
   Interpreter I;
-  I.allocate(R->program(), C.Extents);
+  I.allocate(R.program(), C.Extents);
   unsigned Seed = 1;
   for (auto &[Name, Tn] : I.Arrays)
     Tn.fillPattern(Seed++);
@@ -204,22 +217,22 @@ void runDifferential(const DiffCase &C) {
   for (auto &[Name, Tn] : I.Arrays)
     Init[Name] = Tn.Data;
   I.Params = C.Params;
-  ASSERT_TRUE(I.run(R->program(), **Orig));
+  ASSERT_TRUE(I.run(R.program(), **Orig));
 
   // JIT run of the transformed, clause-carrying code on identical inputs.
   std::vector<std::vector<double>> Bufs;
-  for (const ArrayInfo &Ai : R->program().Arrays)
+  for (const ArrayInfo &Ai : R.program().Arrays)
     Bufs.push_back(Init[Ai.Name]);
   std::vector<double *> Arrays;
   for (auto &B : Bufs)
     Arrays.push_back(B.data());
   std::vector<long long> Params;
-  for (const std::string &P : R->program().ParamNames)
+  for (const std::string &P : R.program().ParamNames)
     Params.push_back(C.Params.at(P));
   K->call(Arrays, Params, {});
 
   unsigned Idx = 0;
-  for (const ArrayInfo &Ai : R->program().Arrays) {
+  for (const ArrayInfo &Ai : R.program().Arrays) {
     const std::vector<double> &Want = I.Arrays[Ai.Name].Data;
     const std::vector<double> &Got = Bufs[Idx++];
     ASSERT_EQ(Want.size(), Got.size()) << Ai.Name;

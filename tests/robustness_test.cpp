@@ -350,6 +350,31 @@ TEST(ResourceBombTest, BudgetCountsExhaustionInPassStats) {
   EXPECT_GE(Stats.get(Counter::BudgetExhausted), 1u);
 }
 
+// fm_rows_generated counts the FM row pairs actually formed: a step the
+// budget stops early adds only its share, so the counter stays within the
+// work budget and follows it.
+TEST(ResourceBombTest, FmRowsGeneratedStaysWithinTheWorkBudget) {
+  std::string Src = bombSource("deep_nest.c");
+  ASSERT_FALSE(Src.empty());
+  std::vector<uint64_t> Generated;
+  for (uint64_t W : {100000ull, 1000000ull}) {
+    PassStats Stats;
+    setActiveStats(&Stats);
+    auto P = Pipeline::create();
+    ASSERT_TRUE(P.hasValue());
+    CompileRequest Req;
+    Req.Name = "deep_nest.c";
+    Req.Source = Src;
+    Req.Budget.MaxWorkUnits = W;
+    CompileResponse R = P->compileRequest(Req);
+    setActiveStats(nullptr);
+    EXPECT_EQ(R.Status, StatusCode::ResourceExhausted) << W;
+    EXPECT_LE(Stats.get(Counter::FmRowsGenerated), W);
+    Generated.push_back(Stats.get(Counter::FmRowsGenerated));
+  }
+  EXPECT_NE(Generated[0], Generated[1]);
+}
+
 TEST(ResourceBombTest, GenerousBudgetNeverChangesTheOutput) {
   auto P1 = Pipeline::create();
   ASSERT_TRUE(P1.hasValue());

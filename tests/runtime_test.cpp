@@ -9,6 +9,7 @@
 #include "driver/Driver.h"
 #include "driver/Kernels.h"
 #include "runtime/Jit.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -40,14 +41,14 @@ TEST(TensorTest, FillPatternDeterministic) {
 
 TEST(InterpreterTest, EvaluatesSimpleLoopAst) {
   // for (c1 = 0; c1 <= 4; c1++) S0(c1): a[i] = i * 2.
-  auto P = parseSource("for (i = 0; i < N; i++) { a[i] = i * 2; }");
-  ASSERT_TRUE(P);
-  auto Ast = buildOriginalAst(P->Prog);
+  ParseResult P = parseSourceDiags("for (i = 0; i < N; i++) { a[i] = i * 2; }");
+  ASSERT_TRUE(P.ok());
+  auto Ast = Pipeline::create()->originalAst(P.Program->Prog);
   ASSERT_TRUE(Ast) << Ast.error();
   Interpreter I;
-  I.allocate(P->Prog, {{"a", {5}}});
+  I.allocate(P.Program->Prog, {{"a", {5}}});
   I.Params = {{"N", 5}};
-  auto R = I.run(P->Prog, **Ast);
+  auto R = I.run(P.Program->Prog, **Ast);
   ASSERT_TRUE(R) << R.error();
   for (long long K = 0; K < 5; ++K)
     EXPECT_DOUBLE_EQ(I.Arrays["a"].Data[static_cast<size_t>(K)],
@@ -55,42 +56,44 @@ TEST(InterpreterTest, EvaluatesSimpleLoopAst) {
 }
 
 TEST(InterpreterTest, CompoundAssignAndCalls) {
-  auto P = parseSource(
+  ParseResult P = parseSourceDiags(
       "for (i = 0; i < N; i++) { s[0] += sqrt(a[i]) * 2.0; }");
-  ASSERT_TRUE(P);
-  auto Ast = buildOriginalAst(P->Prog);
+  ASSERT_TRUE(P.ok());
+  auto Ast = Pipeline::create()->originalAst(P.Program->Prog);
   ASSERT_TRUE(Ast) << Ast.error();
   Interpreter I;
-  I.allocate(P->Prog, {{"s", {1}}, {"a", {4}}});
+  I.allocate(P.Program->Prog, {{"s", {1}}, {"a", {4}}});
   for (int K = 0; K < 4; ++K)
     I.Arrays["a"].Data[K] = static_cast<double>(K * K);
   I.Params = {{"N", 4}};
-  ASSERT_TRUE(I.run(P->Prog, **Ast));
+  ASSERT_TRUE(I.run(P.Program->Prog, **Ast));
   // sum of 2*sqrt(k^2) = 2*(0+1+2+3) = 12.
   EXPECT_DOUBLE_EQ(I.Arrays["s"].Data[0], 12.0);
 }
 
 TEST(InterpreterTest, ReportsOutOfBounds) {
-  auto P = parseSource("for (i = 0; i < N; i++) { a[i + 1] = 0.0; }");
-  ASSERT_TRUE(P);
-  auto Ast = buildOriginalAst(P->Prog);
+  ParseResult P =
+      parseSourceDiags("for (i = 0; i < N; i++) { a[i + 1] = 0.0; }");
+  ASSERT_TRUE(P.ok());
+  auto Ast = Pipeline::create()->originalAst(P.Program->Prog);
   Interpreter I;
-  I.allocate(P->Prog, {{"a", {4}}});
+  I.allocate(P.Program->Prog, {{"a", {4}}});
   I.Params = {{"N", 4}}; // a[4] is out of bounds.
-  auto R = I.run(P->Prog, **Ast);
+  auto R = I.run(P.Program->Prog, **Ast);
   EXPECT_FALSE(R);
   EXPECT_NE(R.error().find("out of bounds"), std::string::npos);
 }
 
 TEST(InterpreterTest, ReportsUnknownSymbol) {
-  auto P = parseSource("for (i = 0; i < N; i++) { a[i] = q * 2.0; }");
-  ASSERT_TRUE(P); // q is a SymConst.
-  auto Ast = buildOriginalAst(P->Prog);
+  ParseResult P =
+      parseSourceDiags("for (i = 0; i < N; i++) { a[i] = q * 2.0; }");
+  ASSERT_TRUE(P.ok()); // q is a SymConst.
+  auto Ast = Pipeline::create()->originalAst(P.Program->Prog);
   Interpreter I;
-  I.allocate(P->Prog, {{"a", {4}}});
+  I.allocate(P.Program->Prog, {{"a", {4}}});
   I.Params = {{"N", 4}};
   // SymConsts left empty: evaluation must fail cleanly.
-  auto R = I.run(P->Prog, **Ast);
+  auto R = I.run(P.Program->Prog, **Ast);
   EXPECT_FALSE(R);
 }
 
@@ -100,11 +103,13 @@ TEST(JitTest, CompileAndRunMatMul) {
   PlutoOptions Opts;
   Opts.TileSize = 8;
   Opts.IncludeInputDeps = false;
-  auto R = optimizeSource(kernels::MatMul, Opts);
-  ASSERT_TRUE(R) << (R ? "" : R.error());
+  Pipeline Session = session(kernels::MatMul, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = {{"a", {"N", "N"}}, {"b", {"N", "N"}}, {"c", {"N", "N"}}};
-  auto K = CompiledKernel::compile(emitC(R->program(), *R->Ast, EO));
+  auto K = CompiledKernel::compile(emitC(R.program(), *R.Ast, EO));
   ASSERT_TRUE(K) << (K ? "" : K.error());
 
   long long N = 20;
@@ -115,7 +120,7 @@ TEST(JitTest, CompileAndRunMatMul) {
   }
   // Array order in Program: c (written first), a, b.
   std::vector<double *> Arrays;
-  for (const ArrayInfo &Ai : R->program().Arrays) {
+  for (const ArrayInfo &Ai : R.program().Arrays) {
     if (Ai.Name == "a")
       Arrays.push_back(A.data());
     else if (Ai.Name == "b")
@@ -271,17 +276,19 @@ TEST(JitTest, JitMatchesInterpreterOnJacobi) {
   PlutoOptions Opts;
   Opts.TileSize = 8;
   Opts.IncludeInputDeps = false;
-  auto R = optimizeSource(kernels::Jacobi1D, Opts);
-  ASSERT_TRUE(R) << (R ? "" : R.error());
+  Pipeline Session = session(kernels::Jacobi1D, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
   EmitOptions EO;
   EO.Extents = {{"a", {"N"}}, {"b", {"N"}}};
-  auto K = CompiledKernel::compile(emitC(R->program(), *R->Ast, EO));
+  auto K = CompiledKernel::compile(emitC(R.program(), *R.Ast, EO));
   ASSERT_TRUE(K) << (K ? "" : K.error());
 
   long long N = 50, T = 9;
   // Interpreter run.
   Interpreter I;
-  I.allocate(R->program(), {{"a", {N}}, {"b", {N}}});
+  I.allocate(R.program(), {{"a", {N}}, {"b", {N}}});
   unsigned Seed = 1;
   for (auto &[Name, Tn] : I.Arrays)
     Tn.fillPattern(Seed++);
@@ -289,12 +296,12 @@ TEST(JitTest, JitMatchesInterpreterOnJacobi) {
   for (auto &[Name, Tn] : I.Arrays)
     Init[Name] = Tn.Data;
   I.Params = {{"T", T}, {"N", N}};
-  ASSERT_TRUE(I.run(R->program(), *R->Ast));
+  ASSERT_TRUE(I.run(R.program(), *R.Ast));
 
   // JIT run on identical inputs.
   std::vector<std::vector<double>> Bufs;
   std::vector<double *> Arrays;
-  for (const ArrayInfo &Ai : R->program().Arrays) {
+  for (const ArrayInfo &Ai : R.program().Arrays) {
     Bufs.push_back(Init[Ai.Name]);
   }
   for (auto &B : Bufs)
@@ -302,7 +309,7 @@ TEST(JitTest, JitMatchesInterpreterOnJacobi) {
   K->call(Arrays, {T, N}, {});
 
   unsigned Idx = 0;
-  for (const ArrayInfo &Ai : R->program().Arrays) {
+  for (const ArrayInfo &Ai : R.program().Arrays) {
     const std::vector<double> &Want = I.Arrays[Ai.Name].Data;
     const std::vector<double> &Got = Bufs[Idx++];
     ASSERT_EQ(Want.size(), Got.size());

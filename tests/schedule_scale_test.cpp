@@ -22,6 +22,7 @@
 #include "runtime/Interpreter.h"
 #include "support/StressGen.h"
 #include "transform/PlutoTransform.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -66,10 +67,21 @@ struct Lowered {
   std::string Nest;
 };
 
-Lowered lower(const std::string &Src, bool FastSchedule) {
-  PlutoOptions Opts;
-  Opts.FastSchedule = FastSchedule;
-  auto R = optimizeSource(Src, Opts);
+Lowered lower(const std::string &Src, bool FastPaths) {
+  Pipeline Session = session(Src);
+  auto P = Session.parsed();
+  auto D = Session.dependences();
+  EXPECT_TRUE(D) << D.error();
+  if (!D)
+    return {};
+  DependenceGraph DG = **D;
+  TransformOptions TO;
+  TO.FastPaths = FastPaths;
+  auto S = computeSchedule((*P)->Prog, DG, TO);
+  EXPECT_TRUE(S) << S.error();
+  if (!S)
+    return {};
+  auto R = Session.lowerSchedule(**P, std::move(DG), std::move(*S));
   EXPECT_TRUE(R) << R.error();
   if (!R)
     return {};
@@ -86,10 +98,10 @@ TEST(StressGenTest, DeterministicAndSized) {
     std::string A = generateStressProgram(N, 42);
     std::string B = generateStressProgram(N, 42);
     EXPECT_EQ(A, B) << "same (size, seed) must be byte-identical";
-    auto P = parseSource(A);
-    ASSERT_TRUE(P) << P.error();
-    EXPECT_EQ(P->Prog.Stmts.size(), N);
-    EXPECT_EQ(P->Prog.ParamNames, std::vector<std::string>{"N"});
+    ParseResult P = parseSourceDiags(A);
+    ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+    EXPECT_EQ(P.Program->Prog.Stmts.size(), N);
+    EXPECT_EQ(P.Program->Prog.ParamNames, std::vector<std::string>{"N"});
   }
   EXPECT_NE(generateStressProgram(25, 1), generateStressProgram(25, 2));
 }
@@ -100,11 +112,13 @@ TEST(StressGenTest, EveryPatternSchedules) {
   for (unsigned long long Seed : {1ULL, 2ULL, 3ULL}) {
     std::string Src = generateStressProgram(10, Seed);
     SCOPED_TRACE("seed " + std::to_string(Seed) + " program:\n" + Src);
-    auto R = optimizeSource(Src);
-    ASSERT_TRUE(R) << R.error();
-    DependenceGraph DG = R->DG;
-    Schedule S = R->Sched;
-    EXPECT_TRUE(analyzeSchedule(R->program(), DG, S));
+    Pipeline Session = session(Src);
+    auto Res = Session.lowered();
+    ASSERT_TRUE(Res) << Res.error();
+    const PlutoResult &R = **Res;
+    DependenceGraph DG = R.DG;
+    Schedule S = R.Sched;
+    EXPECT_TRUE(analyzeSchedule(R.program(), DG, S));
   }
 }
 
@@ -146,11 +160,13 @@ TEST(ScheduleEquivalenceTest, FiftyStatementsScheduleIsLegal) {
   // Too big to A/B against the exact arm in a unit test; check the fast
   // schedule against the independent legality oracle instead.
   std::string Src = generateStressProgram(50, 3);
-  auto R = optimizeSource(Src);
-  ASSERT_TRUE(R) << R.error();
-  DependenceGraph DG = R->DG;
-  Schedule S = R->Sched;
-  EXPECT_TRUE(analyzeSchedule(R->program(), DG, S));
+  Pipeline Session = session(Src);
+  auto Res = Session.lowered();
+  ASSERT_TRUE(Res) << Res.error();
+  const PlutoResult &R = **Res;
+  DependenceGraph DG = R.DG;
+  Schedule S = R.Sched;
+  EXPECT_TRUE(analyzeSchedule(R.program(), DG, S));
 }
 
 //===----------------------------------------------------------------------===//
@@ -170,32 +186,34 @@ TEST(ScheduleStitchTest, HeterogeneousClustersRunCorrectly) {
                     "    S[i1][j1] = S[i1 - 1][j1] + S[i1][j1 - 1];\n"
                     "  }\n"
                     "}\n";
-  auto R = optimizeSource(Src);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(Src);
+  auto Res = Session.lowered();
+  ASSERT_TRUE(Res) << Res.error();
+  const PlutoResult &R = **Res;
 
-  DependenceGraph DG = R->DG;
-  Schedule S = R->Sched;
-  EXPECT_TRUE(analyzeSchedule(R->program(), DG, S));
+  DependenceGraph DG = R.DG;
+  Schedule S = R.Sched;
+  EXPECT_TRUE(analyzeSchedule(R.program(), DG, S));
 
-  auto Orig = buildOriginalAst(R->program());
+  auto Orig = Session.originalAst(R.program());
   ASSERT_TRUE(Orig) << Orig.error();
   const long long N = 9;
   std::map<std::string, std::vector<long long>> Extents;
-  for (const ArrayInfo &A : R->program().Arrays)
+  for (const ArrayInfo &A : R.program().Arrays)
     Extents[A.Name] = std::vector<long long>(A.Rank, N);
   auto runWith = [&](const CgNode &Ast) {
     Interpreter I;
-    I.allocate(R->program(), Extents);
+    I.allocate(R.program(), Extents);
     unsigned Seed = 1;
     for (auto &[Name, T] : I.Arrays)
       T.fillPattern(Seed++);
     I.Params = {{"N", N}};
-    auto Ok = I.run(R->program(), Ast);
+    auto Ok = I.run(R.program(), Ast);
     EXPECT_TRUE(Ok) << (Ok ? "" : Ok.error());
     return I.Arrays;
   };
   auto Want = runWith(**Orig);
-  auto Got = runWith(*R->Ast);
+  auto Got = runWith(*R.Ast);
   for (const auto &[Name, TW] : Want) {
     const Tensor &TG = Got.at(Name);
     ASSERT_EQ(TW.Data.size(), TG.Data.size());
@@ -215,15 +233,13 @@ TEST(AbortHandlingTest, ScheduleSurfacesAbortAsDiagnostic) {
   // runs starved. With every fast path off the first findHyperplane must
   // go to the exact solver, abort, and report it - not fold the abort into
   // "no hyperplane exists" (which would silently cut the band).
-  auto P = parseSource(generateStressProgram(4, 1));
-  ASSERT_TRUE(P) << P.error();
-  Program Prog = P->Prog;
+  ParseResult P = parseSourceDiags(generateStressProgram(4, 1));
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  Program Prog = P.Program->Prog;
   DependenceGraph DG = computeDependences(Prog);
 
   TransformOptions Exact;
-  Exact.Decompose = false;
-  Exact.DimensionMatch = false;
-  Exact.WarmStart = false;
+  Exact.FastPaths = false;
 
   ilp::SolveLimits Tiny;
   Tiny.MaxPivots = 1;
@@ -236,9 +252,10 @@ TEST(AbortHandlingTest, ScheduleSurfacesAbortAsDiagnostic) {
 }
 
 TEST(AbortHandlingTest, DepAnalysisKeepsCandidatesOnAbort) {
-  auto P = parseSource(readFile(fs::path(PLUTOPP_EXAMPLES_DIR) / "lu.c"));
-  ASSERT_TRUE(P) << P.error();
-  DependenceGraph Ref = computeDependences(P->Prog);
+  ParseResult P =
+      parseSourceDiags(readFile(fs::path(PLUTOPP_EXAMPLES_DIR) / "lu.c"));
+  ASSERT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  DependenceGraph Ref = computeDependences(P.Program->Prog);
 
   PassStats Stats;
   setActiveStats(&Stats);
@@ -247,7 +264,7 @@ TEST(AbortHandlingTest, DepAnalysisKeepsCandidatesOnAbort) {
   Tiny.MaxCuts = 0;
   DependenceGraph Starved = [&] {
     ilp::ScopedSolveLimits Guard(Tiny);
-    return computeDependences(P->Prog);
+    return computeDependences(P.Program->Prog);
   }();
   setActiveStats(nullptr);
 
@@ -264,7 +281,8 @@ TEST(AbortHandlingTest, DepAnalysisKeepsCandidatesOnAbort) {
 TEST(ScheduleStatsTest, FastPathCountersAndClusterHistogram) {
   PassStats Stats;
   setActiveStats(&Stats);
-  auto R = optimizeSource(generateStressProgram(25, 1));
+  Pipeline Session = session(generateStressProgram(25, 1));
+  auto R = Session.lowered();
   setActiveStats(nullptr);
   ASSERT_TRUE(R) << R.error();
 

@@ -179,7 +179,6 @@ TEST(Protocol, CompileRequestRoundTripsWithNonDefaultOptions) {
   O.Vectorize = false;
   O.IncludeInputDeps = false;
   O.ParamMin = 9;
-  O.FastSchedule = false;
 
   WireRequest R;
   R.Operation = Op::Compile;
@@ -221,6 +220,14 @@ TEST(Protocol, DecodeRejectsBadRequests) {
   ASSERT_FALSE(bool(R));
   EXPECT_NE(R.error().find("tille"), std::string::npos)
       << "unknown option keys should be named: " << R.error();
+  // A key the option table no longer has is a named bad request, not a
+  // silently ignored knob.
+  auto F = decodeRequest("{\"plutod\": 1, \"op\": \"compile\", \"source\": "
+                         "\"x\", \"options\": {\"fast_schedule\": 0}}");
+  ASSERT_FALSE(bool(F));
+  EXPECT_NE(F.error().find("unknown options key \"fast_schedule\""),
+            std::string::npos)
+      << F.error();
   // Values the field cannot hold are rejected, not truncated or wrapped:
   // 4294967301 would otherwise compile as tile size 5.
   for (const char *Bad : {"4294967301", "-1"}) {

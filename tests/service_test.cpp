@@ -124,7 +124,6 @@ TEST(OptionsTest, ZeroTileSizeFailsFastThroughEveryEntryPoint) {
   PlutoOptions O;
   O.TileSize = 0;
   EXPECT_FALSE(Pipeline::create(O).hasValue());
-  EXPECT_FALSE(optimizeSource(MatMul, O).hasValue());
   auto B = compileRequests({{"m", MatMul, O, {}}});
   ASSERT_EQ(B.size(), 1u);
   EXPECT_EQ(B[0].Status, StatusCode::BadRequest);
@@ -142,7 +141,7 @@ TEST(OptionsTest, EqualityIsFieldWise) {
 
 TEST(OptionsTest, FingerprintIsSensitiveToEveryField) {
   const PlutoOptions Base;
-  std::vector<PlutoOptions> Variants(13, Base);
+  std::vector<PlutoOptions> Variants(12, Base);
   Variants[0].Tile = false;
   Variants[1].TileSize = 16;
   Variants[2].SecondLevelTile = true;
@@ -158,7 +157,6 @@ TEST(OptionsTest, FingerprintIsSensitiveToEveryField) {
   Variants[9].CG.MaxPieces = 12;
   Variants[10].CG.EnableSeparation = false;
   Variants[11].CG.ParallelPragmaRows.insert(1);
-  Variants[12].FastSchedule = false;
 
   std::set<std::string> Fps;
   Fps.insert(Base.fingerprint());
@@ -219,8 +217,7 @@ TEST(OptionsTest, DefaultFingerprintIsPinned) {
   EXPECT_EQ(PlutoOptions().fingerprint(),
             "tile=1;tile_size=32;l2tile=0;l2tile_size=8;parallel=1;"
             "wavefront_degrees=1;vectorize=1;include_input_deps=1;"
-            "param_min=4;fast_schedule=1;cg_max_pieces=24;cg_separation=1;"
-            "cg_pragma_rows=");
+            "param_min=4;cg_max_pieces=24;cg_separation=1;cg_pragma_rows=");
 }
 
 // Every row of the option table through the table's own spellings: its
@@ -425,20 +422,6 @@ TEST(PipelineTest, StagedArtifactsAreMemoizedAndReused) {
   auto Parsed3 = P->parsed();
   ASSERT_TRUE(Parsed3.hasValue());
   EXPECT_EQ((*Parsed3)->Prog.Stmts.size(), 1u);
-}
-
-TEST(PipelineTest, MatchesOneShotShim) {
-  PlutoOptions Opts;
-  auto P = Pipeline::create(Opts);
-  ASSERT_TRUE(P.hasValue());
-  P->setSource(MatMul);
-  auto Staged = P->takeLowered();
-  ASSERT_TRUE(Staged.hasValue());
-
-  auto OneShot = optimizeSource(MatMul, Opts);
-  ASSERT_TRUE(OneShot.hasValue());
-  EXPECT_EQ(Staged->Sched.toString(Staged->program()),
-            OneShot->Sched.toString(OneShot->program()));
 }
 
 TEST(PipelineTest, CacheKeyCanonicalizesWhitespaceButNotSemantics) {

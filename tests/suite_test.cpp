@@ -15,6 +15,7 @@
 #include "driver/Driver.h"
 #include "driver/Kernels.h"
 #include "runtime/Interpreter.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -94,36 +95,38 @@ TEST_P(KernelSuite, FullPipelineLegalAndEquivalent) {
   PlutoOptions Opts;
   Opts.TileSize = 3;
   Opts.IncludeInputDeps = C.InputDeps;
-  auto R = optimizeSource(C.Src, Opts);
-  ASSERT_TRUE(R) << R.error();
+  Pipeline Session = session(C.Src, Opts);
+  auto Lowered = Session.lowered();
+  ASSERT_TRUE(Lowered) << Lowered.error();
+  const PlutoResult &R = **Lowered;
 
   // Independent legality oracle.
   {
-    DependenceGraph DG = R->DG;
-    Schedule S = R->Sched;
-    EXPECT_TRUE(analyzeSchedule(R->program(), DG, S));
+    DependenceGraph DG = R.DG;
+    Schedule S = R.Sched;
+    EXPECT_TRUE(analyzeSchedule(R.program(), DG, S));
   }
   // Band expectation (pre-tiling schedule).
-  auto Bands = R->Sched.bands();
+  auto Bands = R.Sched.bands();
   ASSERT_FALSE(Bands.empty());
   EXPECT_GE(Bands[0].Width, C.ExpectBandWidth) << "first band too narrow";
 
   // Equivalence: original vs transformed under the interpreter.
-  auto Orig = buildOriginalAst(R->program());
+  auto Orig = Session.originalAst(R.program());
   ASSERT_TRUE(Orig) << Orig.error();
   auto runWith = [&](const CgNode &Ast) {
     Interpreter I;
-    I.allocate(R->program(), C.Extents);
+    I.allocate(R.program(), C.Extents);
     unsigned S = 1;
     for (auto &[Name, T] : I.Arrays)
       T.fillPattern(S++);
     I.Params = C.Params;
-    auto Ok = I.run(R->program(), Ast);
+    auto Ok = I.run(R.program(), Ast);
     EXPECT_TRUE(Ok) << (Ok ? "" : Ok.error());
     return I.Arrays;
   };
   auto Want = runWith(**Orig);
-  auto Got = runWith(*R->Ast);
+  auto Got = runWith(*R.Ast);
   for (const auto &[Name, TW] : Want) {
     const Tensor &TG = Got.at(Name);
     ASSERT_EQ(TW.Data.size(), TG.Data.size()) << Name;
@@ -142,7 +145,8 @@ TEST_P(KernelSuite, ToolchainIsFast) {
   Opts.TileSize = 32;
   Opts.IncludeInputDeps = C.InputDeps;
   auto T0 = std::chrono::steady_clock::now();
-  auto R = optimizeSource(C.Src, Opts);
+  Pipeline Session = session(C.Src, Opts);
+  auto R = Session.lowered();
   auto T1 = std::chrono::steady_clock::now();
   ASSERT_TRUE(R) << R.error();
   EXPECT_LT(std::chrono::duration<double>(T1 - T0).count(), 30.0);

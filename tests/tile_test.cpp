@@ -31,9 +31,9 @@ struct Built {
 
 Built build(const char *Src, bool InputDeps = false) {
   Built B;
-  auto P = parseSource(Src);
-  EXPECT_TRUE(P) << (P ? "" : P.error());
-  B.Prog = P->Prog;
+  ParseResult P = parseSourceDiags(Src);
+  EXPECT_TRUE(P.ok()) << joinDiagnostics(P.Diags);
+  B.Prog = P.Program->Prog;
   for (const std::string &Pm : B.Prog.ParamNames)
     B.Prog.addContextBound(Pm, 4);
   DepOptions DO;
@@ -187,9 +187,9 @@ TEST(TileTest, ReorderNoopWithoutParallelRows) {
 }
 
 TEST(TileTest, IdentityScheduleReproducesTextualOrder) {
-  auto P = parseSource(kernels::Jacobi1D);
-  ASSERT_TRUE(P);
-  Schedule S = identitySchedule(P->Prog);
+  ParseResult P = parseSourceDiags(kernels::Jacobi1D);
+  ASSERT_TRUE(P.ok());
+  Schedule S = identitySchedule(P.Program->Prog);
   // 2*maxdepth+1 = 5 rows; scalar rows at 0, 2, 4.
   ASSERT_EQ(S.numRows(), 5u);
   EXPECT_TRUE(S.Rows[0].IsScalar);

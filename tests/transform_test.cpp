@@ -30,9 +30,9 @@ struct Pipeline {
 
 Pipeline run(const char *Src, bool InputDeps = true) {
   Pipeline P;
-  auto Parsed = parseSource(Src);
-  EXPECT_TRUE(Parsed) << (Parsed ? "" : Parsed.error());
-  P.Prog = Parsed->Prog;
+  ParseResult Parsed = parseSourceDiags(Src);
+  EXPECT_TRUE(Parsed.ok()) << joinDiagnostics(Parsed.Diags);
+  P.Prog = Parsed.Program->Prog;
   for (const std::string &Param : P.Prog.ParamNames)
     P.Prog.addContextBound(Param, 4);
   DepOptions DO;
@@ -241,9 +241,9 @@ TEST(TransformTest, IndependentLoopsCutIntoSccs) {
 }
 
 TEST(TransformTest, ForcedScheduleAnalysisDetectsIllegal) {
-  auto Parsed = parseSource(kernels::Sweep2D);
-  ASSERT_TRUE(Parsed);
-  Program Prog = Parsed->Prog;
+  ParseResult Parsed = parseSourceDiags(kernels::Sweep2D);
+  ASSERT_TRUE(Parsed.ok());
+  Program Prog = Parsed.Program->Prog;
   Prog.addContextBound("N", 4);
   DepOptions DO;
   DO.IncludeInputDeps = false;
@@ -264,9 +264,9 @@ TEST(TransformTest, ForcedLimLamStyleScheduleIsLegalForJacobi) {
   // The paper's comparison: Lim/Lam's maximally independent time partitions
   // (2, -1) / (3, -1) for imperfect Jacobi (Sec. 7). Verify our analysis
   // accepts it as legal (it is) - it is the cost that differs.
-  auto Parsed = parseSource(kernels::Jacobi1D);
-  ASSERT_TRUE(Parsed);
-  Program Prog = Parsed->Prog;
+  ParseResult Parsed = parseSourceDiags(kernels::Jacobi1D);
+  ASSERT_TRUE(Parsed.ok());
+  Program Prog = Parsed.Program->Prog;
   Prog.addContextBound("N", 8);
   Prog.addContextBound("T", 8);
   DepOptions DO;

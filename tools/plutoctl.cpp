@@ -23,6 +23,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -210,14 +211,11 @@ std::string readStream(std::istream &In) {
   return SS.str();
 }
 
+/// `path/to/foo.c` -> `foo` (the --out-dir output stem, named as plutopp
+/// names it).
 std::string stemOf(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Base =
-      Slash == std::string::npos ? Path : Path.substr(Slash + 1);
-  size_t Dot = Base.find_last_of('.');
-  if (Dot != std::string::npos && Dot > 0)
-    Base.resize(Dot);
-  return Base;
+  std::string Stem = std::filesystem::path(Path).stem().string();
+  return Stem.empty() ? "unit" : Stem;
 }
 
 } // namespace
@@ -282,6 +280,35 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
+  // The compile path reads every input and creates --out-dir before the
+  // daemon is contacted, failing as plutopp does (exit 1).
+  struct Unit {
+    std::string Name;
+    std::string Source;
+  };
+  std::vector<Unit> Units;
+  if (!DoPing && !DoMetrics) {
+    if (Inputs.empty())
+      Units.push_back({"<stdin>", readStream(std::cin)});
+    for (const std::string &Path : Inputs) {
+      std::ifstream In(Path);
+      if (!In) {
+        std::fprintf(stderr, "plutoctl: cannot open '%s'\n", Path.c_str());
+        return 1;
+      }
+      Units.push_back({Path, readStream(In)});
+    }
+    if (!OutDir.empty()) {
+      std::error_code Ec;
+      std::filesystem::create_directories(OutDir, Ec);
+      if (Ec || !std::filesystem::is_directory(OutDir)) {
+        std::fprintf(stderr, "plutoctl: cannot create --out-dir '%s'\n",
+                     OutDir.c_str());
+        return 1;
+      }
+    }
+  }
+
   Client C;
   C.TimeoutMs = TimeoutMs;
   std::string Error;
@@ -318,25 +345,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // Compile path: read every input up front, pipeline all requests.
-  struct Unit {
-    std::string Name;
-    std::string Source;
-  };
-  std::vector<Unit> Units;
-  if (Inputs.empty()) {
-    Units.push_back({"<stdin>", readStream(std::cin)});
-  } else {
-    for (const std::string &Path : Inputs) {
-      std::ifstream In(Path);
-      if (!In) {
-        std::fprintf(stderr, "plutoctl: cannot read '%s'\n", Path.c_str());
-        return 2;
-      }
-      Units.push_back({Path, readStream(In)});
-    }
-  }
-
+  // Compile path: pipeline all requests.
   for (size_t I = 0; I < Units.size(); ++I) {
     WireRequest R;
     R.Operation = Op::Compile;
