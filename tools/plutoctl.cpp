@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliFiles.h"
 #include "parser/Diagnostics.h"
 #include "serve/Protocol.h"
 #include "service/CompileService.h"
@@ -23,12 +24,8 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <poll.h>
-#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -205,19 +202,6 @@ struct Client {
   }
 };
 
-std::string readStream(std::istream &In) {
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
-/// `path/to/foo.c` -> `foo` (the --out-dir output stem, named as plutopp
-/// names it).
-std::string stemOf(const std::string &Path) {
-  std::string Stem = std::filesystem::path(Path).stem().string();
-  return Stem.empty() ? "unit" : Stem;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -281,32 +265,15 @@ int main(int Argc, char **Argv) {
   }
 
   // The compile path reads every input and creates --out-dir before the
-  // daemon is contacted, failing as plutopp does (exit 1).
-  struct Unit {
-    std::string Name;
-    std::string Source;
-  };
-  std::vector<Unit> Units;
+  // daemon is contacted, as plutopp does.
+  std::vector<CompileRequest> Units;
   if (!DoPing && !DoMetrics) {
-    if (Inputs.empty())
-      Units.push_back({"<stdin>", readStream(std::cin)});
-    for (const std::string &Path : Inputs) {
-      std::ifstream In(Path);
-      if (!In) {
-        std::fprintf(stderr, "plutoctl: cannot open '%s'\n", Path.c_str());
-        return 1;
-      }
-      Units.push_back({Path, readStream(In)});
-    }
-    if (!OutDir.empty()) {
-      std::error_code Ec;
-      std::filesystem::create_directories(OutDir, Ec);
-      if (Ec || !std::filesystem::is_directory(OutDir)) {
-        std::fprintf(stderr, "plutoctl: cannot create --out-dir '%s'\n",
-                     OutDir.c_str());
-        return 1;
-      }
-    }
+    auto Read = cli::readInputs("plutoctl", Inputs, Opts, Budget);
+    if (!Read)
+      return 1;
+    Units = std::move(*Read);
+    if (!OutDir.empty() && !cli::makeOutDir("plutoctl", OutDir))
+      return 1;
   }
 
   Client C;
@@ -350,10 +317,7 @@ int main(int Argc, char **Argv) {
     WireRequest R;
     R.Operation = Op::Compile;
     R.Id = std::to_string(I);
-    R.Req.Name = Units[I].Name;
-    R.Req.Source = Units[I].Source;
-    R.Req.Opts = Opts;
-    R.Req.Budget = Budget;
+    R.Req = Units[I];
     C.queue(encodeRequest(R));
   }
 
@@ -407,14 +371,9 @@ int main(int Argc, char **Argv) {
       continue;
     }
     if (!OutDir.empty()) {
-      std::string Path = OutDir + "/" + stemOf(Units[I].Name) + ".pluto.c";
-      std::ofstream Out(Path);
-      if (!Out) {
-        std::fprintf(stderr, "plutoctl: cannot write '%s'\n", Path.c_str());
+      if (!cli::writeFile("plutoctl", cli::outDirPath(OutDir, Units[I].Name),
+                          R.EmittedC))
         Exit = aggregateExitCodes(Exit, 1);
-        continue;
-      }
-      Out << R.EmittedC;
     } else {
       if (Units.size() > 1)
         std::printf("/* ===== plutopp: %s ===== */\n", Units[I].Name.c_str());

@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliFiles.h"
 #include "observe/PassStats.h"
 #include "observe/Trace.h"
 #include "parser/Parser.h"
@@ -32,10 +33,6 @@
 
 #include <climits>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <vector>
 
 using namespace pluto;
@@ -104,12 +101,6 @@ const char *UsageTail =
 int badValue(const std::string &A) {
   std::fprintf(stderr, "plutopp: bad numeric argument in '%s'\n", A.c_str());
   return 2;
-}
-
-/// `path/to/foo.c` -> `foo` (the --out-dir output stem).
-std::string stemOf(const std::string &Path) {
-  std::string Stem = std::filesystem::path(Path).stem().string();
-  return Stem.empty() ? "unit" : Stem;
 }
 
 } // namespace
@@ -203,33 +194,12 @@ int main(int argc, char **argv) {
   }
 
   // Assemble the batch: named files, or stdin as a single anonymous unit.
-  std::vector<CompileRequest> Batch;
-  if (InputPaths.empty()) {
-    std::stringstream SS;
-    SS << std::cin.rdbuf();
-    Batch.push_back({"<stdin>", SS.str(), Opts, Budget});
-  } else {
-    for (const std::string &Path : InputPaths) {
-      std::ifstream In(Path);
-      if (!In) {
-        std::fprintf(stderr, "plutopp: cannot open '%s'\n", Path.c_str());
-        return 1;
-      }
-      std::stringstream SS;
-      SS << In.rdbuf();
-      Batch.push_back({Path, SS.str(), Opts, Budget});
-    }
-  }
-
-  if (!OutDir.empty()) {
-    std::error_code Ec;
-    std::filesystem::create_directories(OutDir, Ec);
-    if (Ec || !std::filesystem::is_directory(OutDir)) {
-      std::fprintf(stderr, "plutopp: cannot create --out-dir '%s'\n",
-                   OutDir.c_str());
-      return 1;
-    }
-  }
+  auto Inputs = cli::readInputs("plutopp", InputPaths, Opts, Budget);
+  if (!Inputs)
+    return 1;
+  std::vector<CompileRequest> &Batch = *Inputs;
+  if (!OutDir.empty() && !cli::makeOutDir("plutopp", OutDir))
+    return 1;
 
   BatchOptions BO;
   BO.Jobs = Jobs;
@@ -281,15 +251,8 @@ int main(int argc, char **argv) {
     // search worth inspecting.
     std::string TraceDoc = TR.traceJson();
     if (!TuneTracePath.empty()) {
-      std::ofstream Out(TuneTracePath, std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out.write(TraceDoc.data(),
-                  static_cast<std::streamsize>(TraceDoc.size()));
-      if (!Out) {
-        std::fprintf(stderr, "plutopp: cannot write '%s'\n",
-                     TuneTracePath.c_str());
+      if (!cli::writeFile("plutopp", TuneTracePath, TraceDoc))
         return 1;
-      }
     } else {
       std::fprintf(stderr, "%s\n", TraceDoc.c_str());
     }
@@ -325,14 +288,8 @@ int main(int argc, char **argv) {
     }
 
     if (!OutPath.empty()) {
-      std::ofstream Out(OutPath, std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out.write(TR.WinnerC.data(),
-                  static_cast<std::streamsize>(TR.WinnerC.size()));
-      if (!Out) {
-        std::fprintf(stderr, "plutopp: cannot write '%s'\n", OutPath.c_str());
+      if (!cli::writeFile("plutopp", OutPath, TR.WinnerC))
         return 1;
-      }
     } else {
       std::fputs(TR.WinnerC.c_str(), stdout);
     }
@@ -387,25 +344,10 @@ int main(int argc, char **argv) {
       }
       continue;
     }
-    if (!OutDir.empty()) {
-      std::string Path = OutDir + "/" + stemOf(Batch[I].Name) + ".pluto.c";
-      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out.write(R.EmittedC.data(),
-                  static_cast<std::streamsize>(R.EmittedC.size()));
-      if (!Out) {
-        std::fprintf(stderr, "plutopp: cannot write '%s'\n", Path.c_str());
-        UnitStatus[I] = "write-error";
-        ++FailedUnits;
-        Exit = aggregateExitCodes(Exit, exitCodeFor(StatusCode::Internal));
-      }
-    } else if (!OutPath.empty()) {
-      std::ofstream Out(OutPath, std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out.write(R.EmittedC.data(),
-                  static_cast<std::streamsize>(R.EmittedC.size()));
-      if (!Out) {
-        std::fprintf(stderr, "plutopp: cannot write '%s'\n", OutPath.c_str());
+    if (!OutDir.empty() || !OutPath.empty()) {
+      std::string Path =
+          OutDir.empty() ? OutPath : cli::outDirPath(OutDir, Batch[I].Name);
+      if (!cli::writeFile("plutopp", Path, R.EmittedC)) {
         UnitStatus[I] = "write-error";
         ++FailedUnits;
         Exit = aggregateExitCodes(Exit, exitCodeFor(StatusCode::Internal));
