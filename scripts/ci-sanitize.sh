@@ -19,6 +19,19 @@ ASAN_OPTIONS=abort_on_error=1:detect_leaks=1 \
 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+# The sanitizer build above is RelWithDebInfo, so NDEBUG strips every
+# assert. Build the exact core (BigInt, the lexmin tableau, FM projection,
+# Farkas compression) once more in Debug and run its tests with the
+# asserts on.
+DEBUG_DIR="$BUILD_DIR-debug"
+cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$DEBUG_DIR" -j "$(nproc)" \
+  --target support_test ilp_test poly_test transform_test
+for T in support_test ilp_test poly_test transform_test; do
+  "$DEBUG_DIR/tests/$T" --gtest_brief=1
+done
+echo "ci-sanitize: Debug exact-core tests OK"
+
 # Smoke-run the plutopp CLI under the same sanitizers: full pipeline with
 # diagnostics on (exercises the observe counters/trace allocation paths)
 # and off, plus the error path. Output is discarded; a sanitizer report or

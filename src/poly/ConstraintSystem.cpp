@@ -250,7 +250,8 @@ bool ConstraintSystem::normalize() {
 
   // Inequalities, in place and in order: tighten, drop trivially true rows,
   // and collapse rows sharing a coefficient vector to the tightest constant
-  // (for a.x + c >= 0 the smallest c dominates).
+  // (for a.x + c >= 0 the smallest c dominates). Trivially false rows
+  // collapse to one canonical -1 >= 0, which keeps the system empty.
   Kept = 0;
   PrefixIndex Seen(NumVars);
   bool Contradiction = false;
@@ -261,9 +262,10 @@ bool ConstraintSystem::normalize() {
     for (unsigned I = 0; I < NumVars && AllZero; ++I)
       AllZero = Row[I].isZero();
     if (AllZero) {
-      if (Row[NumVars].isNegative())
-        Contradiction = true;
-      continue;
+      if (!Row[NumVars].isNegative())
+        continue;
+      Contradiction = true;
+      Row[NumVars] = BigInt(-1);
     }
     unsigned K = Seen.findOrInsert(Row, Kept, rowsOf(Ineqs));
     if (K == Kept)
@@ -520,8 +522,8 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
               AllZero = false;
           }
           normalizeByGcd(Coef);
-          if (AllZero)
-            continue; // Trivial (or contradiction caught by normalize()).
+          if (AllZero && !Coef[NumVars].isNegative())
+            continue; // Trivially true; a contradiction stays for normalize().
           unsigned Pos = static_cast<unsigned>(Next.size());
           unsigned K = Seen.findOrInsert(Coef, Pos, RowAt);
           if (K != Pos) {

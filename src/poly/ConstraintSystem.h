@@ -101,7 +101,9 @@ public:
   /// drops duplicates and trivially true rows, and collapses inequalities
   /// with identical coefficient vectors to the tightest constant (syntactic
   /// dominance). Rows keep their order. Returns false if a trivially false
-  /// row was found (system is empty).
+  /// row was found (system is empty); a false inequality is kept as one
+  /// canonical -1 >= 0 row and a contradictory system of equalities is left
+  /// untouched, so the system stays empty.
   bool normalize();
 
   /// Renders the system for debugging; Names may name a prefix of the dims.

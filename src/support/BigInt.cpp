@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Overflow discipline: every inline (int64) fast path uses the compiler's
-// checked-arithmetic builtins; on overflow the operands are materialized
-// into limb vectors and the exact limb algorithms run. Results are demoted
-// back to the inline form whenever they fit, keeping the representation
-// canonical (limb form <=> value outside int64 range).
+// The limb paths. Every int64 fast path is inline in BigInt.h and uses the
+// compiler's checked-arithmetic builtins; on overflow, or for a limb-form
+// operand, it calls one of the *Slow functions here, which materialize the
+// operands into limb vectors and run the exact limb algorithms. Results
+// are demoted back to the inline form whenever they fit, keeping the
+// representation canonical (limb form <=> value outside int64 range).
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,19 +113,13 @@ BigInt BigInt::fromString(const std::string &S) {
   return Neg ? -R : R;
 }
 
-BigInt BigInt::operator-() const {
-  if (IsSmall) {
-    if (Small != INT64_MIN)
-      return BigInt(-Small);
-    // -INT64_MIN = 2^63 does not fit: promote.
+BigInt BigInt::negSlow() const {
+  // -INT64_MIN = 2^63 does not fit; negating +2^63 (limb form) lands on
+  // INT64_MIN. makeLarge re-canonicalizes both.
+  if (IsSmall)
     return makeLarge(1, {0, 0x80000000u});
-  }
-  // The inline range is asymmetric: negating +2^63 (limb form) lands on
-  // INT64_MIN, so re-canonicalize through makeLarge.
   return makeLarge(-Sign, Mag);
 }
-
-BigInt BigInt::abs() const { return isNegative() ? -*this : *this; }
 
 int BigInt::compareMag(const std::vector<uint32_t> &A,
                        const std::vector<uint32_t> &B) {
@@ -136,9 +131,7 @@ int BigInt::compareMag(const std::vector<uint32_t> &A,
   return 0;
 }
 
-int BigInt::compare(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall)
-    return Small < RHS.Small ? -1 : Small > RHS.Small ? 1 : 0;
+int BigInt::compareSlow(const BigInt &RHS) const {
   // Canonical form: a limb-form value lies strictly outside the int64 range,
   // so mixed comparisons are decided by the limb side's sign.
   if (IsSmall)
@@ -241,37 +234,71 @@ std::vector<uint32_t> BigInt::divModMag(const std::vector<uint32_t> &A,
       Rem.push_back(static_cast<uint32_t>(R));
     return Q;
   }
-  // General case: bitwise long division. O(bits * limbs) but simple and
-  // exact; divisor sizes in this code base are small.
-  size_t Bits = A.size() * 32;
-  std::vector<uint32_t> Q(A.size(), 0);
-  std::vector<uint32_t> R;
-  for (size_t I = Bits; I-- > 0;) {
-    // R = (R << 1) | bit I of A.
-    uint32_t CarryBit = 0;
-    for (size_t J = 0; J < R.size(); ++J) {
-      uint32_t NewCarry = R[J] >> 31;
-      R[J] = (R[J] << 1) | CarryBit;
-      CarryBit = NewCarry;
+  // General case: Knuth's algorithm D (TAOCP vol. 2, 4.3.1) on 32-bit
+  // limbs. Both operands are shifted left until the divisor's top limb has
+  // its high bit set; each quotient limb estimated from the top two limbs
+  // of the running remainder is then at most two too large, and the
+  // two-limb test below settles all but one of those cases.
+  size_t N = B.size(), M = A.size() - N;
+  unsigned Shift = static_cast<unsigned>(__builtin_clz(B.back()));
+  // Top 32 bits of the limb pair Hi:Lo shifted left by Shift.
+  auto shifted = [Shift](uint32_t Hi, uint32_t Lo) {
+    return static_cast<uint32_t>(
+        ((static_cast<uint64_t>(Hi) << 32 | Lo) << Shift) >> 32);
+  };
+  std::vector<uint32_t> V(N), U(A.size() + 1);
+  for (size_t I = N; I-- > 1;)
+    V[I] = shifted(B[I], B[I - 1]);
+  V[0] = B[0] << Shift;
+  U[A.size()] = shifted(0, A.back());
+  for (size_t I = A.size(); I-- > 1;)
+    U[I] = shifted(A[I], A[I - 1]);
+  U[0] = A[0] << Shift;
+
+  const uint64_t Base = 1ULL << 32;
+  std::vector<uint32_t> Q(M + 1, 0);
+  for (size_t J = M + 1; J-- > 0;) {
+    uint64_t Num = static_cast<uint64_t>(U[J + N]) << 32 | U[J + N - 1];
+    uint64_t QHat = Num / V[N - 1], RHat = Num % V[N - 1];
+    while (QHat >= Base || QHat * V[N - 2] > (RHat << 32 | U[J + N - 2])) {
+      --QHat;
+      RHat += V[N - 1];
+      if (RHat >= Base)
+        break;
     }
-    if (CarryBit)
-      R.push_back(1);
-    uint32_t BitI = (A[I / 32] >> (I % 32)) & 1;
-    if (BitI) {
-      if (R.empty())
-        R.push_back(0);
-      R[0] |= 1;
+    // U[J..J+N] -= QHat * V.
+    int64_t Borrow = 0;
+    for (size_t I = 0; I < N; ++I) {
+      uint64_t P = QHat * V[I];
+      int64_t T = static_cast<int64_t>(U[I + J]) - Borrow -
+                  static_cast<int64_t>(P & 0xffffffffULL);
+      U[I + J] = static_cast<uint32_t>(T);
+      Borrow = static_cast<int64_t>(P >> 32) - (T >> 32);
     }
-    while (!R.empty() && R.back() == 0)
-      R.pop_back();
-    if (compareMag(R, B) >= 0) {
-      R = subMag(R, B);
-      Q[I / 32] |= 1u << (I % 32);
+    int64_t T = static_cast<int64_t>(U[J + N]) - Borrow;
+    U[J + N] = static_cast<uint32_t>(T);
+    if (T < 0) {
+      // QHat was one too large: add V back.
+      --QHat;
+      uint64_t Carry = 0;
+      for (size_t I = 0; I < N; ++I) {
+        uint64_t S = static_cast<uint64_t>(U[I + J]) + V[I] + Carry;
+        U[I + J] = static_cast<uint32_t>(S);
+        Carry = S >> 32;
+      }
+      U[J + N] += static_cast<uint32_t>(Carry);
     }
+    Q[J] = static_cast<uint32_t>(QHat);
   }
   while (!Q.empty() && Q.back() == 0)
     Q.pop_back();
-  Rem = R;
+  // The remainder is the low N limbs of U, shifted back.
+  Rem.resize(N);
+  for (size_t I = 0; I < N; ++I)
+    Rem[I] = static_cast<uint32_t>(
+        (static_cast<uint64_t>(U[I + 1]) << 32 | U[I]) >> Shift);
+  while (!Rem.empty() && Rem.back() == 0)
+    Rem.pop_back();
   return Q;
 }
 
@@ -292,38 +319,11 @@ BigInt BigInt::addSlow(const BigInt &RHS) const {
   return makeLarge(SB, subMag(MB, MA));
 }
 
-BigInt BigInt::operator+(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_add_overflow(Small, RHS.Small, &R))
-      return BigInt(R);
-  }
-  return addSlow(RHS);
-}
-
-BigInt BigInt::operator-(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_sub_overflow(Small, RHS.Small, &R))
-      return BigInt(R);
-  }
-  return addSlow(-RHS);
-}
-
 BigInt BigInt::mulSlow(const BigInt &RHS) const {
   int S = signum() * RHS.signum();
   if (S == 0)
     return BigInt();
   return makeLarge(S, mulMag(magnitude(), RHS.magnitude()));
-}
-
-BigInt BigInt::operator*(const BigInt &RHS) const {
-  if (IsSmall && RHS.IsSmall) {
-    int64_t R;
-    if (!__builtin_mul_overflow(Small, RHS.Small, &R))
-      return BigInt(R);
-  }
-  return mulSlow(RHS);
 }
 
 BigInt BigInt::divSlow(const BigInt &RHS) const {
@@ -332,71 +332,20 @@ BigInt BigInt::divSlow(const BigInt &RHS) const {
   return makeLarge(signum() * RHS.signum(), std::move(Q));
 }
 
-BigInt BigInt::operator/(const BigInt &RHS) const {
-  assert(!RHS.isZero() && "division by zero");
-  if (IsSmall && RHS.IsSmall) {
-    // INT64_MIN / -1 is the single overflowing int64 quotient.
-    if (!(Small == INT64_MIN && RHS.Small == -1))
-      return BigInt(Small / RHS.Small);
-  }
-  if (isZero())
-    return BigInt();
-  return divSlow(RHS);
-}
-
 BigInt BigInt::modSlow(const BigInt &RHS) const {
   std::vector<uint32_t> Rem;
   divModMag(magnitude(), RHS.magnitude(), Rem);
   return makeLarge(signum(), std::move(Rem));
 }
 
-BigInt BigInt::operator%(const BigInt &RHS) const {
-  assert(!RHS.isZero() && "division by zero");
-  if (IsSmall && RHS.IsSmall) {
-    if (!(Small == INT64_MIN && RHS.Small == -1))
-      return BigInt(Small % RHS.Small);
-    return BigInt(); // INT64_MIN % -1 == 0.
-  }
-  if (isZero())
-    return BigInt();
-  return modSlow(RHS);
-}
-
-BigInt BigInt::floorDiv(const BigInt &RHS) const {
-  assert(!RHS.isZero() && "division by zero");
-  if (IsSmall && RHS.IsSmall &&
-      !(Small == INT64_MIN && RHS.Small == -1)) {
-    int64_t Q = Small / RHS.Small;
-    int64_t R = Small % RHS.Small;
-    // Q only reaches INT64_MIN with R == 0, so the adjustment cannot
-    // overflow.
-    if (R != 0 && ((R < 0) != (RHS.Small < 0)))
-      --Q;
-    return BigInt(Q);
-  }
+BigInt BigInt::roundedDivSlow(const BigInt &RHS, bool Up) const {
   BigInt Q = *this / RHS;
   BigInt R = *this % RHS;
-  if (!R.isZero() && (R.isNegative() != RHS.isNegative()))
-    Q -= BigInt(1);
-  return Q;
-}
-
-BigInt BigInt::ceilDiv(const BigInt &RHS) const {
-  assert(!RHS.isZero() && "division by zero");
-  if (IsSmall && RHS.IsSmall &&
-      !(Small == INT64_MIN && RHS.Small == -1)) {
-    int64_t Q = Small / RHS.Small;
-    int64_t R = Small % RHS.Small;
-    // Q only reaches INT64_MAX with R == 0, so the adjustment cannot
-    // overflow.
-    if (R != 0 && ((R < 0) == (RHS.Small < 0)))
-      ++Q;
-    return BigInt(Q);
-  }
-  BigInt Q = *this / RHS;
-  BigInt R = *this % RHS;
-  if (!R.isZero() && (R.isNegative() == RHS.isNegative()))
-    Q += BigInt(1);
+  // With a nonzero remainder, the truncated quotient is one above the floor
+  // when the remainder's sign differs from the divisor's, and one below the
+  // ceiling when the signs match.
+  if (!R.isZero() && (R.isNegative() == RHS.isNegative()) == Up)
+    Q += BigInt(Up ? 1 : -1);
   return Q;
 }
 
@@ -407,26 +356,7 @@ BigInt BigInt::floorMod(const BigInt &RHS) const {
   return R;
 }
 
-BigInt BigInt::divExact(const BigInt &RHS) const {
-  BigInt Q = *this / RHS;
-  assert((Q * RHS == *this) && "divExact with non-divisible operands");
-  return Q;
-}
-
-BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
-  if (A.IsSmall && B.IsSmall) {
-    uint64_t X = absU64(A.Small), Y = absU64(B.Small);
-    while (Y != 0) {
-      uint64_t T = X % Y;
-      X = Y;
-      Y = T;
-    }
-    if (X <= static_cast<uint64_t>(INT64_MAX))
-      return BigInt(static_cast<int64_t>(X));
-    // gcd involving INT64_MIN can be 2^63, one past the inline range.
-    return makeLarge(1, {static_cast<uint32_t>(X),
-                         static_cast<uint32_t>(X >> 32)});
-  }
+BigInt BigInt::gcdSlow(const BigInt &A, const BigInt &B) {
   BigInt X = A.abs(), Y = B.abs();
   while (!Y.isZero()) {
     BigInt T = X % Y;
@@ -442,16 +372,8 @@ BigInt BigInt::lcm(const BigInt &A, const BigInt &B) {
   return (A.abs() / gcd(A, B)) * B.abs();
 }
 
-size_t BigInt::hash() const {
-  // splitmix64-style mixing; limb form folds each limb in.
-  auto mix = [](uint64_t X) {
-    X += 0x9e3779b97f4a7c15ULL;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-    return X ^ (X >> 31);
-  };
-  if (IsSmall)
-    return static_cast<size_t>(mix(static_cast<uint64_t>(Small)));
+size_t BigInt::hashSlow() const {
+  // Fold each limb into the mix, seeded by the sign.
   uint64_t H = mix(Sign < 0 ? ~0ULL : 1ULL);
   for (uint32_t L : Mag)
     H = mix(H ^ L);

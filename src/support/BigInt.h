@@ -13,12 +13,13 @@
 /// Representation (the isl_int / LLVM-APInt pattern): values that fit in a
 /// signed 64-bit integer are stored inline with overflow-checked fast paths
 /// for every arithmetic operation; only values outside the int64 range fall
-/// back to a little-endian vector of 32-bit limbs. The representation is
-/// canonical — the limb form is used *iff* the value does not fit in int64 —
-/// so comparisons and hashing never need cross-representation paths for
-/// equal values, and in-range results of big-value arithmetic demote back to
-/// the inline form. In practice polyhedral coefficients are tiny, so the
-/// fast paths make the substrate allocation-free on the hot paths.
+/// back to a little-endian vector of 32-bit limbs. The fast paths are inline
+/// here; the limb paths live out of line in BigInt.cpp. The representation
+/// is canonical — the limb form is used *iff* the value does not fit in
+/// int64 — so comparisons and hashing never need cross-representation paths
+/// for equal values, and in-range results of big-value arithmetic demote
+/// back to the inline form. In practice polyhedral coefficients are tiny, so
+/// the fast paths make the substrate allocation-free on the hot paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,16 +62,47 @@ public:
     return Small;
   }
 
-  BigInt operator-() const;
-  BigInt abs() const;
+  BigInt operator-() const {
+    if (IsSmall && Small != INT64_MIN)
+      return BigInt(-Small);
+    return negSlow();
+  }
+  BigInt abs() const { return isNegative() ? -*this : *this; }
 
-  BigInt operator+(const BigInt &RHS) const;
-  BigInt operator-(const BigInt &RHS) const;
-  BigInt operator*(const BigInt &RHS) const;
+  BigInt operator+(const BigInt &RHS) const {
+    int64_t R = 0;
+    if (IsSmall && RHS.IsSmall && !__builtin_add_overflow(Small, RHS.Small, &R))
+      return BigInt(R);
+    return addSlow(RHS);
+  }
+  BigInt operator-(const BigInt &RHS) const {
+    int64_t R = 0;
+    if (IsSmall && RHS.IsSmall && !__builtin_sub_overflow(Small, RHS.Small, &R))
+      return BigInt(R);
+    return addSlow(-RHS);
+  }
+  BigInt operator*(const BigInt &RHS) const {
+    int64_t R = 0;
+    if (IsSmall && RHS.IsSmall && !__builtin_mul_overflow(Small, RHS.Small, &R))
+      return BigInt(R);
+    return mulSlow(RHS);
+  }
   /// Truncating division (C semantics). Asserts RHS != 0.
-  BigInt operator/(const BigInt &RHS) const;
+  BigInt operator/(const BigInt &RHS) const {
+    assert(!RHS.isZero() && "division by zero");
+    // INT64_MIN / -1 is the single overflowing int64 quotient.
+    if (IsSmall && RHS.IsSmall && !(Small == INT64_MIN && RHS.Small == -1))
+      return BigInt(Small / RHS.Small);
+    return divSlow(RHS);
+  }
   /// Remainder with C semantics: (a/b)*b + a%b == a.
-  BigInt operator%(const BigInt &RHS) const;
+  BigInt operator%(const BigInt &RHS) const {
+    assert(!RHS.isZero() && "division by zero");
+    // x % -1 is 0; testing it first keeps INT64_MIN % -1 from trapping.
+    if (IsSmall && RHS.IsSmall)
+      return BigInt(RHS.Small == -1 ? 0 : Small % RHS.Small);
+    return modSlow(RHS);
+  }
 
   BigInt &operator+=(const BigInt &RHS) { return *this = *this + RHS; }
   BigInt &operator-=(const BigInt &RHS) { return *this = *this - RHS; }
@@ -78,20 +110,42 @@ public:
   BigInt &operator/=(const BigInt &RHS) { return *this = *this / RHS; }
 
   /// Floor division: rounds toward negative infinity.
-  BigInt floorDiv(const BigInt &RHS) const;
+  BigInt floorDiv(const BigInt &RHS) const {
+    assert(!RHS.isZero() && "division by zero");
+    if (IsSmall && RHS.IsSmall && !(Small == INT64_MIN && RHS.Small == -1)) {
+      // Q only reaches INT64_MIN with R == 0, so the adjustment cannot
+      // overflow.
+      int64_t Q = Small / RHS.Small, R = Small % RHS.Small;
+      return BigInt(R != 0 && (R < 0) != (RHS.Small < 0) ? Q - 1 : Q);
+    }
+    return roundedDivSlow(RHS, /*Up=*/false);
+  }
   /// Ceiling division: rounds toward positive infinity.
-  BigInt ceilDiv(const BigInt &RHS) const;
+  BigInt ceilDiv(const BigInt &RHS) const {
+    assert(!RHS.isZero() && "division by zero");
+    if (IsSmall && RHS.IsSmall && !(Small == INT64_MIN && RHS.Small == -1)) {
+      // Q only reaches INT64_MAX with R == 0, so the adjustment cannot
+      // overflow.
+      int64_t Q = Small / RHS.Small, R = Small % RHS.Small;
+      return BigInt(R != 0 && (R < 0) == (RHS.Small < 0) ? Q + 1 : Q);
+    }
+    return roundedDivSlow(RHS, /*Up=*/true);
+  }
   /// Remainder of floor division, *this - floorDiv(RHS) * RHS: it takes
   /// the sign of RHS (in [0, RHS) for a positive RHS, (RHS, 0] otherwise).
   BigInt floorMod(const BigInt &RHS) const;
 
   /// Exact division; asserts that RHS divides this exactly.
-  BigInt divExact(const BigInt &RHS) const;
+  BigInt divExact(const BigInt &RHS) const {
+    BigInt Q = *this / RHS;
+    assert((Q * RHS == *this) && "divExact with non-divisible operands");
+    return Q;
+  }
 
   bool operator==(const BigInt &RHS) const {
     if (IsSmall && RHS.IsSmall)
       return Small == RHS.Small;
-    return compare(RHS) == 0;
+    return compareSlow(RHS) == 0;
   }
   bool operator!=(const BigInt &RHS) const { return !(*this == RHS); }
   bool operator<(const BigInt &RHS) const { return compare(RHS) < 0; }
@@ -100,16 +154,36 @@ public:
   bool operator>=(const BigInt &RHS) const { return compare(RHS) >= 0; }
 
   /// Three-way comparison: negative, zero or positive.
-  int compare(const BigInt &RHS) const;
+  int compare(const BigInt &RHS) const {
+    if (IsSmall && RHS.IsSmall)
+      return Small < RHS.Small ? -1 : Small > RHS.Small ? 1 : 0;
+    return compareSlow(RHS);
+  }
 
   /// Greatest common divisor (always non-negative).
-  static BigInt gcd(const BigInt &A, const BigInt &B);
+  static BigInt gcd(const BigInt &A, const BigInt &B) {
+    if (A.IsSmall && B.IsSmall) {
+      uint64_t X = absU64(A.Small), Y = absU64(B.Small);
+      while (Y != 0) {
+        uint64_t T = X % Y;
+        X = Y;
+        Y = T;
+      }
+      // gcd involving INT64_MIN can be 2^63, one past the inline range.
+      if (X <= static_cast<uint64_t>(INT64_MAX))
+        return BigInt(static_cast<int64_t>(X));
+    }
+    return gcdSlow(A, B);
+  }
   /// Least common multiple (always non-negative). lcm(0, x) == 0.
   static BigInt lcm(const BigInt &A, const BigInt &B);
 
   /// Hash of the value (equal values hash equal; representation is
   /// canonical so no cross-form mixing is needed).
-  size_t hash() const;
+  size_t hash() const {
+    return IsSmall ? static_cast<size_t>(mix(static_cast<uint64_t>(Small)))
+                   : hashSlow();
+  }
 
   std::string toString() const;
 
@@ -150,15 +224,31 @@ private:
                                       const std::vector<uint32_t> &B);
   static std::vector<uint32_t> mulMag(const std::vector<uint32_t> &A,
                                       const std::vector<uint32_t> &B);
-  /// Schoolbook long division of magnitudes; returns quotient, sets Rem.
+  /// Long division of magnitudes (Knuth's algorithm D); returns the
+  /// quotient, sets Rem.
   static std::vector<uint32_t> divModMag(const std::vector<uint32_t> &A,
                                          const std::vector<uint32_t> &B,
                                          std::vector<uint32_t> &Rem);
 
+  /// splitmix64 finalizer (the hash of an inline value).
+  static uint64_t mix(uint64_t X) {
+    X += 0x9e3779b97f4a7c15ULL;
+    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+    return X ^ (X >> 31);
+  }
+
+  // Out-of-line paths for limb-form operands and int64 overflow.
+  BigInt negSlow() const;
   BigInt addSlow(const BigInt &RHS) const;
   BigInt mulSlow(const BigInt &RHS) const;
   BigInt divSlow(const BigInt &RHS) const;
   BigInt modSlow(const BigInt &RHS) const;
+  /// floorDiv (Up = false) or ceilDiv (Up = true) through the limb paths.
+  BigInt roundedDivSlow(const BigInt &RHS, bool Up) const;
+  int compareSlow(const BigInt &RHS) const;
+  static BigInt gcdSlow(const BigInt &A, const BigInt &B);
+  size_t hashSlow() const;
 };
 
 } // namespace pluto

@@ -6,6 +6,10 @@
 
 #include "transform/FarkasConstraints.h"
 
+#include "support/LinearAlgebra.h"
+
+#include <algorithm>
+
 using namespace pluto;
 
 VarLayout::VarLayout(const Program &Prog) {
@@ -19,14 +23,101 @@ VarLayout::VarLayout(const Program &Prog) {
   Total = Off;
 }
 
-ConstraintSystem pluto::farkasEliminate(const ConstraintSystem &DepPoly,
+namespace {
+
+bool isConstantRow(const std::vector<BigInt> &Row) {
+  return std::all_of(Row.begin(), Row.end() - 1,
+                     [](const BigInt &V) { return V.isZero(); });
+}
+
+} // namespace
+
+FarkasDomain::FarkasDomain(const Dependence &D) : Dep(D) {
+  unsigned NX = D.Poly.numVars();
+  IntMatrix Ineqs = D.Poly.ineqs(), Eqs = D.Poly.eqs();
+  // Row I < NX of X expresses x_I over the dimensions not yet substituted
+  // (and the constant, column NX); row NX is the constant 1 itself.
+  IntMatrix X = IntMatrix::identity(NX + 1);
+  std::vector<bool> Gone(NX + 1, false);
+  for (unsigned R = 0; R < Eqs.numRows();) {
+    std::vector<BigInt> &E = Eqs.row(R);
+    normalizeByGcd(E);
+    if (isConstantRow(E)) {
+      assert(E[NX].isZero() && "a dependence polyhedron is never empty");
+      if (E[NX].isZero()) {
+        Eqs.removeRow(R);
+        continue;
+      }
+    }
+    unsigned V = 0;
+    while (V < NX && !E[V].isOne() && !E[V].isMinusOne())
+      ++V;
+    if (V == NX) {
+      ++R; // No unit coefficient: the equality keeps its multiplier pair.
+      continue;
+    }
+    // E[V] * x_V = -(the rest of E), so every row Row becomes
+    // Row - Row[V] * E[V] * E, whose column V is zero.
+    std::vector<BigInt> Sub = std::move(E);
+    Eqs.removeRow(R);
+    Gone[V] = true;
+    for (IntMatrix *M : {&Ineqs, &Eqs, &X})
+      for (unsigned I = 0; I < M->numRows(); ++I) {
+        std::vector<BigInt> &Row = M->row(I);
+        if (Row[V].isZero())
+          continue;
+        BigInt F = Sub[V].isOne() ? Row[V] : -Row[V];
+        for (unsigned C = 0; C <= NX; ++C)
+          Row[C] -= F * Sub[C];
+      }
+    R = 0; // Substitution may give an earlier equality a unit coefficient.
+  }
+  Ineqs.eraseColumns(Gone);
+  Eqs.eraseColumns(Gone);
+  X.eraseColumns(Gone);
+  FormMap = X.transpose();
+
+  // Exact collapse only: divide by the gcd of all entries, drop rows
+  // 0 >= -c, and keep the smallest constant among rows sharing a
+  // coefficient vector. No gcd tightening: it would shrink the rational
+  // polyhedron the Farkas lemma is applied to.
+  unsigned NY = Ineqs.numCols() - 1;
+  IntMatrix Kept(NY + 1);
+  for (unsigned R = 0; R < Ineqs.numRows(); ++R) {
+    std::vector<BigInt> &Row = Ineqs.row(R);
+    normalizeByGcd(Row);
+    if (isConstantRow(Row)) {
+      assert(!Row[NY].isNegative() && "a dependence polyhedron is never empty");
+      if (!Row[NY].isNegative())
+        continue;
+    }
+    unsigned K = 0;
+    while (K < Kept.numRows() &&
+           !std::equal(Row.begin(), Row.end() - 1, Kept.row(K).begin()))
+      ++K;
+    if (K == Kept.numRows())
+      Kept.addRow(std::move(Row));
+    else if (Row[NY] < Kept(K, NY))
+      Kept(K, NY) = Row[NY];
+  }
+  Poly = ConstraintSystem(NY);
+  for (unsigned R = 0; R < Kept.numRows(); ++R)
+    Poly.addIneq(std::move(Kept.row(R)));
+  for (unsigned R = 0; R < Eqs.numRows(); ++R)
+    Poly.addEq(std::move(Eqs.row(R)));
+}
+
+ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
                                         const IntMatrix &FormCoeffs,
                                         unsigned NumLayoutVars) {
+  const ConstraintSystem &DepPoly = Dom.Poly;
   unsigned NX = DepPoly.numVars();
-  assert(FormCoeffs.numRows() == NX + 1 &&
+  assert(FormCoeffs.numRows() == Dom.Dep.Poly.numVars() + 1 &&
          "one coefficient row per dependence dim plus the constant");
   assert(FormCoeffs.numCols() == NumLayoutVars + 1 &&
          "coefficient rows are affine over the layout variables");
+  // The form over the compressed dimensions.
+  IntMatrix Form = Dom.FormMap * FormCoeffs;
 
   unsigned NumIneq = DepPoly.numIneqs();
   unsigned NumEq = DepPoly.numEqs();
@@ -44,8 +135,8 @@ ConstraintSystem pluto::farkasEliminate(const ConstraintSystem &DepPoly,
   for (unsigned X = 0; X <= NX; ++X) {
     std::vector<BigInt> Row(V + 1, BigInt(0));
     for (unsigned C = 0; C < NumLayoutVars; ++C)
-      Row[C] = -FormCoeffs(X, C);
-    Row[V] = -FormCoeffs(X, NumLayoutVars);
+      Row[C] = -Form(X, C);
+    Row[V] = -Form(X, NumLayoutVars);
     if (X == NX)
       Row[L0] = BigInt(1);
     for (unsigned K = 0; K < NumIneq; ++K)
@@ -109,17 +200,19 @@ void addBoundingForm(IntMatrix &M, const Dependence &D, const Program &Prog,
 
 } // namespace
 
-ConstraintSystem pluto::legalityConstraints(const Dependence &D,
+ConstraintSystem pluto::legalityConstraints(const FarkasDomain &Dom,
                                             const Program &Prog,
                                             const VarLayout &Layout) {
+  const Dependence &D = Dom.Dep;
   assert(D.isLegalityDep() && "input dependences impose no legality");
   IntMatrix Form = deltaCoeffs(D, Prog, Layout, /*Sign=*/+1);
-  return farkasEliminate(D.Poly, Form, Layout.numVars());
+  return farkasEliminate(Dom, Form, Layout.numVars());
 }
 
-ConstraintSystem pluto::boundingConstraints(const Dependence &D,
+ConstraintSystem pluto::boundingConstraints(const FarkasDomain &Dom,
                                             const Program &Prog,
                                             const VarLayout &Layout) {
+  const Dependence &D = Dom.Dep;
   // Input dependences use the secondary bounding pair (ur, wr).
   bool IsInput = D.Kind == DepKind::Input;
   unsigned UOff = IsInput ? Layout.uRarOffset() : Layout.uOffset();
@@ -127,13 +220,13 @@ ConstraintSystem pluto::boundingConstraints(const Dependence &D,
   // u.p + w - delta >= 0 on P_e.
   IntMatrix Upper = deltaCoeffs(D, Prog, Layout, /*Sign=*/-1);
   addBoundingForm(Upper, D, Prog, UOff, WOff);
-  ConstraintSystem Sys = farkasEliminate(D.Poly, Upper, Layout.numVars());
+  ConstraintSystem Sys = farkasEliminate(Dom, Upper, Layout.numVars());
   if (IsInput) {
     // Input dependences may have negative components in the transformed
     // space: bound from below as well (paper Section 4.1).
     IntMatrix Lower = deltaCoeffs(D, Prog, Layout, /*Sign=*/+1);
     addBoundingForm(Lower, D, Prog, UOff, WOff);
-    Sys.append(farkasEliminate(D.Poly, Lower, Layout.numVars()));
+    Sys.append(farkasEliminate(Dom, Lower, Layout.numVars()));
     Sys.normalize();
   }
   return Sys;

@@ -21,6 +21,13 @@
 /// are then eliminated (Gaussian substitution + Fourier-Motzkin), leaving
 /// constraints purely over the global ILP variables.
 ///
+/// The lemma is applied to the dependence polyhedron after its equalities
+/// are compressed out (FarkasDomain, DESIGN.md section 7.2): an equality
+/// with a +-1 coefficient substitutes that variable away instead of adding
+/// a +-multiplier pair, and inequalities that then coincide collapse. The
+/// rational polyhedron is unchanged, so the constraints describe the same
+/// set; each dependence is compressed once for all of its forms.
+///
 /// Global variable layout (lexmin order, paper eq. (5)):
 ///   [ ur_1..ur_np | wr | u_1..u_np | w | c^{S1}_m1..c^{S1}_1, c^{S1}_0 |...]
 /// Iterator coefficients appear INNERMOST-first within each statement, so
@@ -82,22 +89,47 @@ private:
   unsigned Total;
 };
 
-/// Constraints (over Layout variables) making phi legal for dependence D
-/// (paper eq. (2)), via Farkas elimination on D.Poly.
-ConstraintSystem legalityConstraints(const Dependence &D, const Program &Prog,
+/// A dependence polyhedron prepared for Farkas elimination (DESIGN.md
+/// section 7.2). Each equality of D.Poly with a +-1 coefficient (after
+/// division by the gcd of its entries) substitutes that dependence-space
+/// variable away, and inequalities that then share a coefficient vector
+/// collapse to the tightest constant. The substitution is an affine
+/// bijection of the polyhedron's affine hull, so an affine form is
+/// non-negative on D.Poly iff its substituted form is non-negative on Poly,
+/// and the Farkas systems describe the same layout-variable sets with fewer
+/// multipliers. Equalities with no unit coefficient stay and keep their
+/// multiplier pairs. D.Poly itself is left as it is.
+struct FarkasDomain {
+  explicit FarkasDomain(const Dependence &D);
+
+  /// The dependence; it must outlive the domain.
+  const Dependence &Dep;
+  /// The compressed polyhedron over the dimensions that were not
+  /// substituted (y).
+  ConstraintSystem Poly;
+  /// Maps the coefficient rows of a form over [src iters | dst iters |
+  /// params | 1] to its coefficient rows over (y, 1): FormMap * Rows.
+  IntMatrix FormMap;
+};
+
+/// Constraints (over Layout variables) making phi legal for dependence
+/// Dom.Dep (paper eq. (2)), via Farkas elimination on Dom.Poly.
+ConstraintSystem legalityConstraints(const FarkasDomain &Dom,
+                                     const Program &Prog,
                                      const VarLayout &Layout);
 
 /// Constraints bounding delta_e by u.p + w (paper eq. (4)). For input
 /// dependences both |delta| <= u.p + w directions are emitted (Sec. 4.1).
-ConstraintSystem boundingConstraints(const Dependence &D, const Program &Prog,
+ConstraintSystem boundingConstraints(const FarkasDomain &Dom,
+                                     const Program &Prog,
                                      const VarLayout &Layout);
 
 /// Shared engine: given an affine form over the dependence space whose
 /// coefficients are themselves affine in the layout variables, produce the
-/// layout-variable constraints equivalent to "form >= 0 on D.Poly".
+/// layout-variable constraints equivalent to "form >= 0 on Dom.Dep.Poly".
 /// FormCoeffs has one row per dependence-space column (src iters, dst
 /// iters, params, constant); each row is over [layout vars | 1].
-ConstraintSystem farkasEliminate(const ConstraintSystem &DepPoly,
+ConstraintSystem farkasEliminate(const FarkasDomain &Dom,
                                  const IntMatrix &FormCoeffs,
                                  unsigned NumLayoutVars);
 

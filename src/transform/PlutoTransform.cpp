@@ -314,13 +314,15 @@ private:
       if (D.Kind == DepKind::Input) {
         // Input deps always participate (cost bounding only).
         Cache.Deps.push_back({&D, ConstraintSystem(Layout.numVars()),
-                              boundingConstraints(D, Prog, Layout)});
+                              boundingConstraints(FarkasDomain(D), Prog,
+                                                  Layout)});
         continue;
       }
       if (!isActive(D))
         continue;
-      Cache.Deps.push_back({&D, legalityConstraints(D, Prog, Layout),
-                            boundingConstraints(D, Prog, Layout)});
+      FarkasDomain Dom(D);
+      Cache.Deps.push_back({&D, legalityConstraints(Dom, Prog, Layout),
+                            boundingConstraints(Dom, Prog, Layout)});
     }
     ConstraintSystem Core(Layout.numVars());
     for (const DepSystems &DS : Cache.Deps) {

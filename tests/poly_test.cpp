@@ -82,13 +82,39 @@ TEST(ConstraintSystemTest, NormalizeTightensByGcd) {
 }
 
 TEST(ConstraintSystemTest, NormalizeDetectsContradiction) {
+  // Trivially false rows collapse to one -1 >= 0; the system stays empty.
   ConstraintSystem CS(1);
   CS.addIneq({0, -1}); // 0*x - 1 >= 0.
+  CS.addIneq({1, 0});
+  CS.addIneq({0, -5});
   EXPECT_FALSE(CS.normalize());
+  ASSERT_EQ(CS.numIneqs(), 2u);
+  EXPECT_EQ(CS.ineqs().row(0), (std::vector<BigInt>{BigInt(0), BigInt(-1)}));
+  EXPECT_TRUE(CS.isIntegerEmpty());
 
   ConstraintSystem CS2(1);
   CS2.addEq({2, -1}); // 2*x == 1: gcd does not divide constant.
   EXPECT_FALSE(CS2.normalize());
+}
+
+TEST(ConstraintSystemTest, ProjectionOfEmptySetStaysEmpty) {
+  // {x - 1 >= 0, -x >= 0, 0 <= y <= 5} is empty; so is every projection.
+  auto system = [] {
+    ConstraintSystem CS(2);
+    CS.addIneq({1, 0, -1});
+    CS.addIneq({-1, 0, 0});
+    CS.addLowerBound(1, 0);
+    CS.addUpperBound(1, 5);
+    return CS;
+  };
+  ConstraintSystem Batch = system();
+  Batch.projectOut(0, 1);
+  EXPECT_EQ(Batch.numVars(), 1u);
+  EXPECT_TRUE(Batch.isIntegerEmpty());
+  ConstraintSystem Single = system();
+  Single.eliminateVar(0);
+  EXPECT_EQ(Single.numVars(), 1u);
+  EXPECT_TRUE(Single.isIntegerEmpty());
 }
 
 TEST(ConstraintSystemTest, NormalizeDeduplicates) {

@@ -259,6 +259,85 @@ TEST(BigIntOracleTest, StringParsedBigValueIdentities) {
   }
 }
 
+/// Builds a value from 32-bit limbs given most significant first.
+BigInt fromLimbs(const std::vector<uint32_t> &Limbs, bool Neg) {
+  BigInt V(0);
+  for (uint32_t L : Limbs)
+    V = V * BigInt(1LL << 32) + BigInt(static_cast<long long>(L));
+  return Neg ? -V : V;
+}
+
+/// Checks a / b and a % b by the division identity: q*b + r == a,
+/// |r| < |b|, r zero or of a's sign, and q zero or of sign(a)*sign(b).
+void expectDivisionIdentity(const BigInt &A, const BigInt &B) {
+  BigInt Q = A / B, R = A % B;
+  EXPECT_EQ(Q * B + R, A) << A.toString() << " / " << B.toString();
+  EXPECT_LT(R.abs(), B.abs()) << A.toString() << " % " << B.toString();
+  EXPECT_TRUE(R.isZero() || R.isNegative() == A.isNegative())
+      << A.toString() << " % " << B.toString();
+  EXPECT_TRUE(Q.isZero() || Q.isNegative() != (A.isNegative() ==
+                                               B.isNegative()))
+      << A.toString() << " / " << B.toString();
+}
+
+TEST(BigIntOracleTest, MultiLimbDivision) {
+  // Random 2-8-limb operands of both signs reach the general case of the
+  // limb division. Limbs are drawn from the extremes as often as not, so
+  // the quotient-digit correction and add-back steps run too; operands of
+  // at most three limbs are also checked against __int128.
+  std::mt19937_64 Rng(1717);
+  std::uniform_int_distribution<int> NumLimbs(2, 8), Kind(0, 7);
+  auto limb = [&]() -> uint32_t {
+    switch (Kind(Rng)) {
+    case 0:
+      return 0;
+    case 1:
+      return 0xffffffffu;
+    case 2:
+      return 0x80000000u;
+    case 3:
+      return 1;
+    default:
+      return static_cast<uint32_t>(Rng());
+    }
+  };
+  for (int I = 0; I < 4000; ++I) {
+    std::vector<uint32_t> LA(NumLimbs(Rng)), LB(NumLimbs(Rng));
+    for (uint32_t &L : LA)
+      L = limb();
+    for (uint32_t &L : LB)
+      L = limb();
+    LA[0] |= 1; // Keep the intended limb counts.
+    LB[0] |= 1;
+    bool NegA = Rng() % 2, NegB = Rng() % 2;
+    BigInt A = fromLimbs(LA, NegA), B = fromLimbs(LB, NegB);
+    expectDivisionIdentity(A, B);
+    expectDivisionIdentity(A * B + B.abs() - BigInt(1), B);
+    if (LA.size() <= 3 && LB.size() <= 3) {
+      __int128 A128 = 0, B128 = 0;
+      for (uint32_t L : LA)
+        A128 = A128 * (static_cast<__int128>(1) << 32) + L;
+      for (uint32_t L : LB)
+        B128 = B128 * (static_cast<__int128>(1) << 32) + L;
+      A128 = NegA ? -A128 : A128;
+      B128 = NegB ? -B128 : B128;
+      EXPECT_EQ((A / B).toString(), int128ToString(A128 / B128));
+      EXPECT_EQ((A % B).toString(), int128ToString(A128 % B128));
+    }
+  }
+  // Operands whose first quotient digit is overestimated by one and needs
+  // the add-back step (Hacker's Delight, divmnu64 test cases).
+  expectDivisionIdentity(fromLimbs({0x80000000u, 0, 3}, false),
+                         fromLimbs({0x20000000u, 0, 1}, false));
+  expectDivisionIdentity(fromLimbs({0x7fffffffu, 0x80000000u, 0, 0}, false),
+                         fromLimbs({0x80000000u, 0, 1}, false));
+  expectDivisionIdentity(fromLimbs({0x8000u, 0, 0xfffeu, 0}, false),
+                         fromLimbs({0x8000u, 0, 0xffffu}, false));
+  EXPECT_EQ(fromLimbs({0x80000000u, 0, 3}, false) /
+                fromLimbs({0x20000000u, 0, 1}, false),
+            BigInt(3));
+}
+
 TEST(RationalTest, Normalization) {
   Rational R(BigInt(4), BigInt(-6));
   EXPECT_EQ(R.num().toInt64(), -2);

@@ -6,7 +6,9 @@
 // paper publishes: Jacobi-1d time skewing by 2 with a relative shift of S2
 // (Fig. 3), the LU band (Sec. 5.2), MVT ij/ji fusion via input-dependence
 // bounding (Sec. 7), and structural properties (bands, parallelism,
-// legality) on the other kernels.
+// legality) on the other kernels. The Farkas systems built on the
+// equality-compressed dependence polyhedra are checked against the
+// textbook formulation with a multiplier pair per equality.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 using namespace pluto;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -302,6 +310,110 @@ TEST(TransformTest, DeltaRowMatchesEval) {
       P.Sched.evalRow(D.DstStmt, 0, {BigInt(3), BigInt(3)}) -
       P.Sched.evalRow(D.SrcStmt, 0, {BigInt(2), BigInt(3)});
   EXPECT_EQ(Acc, Direct);
+}
+
+/// D with each equality e == 0 of its polyhedron split into e >= 0 and
+/// -e >= 0: FarkasDomain finds nothing to substitute there, so the Farkas
+/// systems of the copy are the textbook ones, with a multiplier pair per
+/// equality.
+Dependence splitEqualities(const Dependence &D) {
+  Dependence Split = D;
+  Split.Poly = ConstraintSystem(D.Poly.numVars());
+  for (unsigned R = 0; R < D.Poly.numIneqs(); ++R)
+    Split.Poly.addIneq(D.Poly.ineqs().row(R));
+  for (unsigned R = 0; R < D.Poly.numEqs(); ++R) {
+    std::vector<BigInt> Row = D.Poly.eqs().row(R);
+    Split.Poly.addIneq(Row);
+    for (BigInt &V : Row)
+      V = -V;
+    Split.Poly.addIneq(std::move(Row));
+  }
+  return Split;
+}
+
+/// True iff every integer point of By satisfies every row of Of.
+bool impliesAll(const ConstraintSystem &By, const ConstraintSystem &Of) {
+  for (unsigned R = 0; R < Of.numIneqs(); ++R)
+    if (!By.impliesIneq(Of.ineqs().row(R)))
+      return false;
+  for (unsigned R = 0; R < Of.numEqs(); ++R) {
+    std::vector<BigInt> Row = Of.eqs().row(R);
+    if (!By.impliesIneq(Row))
+      return false;
+    for (BigInt &V : Row)
+      V = -V;
+    if (!By.impliesIneq(Row))
+      return false;
+  }
+  return true;
+}
+
+TEST(FarkasTest, CompressedSystemsMatchSplitEqualityFormulation) {
+  std::vector<std::pair<std::string, std::string>> Units;
+  std::vector<fs::path> Examples;
+  for (const auto &E : fs::directory_iterator(PLUTOPP_EXAMPLES_DIR))
+    if (E.path().extension() == ".c")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  for (const fs::path &P : Examples) {
+    std::ifstream In(P);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Units.emplace_back(P.filename().string(), SS.str());
+  }
+  const std::pair<const char *, const char *> Kernels[] = {
+      {"Jacobi1D", kernels::Jacobi1D}, {"Fdtd2D", kernels::Fdtd2D},
+      {"LU", kernels::LU},             {"MVT", kernels::MVT},
+      {"Seidel2D", kernels::Seidel2D}, {"MatMul", kernels::MatMul},
+      {"Sweep2D", kernels::Sweep2D},   {"Jacobi2D", kernels::Jacobi2D},
+      {"Gemver", kernels::Gemver},     {"Trmm", kernels::Trmm},
+      {"Syrk", kernels::Syrk},         {"Doitgen", kernels::Doitgen},
+      {"Atax", kernels::Atax},         {"DotProduct", kernels::DotProduct},
+      {"MatVecT", kernels::MatVecT}};
+  for (const auto &[Name, Src] : Kernels)
+    Units.emplace_back(Name, Src);
+  // Non-unit subscript coefficients: the access equalities of the
+  // dependences carried by i and of the one into b[k] from a[2*k] have no
+  // +-1 coefficient, so they keep their multiplier pairs; the one into
+  // b[k] from a[k] substitutes k through a -1 coefficient.
+  Units.emplace_back("strided", "for (i = 0; i < N; i++)\n"
+                                "  for (j = 0; j < N; j++)\n"
+                                "    a[2*i+3*j] = a[2*i+3*j+6] + 1.0;\n"
+                                "for (k = 0; k < N; k++)\n"
+                                "  b[k] = a[2*k] + a[k];\n");
+
+  unsigned Systems = 0, KeptEqualities = 0;
+  for (const auto &[Name, Src] : Units) {
+    ParseResult Parsed = parseSourceDiags(Src);
+    ASSERT_TRUE(Parsed.ok()) << Name;
+    Program Prog = Parsed.Program->Prog;
+    for (const std::string &Param : Prog.ParamNames)
+      Prog.addContextBound(Param, 4);
+    DependenceGraph DG = computeDependences(Prog);
+    VarLayout Layout(Prog);
+    for (const Dependence &D : DG.Deps) {
+      FarkasDomain Dom(D);
+      Dependence Split = splitEqualities(D);
+      FarkasDomain SplitDom(Split);
+      ASSERT_EQ(SplitDom.Poly.numVars(), D.Poly.numVars());
+      KeptEqualities += Dom.Poly.numEqs();
+      std::vector<std::pair<ConstraintSystem, ConstraintSystem>> Pairs;
+      if (D.isLegalityDep())
+        Pairs.emplace_back(legalityConstraints(Dom, Prog, Layout),
+                           legalityConstraints(SplitDom, Prog, Layout));
+      Pairs.emplace_back(boundingConstraints(Dom, Prog, Layout),
+                         boundingConstraints(SplitDom, Prog, Layout));
+      for (const auto &[Compressed, Textbook] : Pairs) {
+        ++Systems;
+        EXPECT_TRUE(impliesAll(Compressed, Textbook) &&
+                    impliesAll(Textbook, Compressed))
+            << Name << ": " << depKindName(D.Kind) << " S" << D.SrcStmt
+            << " -> S" << D.DstStmt << " at level " << D.CarryLevel;
+      }
+    }
+  }
+  EXPECT_GT(Systems, 500u);
+  EXPECT_GT(KeptEqualities, 0u) << "no equality kept its multiplier pair";
 }
 
 } // namespace
