@@ -553,11 +553,11 @@ void Server::workerLoop(unsigned Idx) {
                    " ms in the queue";
     } else if (J.IsTune) {
       // Tune jobs run explore(), which keeps its own frontend session per
-      // schedule group and compiles every variant through the shared
-      // cache. The search runs
-      // in-parent even in isolate mode - per-variant status isolation
-      // inside explore() contains variant failures. (The spec parsed at
-      // admission; re-parsing here cannot fail.)
+      // schedule group and inserts every variant's unit into the shared
+      // cache. The search runs in-parent even in isolate mode -
+      // per-variant status isolation inside explore() contains variant
+      // failures. (The spec parsed at admission; re-parsing here cannot
+      // fail.)
       tune::SearchSpace Space;
       tune::TuneOptions TuneOpts;
       TuneOpts.Base = J.Req.Opts;

@@ -44,7 +44,7 @@ static std::string budgetMessage() {
 }
 
 //===----------------------------------------------------------------------===//
-// Lowering helpers (pragma placement, loop classification)
+// Lowering helpers (pragma placement, loop report)
 //===----------------------------------------------------------------------===//
 
 /// Chooses the pragma row inside one run of schedule rows [Start, End):
@@ -94,27 +94,17 @@ static void pickParallelPragmaRows(const Scop &Sc, CodeGenOptions &CG) {
   }
 }
 
-/// Final per-row loop classification for the report: parallel rows are
-/// communication-free parallel loops; a sequential row sharing a band with
-/// a parallel row is the pipelined (wavefront) direction; everything else
-/// is sequential. Scalar rows are not loops.
-static void classifyLoops(const Scop &Sc) {
+/// Counts and traces the final loop class of every row (classifyLoops()).
+static void reportLoops(const Scop &Sc) {
   Trace *T = activeTrace();
   if (!activeStats() && !T)
     return;
-  std::vector<bool> InParallelBand(Sc.numRows(), false);
-  for (const Schedule::Band &B : Sc.bands()) {
-    bool AnyParallel = false;
-    for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
-      AnyParallel |= Sc.Rows[Row].IsParallel;
-    for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
-      InParallelBand[Row] = AnyParallel;
-  }
+  std::vector<LoopClass> Classes = classifyLoops(Sc);
   for (unsigned Row = 0; Row < Sc.numRows(); ++Row) {
-    if (Sc.Rows[Row].IsScalar)
+    if (Classes[Row] == LoopClass::Scalar)
       continue;
     const char *Class;
-    if (Sc.Rows[Row].IsParallel) {
+    if (Classes[Row] == LoopClass::Parallel) {
       count(Counter::LoopsParallel);
       if (!Sc.Rows[Row].Reductions.empty()) {
         count(Counter::ReductionParallelLoops);
@@ -122,7 +112,7 @@ static void classifyLoops(const Scop &Sc) {
       } else {
         Class = "parallel";
       }
-    } else if (InParallelBand[Row]) {
+    } else if (Classes[Row] == LoopClass::Pipeline) {
       count(Counter::LoopsPipeline);
       Class = "pipeline";
     } else {
@@ -263,18 +253,49 @@ Result<const std::string *> Pipeline::emitted() {
   auto L = lowered();
   if (!L)
     return Err(L.error());
-  const PlutoResult &R = **L;
-  // The service emit policy: without user-provided extents, square
-  // parametric extents from the first parameter for every array (the same
-  // documented default of the CLIs).
+  EmittedArt = emit(**L);
+  return static_cast<const std::string *>(&*EmittedArt);
+}
+
+std::string Pipeline::emit(const PlutoResult &R) {
   EmitOptions EO;
   std::string DefaultExtent =
       R.program().ParamNames.empty() ? "1024" : R.program().ParamNames[0];
   for (const ArrayInfo &A : R.program().Arrays)
     EO.Extents[A.Name] = std::vector<std::string>(A.Rank, DefaultExtent);
   EO.SymConsts = R.Parsed.SymConsts;
-  EmittedArt = emitC(R.program(), *R.Ast, EO);
-  return static_cast<const std::string *>(&*EmittedArt);
+  return emitC(R.program(), *R.Ast, EO);
+}
+
+Result<std::string>
+Pipeline::runBudgeted(const BudgetLimits &Limits,
+                      const std::function<Result<std::string>()> &Step) {
+  std::optional<Budget> B;
+  std::optional<ScopedBudget> Install;
+  if (!Limits.unlimited()) {
+    B.emplace(Limits);
+    Install.emplace(&*B);
+  }
+  // A real allocation failure anywhere in Step is the memory budget's hard
+  // form; both classify as resource-exhausted.
+  std::optional<Result<std::string>> R;
+  try {
+    R = Step();
+    if (budgetTripped()) {
+      // Exhaustion wins over whatever Step made of a truncated pass
+      // (lowerSchedule() has no stage boundary of its own to notice it).
+      FailStatus = StatusCode::ResourceExhausted;
+      R = Err(budgetMessage());
+    }
+  } catch (const std::bad_alloc &) {
+    FailStatus = StatusCode::ResourceExhausted;
+    R = Err("out of memory");
+  }
+  if (*R)
+    return std::move(*R);
+  if (FailStatus == StatusCode::ResourceExhausted)
+    count(Counter::BudgetExhausted);
+  return Err(detail::encodeStatusError(FailStatus, R->error()));
 }
 
 std::string Pipeline::canonicalizeSource(const std::string &Source) {
@@ -337,34 +358,18 @@ CompileResponse Pipeline::compileRequest(const CompileRequest &Req) {
 
   // The compute path tags its StatusCode onto the error string so the
   // classification survives the single-flight handoff: a coalesced waiter
-  // receives the leader's tagged error, not its own session state.
+  // receives the leader's tagged error, not its own session state. The
+  // request's budget covers the cold compile only (cache hits are never
+  // charged).
   bool RanCold = false;
   auto Cold = [&]() -> Result<std::string> {
     RanCold = true;
-    // Install the request's budget for the duration of the cold compile
-    // (cache hits are never charged). A real allocation failure anywhere
-    // in the stages is the memory budget's hard form; both classify as
-    // resource-exhausted.
-    std::optional<Budget> B;
-    std::optional<ScopedBudget> Install;
-    if (!Req.Budget.unlimited()) {
-      B.emplace(Req.Budget);
-      Install.emplace(&*B);
-    }
-    try {
+    return runBudgeted(Req.Budget, [&]() -> Result<std::string> {
       auto E = emitted();
-      if (!E) {
-        if (FailStatus == StatusCode::ResourceExhausted)
-          count(Counter::BudgetExhausted);
-        return Err(detail::encodeStatusError(FailStatus, E.error()));
-      }
+      if (!E)
+        return Err(E.error());
       return **E;
-    } catch (const std::bad_alloc &) {
-      FailStatus = StatusCode::ResourceExhausted;
-      count(Counter::BudgetExhausted);
-      return Err(detail::encodeStatusError(StatusCode::ResourceExhausted,
-                                           "out of memory"));
-    }
+    });
   };
   Result<std::string> R =
       Cache ? Cache->getOrCompute(Resp.Key, Cold) : Cold();
@@ -436,7 +441,7 @@ Result<PlutoResult> Pipeline::lowerSchedule(ParsedProgram Parsed,
         T->record("driver",
                   "omp parallel for pragma on row " + std::to_string(Row));
   }
-  classifyLoops(R.Sc);
+  reportLoops(R.Sc);
 
   ScopedPassTimer Timer(Pass::Codegen);
   auto Ast = generateAst(R.Sc, CG);

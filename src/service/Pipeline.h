@@ -29,8 +29,8 @@
 /// emitted unit).
 ///
 /// A Pipeline is single-threaded (batch and daemon workers create one per
-/// request); the attached ResultCache is the shared, thread-safe component. See service/Batch.h
-/// for the concurrent driver on top.
+/// request); the attached ResultCache is the shared, thread-safe
+/// component. See service/Batch.h for the concurrent driver on top.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +41,7 @@
 #include "service/CompileService.h"
 #include "service/ResultCache.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,16 +84,36 @@ public:
   Result<const DependenceGraph *> dependences();
   Result<const Schedule *> scheduled();
   Result<const PlutoResult *> lowered();
-  /// Emitted C under the service emit policy (function "kernel", square
-  /// parametric extents from the first parameter - the CLI default).
+  /// Emitted C under the service emit policy (emit()).
   Result<const std::string *> emitted();
+
+  /// The service emit policy: function "kernel", every array with square
+  /// parametric extents from the first parameter (1024 without
+  /// parameters) - the CLI default - and the frontend's symbolic
+  /// constants.
+  static std::string emit(const PlutoResult &R);
+
+  /// The one budget runner: runs Step - calls into this session's stages,
+  /// or lowerSchedule() - under a fresh budget built from Limits (none when
+  /// Limits is unlimited). compileRequest() and the tuner's schedule groups
+  /// and variants all run through it. Returns Step's value, or an error
+  /// tagged with its StatusCode (detail::encodeStatusError): the failed
+  /// stage's class (source-error, schedule-abort, internal), or
+  /// resource-exhausted - "resource budget exhausted (<reason> limit)"
+  /// when the budget tripped, re-checking the wall clock once Step
+  /// returns, and "out of memory" when Step threw std::bad_alloc. Each
+  /// resource-exhausted outcome counts budget_exhausted.
+  Result<std::string>
+  runBudgeted(const BudgetLimits &Limits,
+              const std::function<Result<std::string>()> &Step);
 
   /// One-shot compile of Req through the attached cache (cold compile
   /// when no cache is attached), reporting through the service's
   /// StatusCode taxonomy. Resets the session to Req.Source. Req.Opts must
   /// match this session's options fingerprint (callers with heterogeneous
   /// option sets create a session per request - see compileRequests()); a
-  /// mismatch is a bad-request response. On source-error the response
+  /// mismatch is a bad-request response. The cold compile runs under
+  /// runBudgeted(Req.Budget). On source-error the response
   /// carries every recovered frontend diagnostic, even when the failure
   /// was coalesced onto another session's in-flight compile.
   CompileResponse compileRequest(const CompileRequest &Req);

@@ -35,8 +35,8 @@
 ///   sandbox.spawn       SandboxWorker fork/socketpair
 ///   sandbox.abort       sandbox child: abort() before compiling
 ///   sandbox.hang        sandbox child: sleep past any deadline
-///   tune.compile        autotuner: one hit per distinct variant entering
-///                       the compile stage (tune::explore)
+///   tune.compile        autotuner: one hit per distinct variant about to
+///                       be lowered (tune::explore)
 ///
 //===----------------------------------------------------------------------===//
 

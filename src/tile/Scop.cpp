@@ -34,6 +34,24 @@ Scop pluto::buildScop(const Program &Prog, const Schedule &Sched) {
   return S;
 }
 
+std::vector<LoopClass> pluto::classifyLoops(const Scop &Sc) {
+  std::vector<LoopClass> Classes(Sc.numRows(), LoopClass::Sequential);
+  for (const Schedule::Band &B : Sc.bands()) {
+    bool AnyParallel = false;
+    for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
+      AnyParallel |= Sc.Rows[Row].IsParallel;
+    if (AnyParallel)
+      for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
+        Classes[Row] = LoopClass::Pipeline;
+  }
+  for (unsigned Row = 0; Row < Sc.numRows(); ++Row)
+    if (Sc.Rows[Row].IsScalar)
+      Classes[Row] = LoopClass::Scalar;
+    else if (Sc.Rows[Row].IsParallel)
+      Classes[Row] = LoopClass::Parallel;
+  return Classes;
+}
+
 std::string Scop::toString() const {
   std::string Out;
   for (const ScopStmt &St : Stmts) {

@@ -61,6 +61,19 @@ struct Scop {
   std::string toString() const;
 };
 
+/// The loop class of one scattering row: the taxonomy of the compile
+/// report and of the tuner's features.
+enum class LoopClass {
+  Scalar,     ///< a statement-ordering row, not a loop
+  Parallel,   ///< a communication-free parallel loop
+  Pipeline,   ///< sequential, in a band with a parallel row: the
+              ///< pipelined (wavefront) direction
+  Sequential, ///< every other loop
+};
+
+/// The class of every scattering row of Sc.
+std::vector<LoopClass> classifyLoops(const Scop &Sc);
+
 /// Builds the initial Scop from a schedule: domains are the statements'
 /// original domains, scatterings are the schedule rows (parameter
 /// coefficients zero).

@@ -129,30 +129,19 @@ VariantFeatures pluto::tune::extractFeatures(const PlutoResult &R,
     F.Loops = countLoops(*R.Ast);
 
   const Scop &Sc = R.Sc;
-  std::vector<Schedule::Band> Bands = Sc.bands();
-  F.Bands = Bands.size();
+  F.Bands = Sc.bands().size();
   unsigned SchedRows = R.Sched.numRows();
   F.TileDepth = Sc.numRows() > SchedRows ? Sc.numRows() - SchedRows : 0;
 
-  // Per-row loop classes, mirroring the driver's report classification: a
-  // sequential row sharing a band with a parallel row is the pipelined
-  // (wavefront) direction.
-  std::vector<bool> InParallelBand(Sc.numRows(), false);
-  for (const Schedule::Band &B : Bands) {
-    bool AnyParallel = false;
-    for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
-      AnyParallel |= Sc.Rows[Row].IsParallel;
-    for (unsigned Row = B.Start; Row < B.Start + B.Width; ++Row)
-      InParallelBand[Row] = AnyParallel;
-  }
+  std::vector<LoopClass> Classes = classifyLoops(Sc);
   for (unsigned Row = 0; Row < Sc.numRows(); ++Row) {
-    if (Sc.Rows[Row].IsScalar)
+    if (Classes[Row] == LoopClass::Scalar)
       continue;
     if (Sc.Rows[Row].IsVector)
       ++F.VectorLoops;
-    if (Sc.Rows[Row].IsParallel)
+    if (Classes[Row] == LoopClass::Parallel)
       ++F.ParallelLoops;
-    else if (InParallelBand[Row])
+    else if (Classes[Row] == LoopClass::Pipeline)
       ++F.PipelineLoops;
     else
       ++F.SequentialLoops;

@@ -9,18 +9,17 @@
 #include "codegen/CEmitter.h"
 #include "observe/PassStats.h"
 #include "runtime/Interpreter.h"
-#include "service/Batch.h"
 #include "service/Pipeline.h"
-#include "support/Budget.h"
 #include "support/FaultInjector.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 using namespace pluto;
 using namespace pluto::tune;
@@ -176,68 +175,11 @@ std::string scheduleGroupKey(const PlutoOptions &O) {
 /// codegen on skewed stencils) to resource-exhausted, never hang on it.
 constexpr uint64_t DefaultVariantWallMs = 10000;
 
-/// Runs Body under a fresh Budget built from Limits (no-op when Limits is
-/// unlimited), reporting whether the budget tripped - including the hard
-/// form, bad_alloc. Mirrors the stage-boundary detection compileRequest
-/// does, which lowerSchedule (a hook, not a stage accessor) lacks.
-template <typename Fn>
-bool runBudgeted(const BudgetLimits &Limits, const Fn &Body) {
-  std::optional<Budget> B;
-  std::optional<ScopedBudget> Install;
-  if (!Limits.unlimited()) {
-    B.emplace(Limits);
-    Install.emplace(&*B);
-  }
-  try {
-    Body();
-  } catch (const std::bad_alloc &) {
-    return true;
-  }
-  if (!B)
-    return false;
-  B->checkWall();
-  return B->exhausted();
-}
-
 /// Relative mismatch check mirroring the bench harness tolerance.
 bool nearlyEqual(double A, double B) {
   double Diff = std::fabs(A - B);
   double Mag = std::max(std::fabs(A), std::fabs(B));
   return Diff <= 1e-6 * std::max(Mag, 1.0);
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 } // namespace
@@ -324,8 +266,8 @@ TuneResult pluto::tune::explore(const std::string &Source,
 
   //===--------------------------------------------------------------------===//
   // Shared frontend work: one parse + dependences + schedule per distinct
-  // schedule-stage option subset; variants then re-lower those artifacts
-  // under their own emit configuration (the Pipeline session seam).
+  // schedule-stage option subset; variants then lower those artifacts
+  // under their own emit configuration (Pipeline::lowerSchedule).
   //===--------------------------------------------------------------------===//
   struct Group {
     std::optional<Pipeline> Pipe;
@@ -340,35 +282,20 @@ TuneResult pluto::tune::explore(const std::string &Source,
     auto It = Groups.find(GK);
     if (It == Groups.end()) {
       Group G;
-      auto P = Pipeline::create(V.Opts);
-      if (!P) {
-        G.Status = StatusCode::BadRequest;
-        G.Error = P.error();
-      } else {
-        G.Pipe.emplace(P.takeValue());
-        G.Pipe->setSource(Source);
-        bool SourceFailed = false;
-        bool Exhausted = runBudgeted(VariantLimits, [&] {
-          if (auto PR = G.Pipe->parsed(); !PR) {
-            SourceFailed = true;
-            G.Error = PR.error();
-            return;
-          }
-          if (auto DR = G.Pipe->dependences(); !DR) {
-            G.Status = StatusCode::Internal;
-            G.Error = DR.error();
-          } else if (auto SR = G.Pipe->scheduled(); !SR) {
-            G.Status = StatusCode::ScheduleAbort;
-            G.Error = SR.error();
-          }
-        });
-        if (Exhausted) {
-          G.Status = StatusCode::ResourceExhausted;
-          G.Error = "resource budget exhausted during scheduling";
-        } else if (SourceFailed) {
+      // V.Opts validated above, so the session exists.
+      G.Pipe.emplace(Pipeline::create(V.Opts).takeValue());
+      G.Pipe->setSource(Source);
+      auto S = G.Pipe->runBudgeted(VariantLimits, [&]() -> Result<std::string> {
+        if (auto SR = G.Pipe->scheduled(); !SR)
+          return Err(SR.error());
+        return std::string();
+      });
+      if (!S) {
+        std::tie(G.Status, G.Error) = detail::decodeStatusError(S.error());
+        if (G.Status == StatusCode::SourceError) {
           // The parse does not depend on options: a source error in one
           // group is a source error for the whole search.
-          R.Status = StatusCode::SourceError;
+          R.Status = G.Status;
           R.Error = G.Error;
           R.Diags = G.Pipe->diagnostics();
           return R;
@@ -384,13 +311,15 @@ TuneResult pluto::tune::explore(const std::string &Source,
   }
 
   //===--------------------------------------------------------------------===//
-  // Per-variant lowering + feature extraction, then the compile stage
-  // through the service layer (shared cache, budgets, status isolation).
-  // Fault site "tune.compile": one hit per distinct variant entering this
-  // stage; an injected failure skips the variant, never the search.
+  // Per-variant lowering: each distinct variant is lowered and emitted once
+  // from its group's artifacts, under its own budget, and its unit is
+  // inserted into the shared cache under the key a compile of the same
+  // options would use. Fault site "tune.compile": one hit per distinct
+  // variant about to be lowered; an injected failure skips the variant,
+  // never the search.
   //===--------------------------------------------------------------------===//
   std::map<unsigned, PlutoResult> LoweredById;
-  std::vector<unsigned> CompileIds;
+  std::map<unsigned, std::string> EmittedById;
   for (TuneVariant &V : R.Variants) {
     if (V.Status != StatusCode::Ok || V.DuplicateOf >= 0)
       continue;
@@ -400,67 +329,29 @@ TuneResult pluto::tune::explore(const std::string &Source,
       ++R.Errors;
       continue;
     }
-    Group &G = Groups.at(scheduleGroupKey(V.Opts));
-    auto VP = Pipeline::create(V.Opts);
-    if (!VP) {
-      V.Status = StatusCode::BadRequest;
-      V.Error = VP.error();
-      ++R.Errors;
-      continue;
-    }
-    std::optional<Result<PlutoResult>> LR;
-    bool Exhausted = runBudgeted(VariantLimits, [&] {
-      LR = VP->lowerSchedule(**G.Pipe->parsed(), **G.Pipe->dependences(),
-                             **G.Pipe->scheduled());
+    Pipeline &Front = *Groups.at(scheduleGroupKey(V.Opts)).Pipe;
+    Pipeline VP = Pipeline::create(V.Opts).takeValue();
+    std::optional<PlutoResult> Lowered;
+    auto C = VP.runBudgeted(VariantLimits, [&]() -> Result<std::string> {
+      auto LR = VP.lowerSchedule(**Front.parsed(), **Front.dependences(),
+                                 **Front.scheduled());
+      if (!LR)
+        return Err(LR.error());
+      Lowered = LR.takeValue();
+      return Pipeline::emit(*Lowered);
     });
-    if (Exhausted) {
-      V.Status = StatusCode::ResourceExhausted;
-      V.Error = "resource budget exhausted during lowering";
+    if (!C) {
+      std::tie(V.Status, V.Error) = detail::decodeStatusError(C.error());
       ++R.Errors;
       continue;
     }
-    if (!*LR) {
-      V.Status = StatusCode::Internal;
-      V.Error = LR->error();
-      ++R.Errors;
-      continue;
-    }
-    LoweredById.emplace(V.Id, LR->takeValue());
-    CompileIds.push_back(V.Id);
-  }
-
-  std::vector<CompileRequest> Reqs;
-  Reqs.reserve(CompileIds.size());
-  for (unsigned Id : CompileIds) {
-    CompileRequest Req;
-    Req.Name = "v" + std::to_string(Id);
-    Req.Source = Source;
-    Req.Opts = R.Variants[Id].Opts;
-    Req.Budget = VariantLimits;
-    Reqs.push_back(std::move(Req));
-  }
-  BatchOptions BO;
-  BO.Jobs = TO.Jobs ? TO.Jobs : 1;
-  BO.Cache = TO.Cache;
-  std::vector<CompileResponse> Resps = compileRequests(Reqs, BO);
-
-  std::map<unsigned, std::string> EmittedById;
-  std::function<double(const VariantFeatures &)> Score =
-      TO.Score ? TO.Score : &defaultScore;
-  for (size_t I = 0; I < CompileIds.size(); ++I) {
-    TuneVariant &V = R.Variants[CompileIds[I]];
-    const CompileResponse &Resp = Resps[I];
-    V.Key = Resp.Key;
-    if (!Resp.ok()) {
-      V.Status = Resp.Status;
-      V.Error = Resp.Error;
-      ++R.Errors;
-      continue;
-    }
-    V.Features = extractFeatures(LoweredById.at(V.Id),
-                                 static_cast<uint64_t>(Resp.EmittedC.size()));
-    V.Score = Score(V.Features);
-    EmittedById.emplace(V.Id, Resp.EmittedC);
+    V.Key = VP.cacheKey(Source);
+    if (TO.Cache)
+      TO.Cache->insert(V.Key, *C);
+    V.Features = extractFeatures(*Lowered, static_cast<uint64_t>(C->size()));
+    V.Score = defaultScore(V.Features);
+    LoweredById.emplace(V.Id, std::move(*Lowered));
+    EmittedById.emplace(V.Id, C.takeValue());
   }
 
   //===--------------------------------------------------------------------===//
@@ -470,8 +361,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
   //===--------------------------------------------------------------------===//
   std::vector<unsigned> Ranked;
   for (const TuneVariant &V : R.Variants)
-    if (V.Status == StatusCode::Ok && V.DuplicateOf < 0 &&
-        EmittedById.count(V.Id))
+    if (V.Status == StatusCode::Ok && V.DuplicateOf < 0)
       Ranked.push_back(V.Id);
   std::stable_sort(Ranked.begin(), Ranked.end(), [&](unsigned A, unsigned B) {
     if (R.Variants[A].Score != R.Variants[B].Score)
@@ -480,9 +370,8 @@ TuneResult pluto::tune::explore(const std::string &Source,
   });
 
   // The base (variant 0) is its own canonical occurrence by construction.
-  bool BaseRunnable = !R.Variants.empty() &&
-                      R.Variants[0].Status == StatusCode::Ok &&
-                      EmittedById.count(0) != 0;
+  bool BaseRunnable =
+      !R.Variants.empty() && R.Variants[0].Status == StatusCode::Ok;
   std::vector<unsigned> Front(
       Ranked.begin(),
       Ranked.begin() + std::min<size_t>(TO.MaxMeasure, Ranked.size()));
@@ -537,16 +426,14 @@ TuneResult pluto::tune::explore(const std::string &Source,
       // over the initial data.
       bool GateAvailable = false;
       Interpreter Ref;
-      if (TO.CheckCorrectness) {
-        Ref.Arrays = Initial;
-        for (const std::string &P : Prog.ParamNames)
-          Ref.Params[P] = N;
-        for (const std::string &C : Parsed0->SymConsts)
-          Ref.SymConsts[C] = 1.5;
-        if (auto OA = Pipe0->originalAst(Prog)) {
-          if (auto Run = Ref.run(Prog, **OA); Run && *Run)
-            GateAvailable = true;
-        }
+      Ref.Arrays = Initial;
+      for (const std::string &P : Prog.ParamNames)
+        Ref.Params[P] = N;
+      for (const std::string &C : Parsed0->SymConsts)
+        Ref.SymConsts[C] = 1.5;
+      if (auto OA = Pipe0->originalAst(Prog)) {
+        if (auto Run = Ref.run(Prog, **OA); Run && *Run)
+          GateAvailable = true;
       }
 
       for (unsigned Id : Front) {
@@ -638,9 +525,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
   R.WinnerId = Winner;
   if (Winner >= 0) {
     R.WinnerKey = R.Variants[Winner].Key;
-    auto It = EmittedById.find(static_cast<unsigned>(Winner));
-    if (It != EmittedById.end())
-      R.WinnerC = It->second;
+    R.WinnerC = EmittedById.at(static_cast<unsigned>(Winner));
   } else if (R.Status == StatusCode::Ok) {
     // Nothing compiled at all: surface the first variant failure as the
     // search failure so callers get a meaningful exit code.
@@ -679,20 +564,20 @@ std::string TuneResult::traceJson() const {
   OS << "  \"errors\": " << Errors << ",\n";
   OS << "  \"winner\": " << WinnerId << ",\n";
   if (!Error.empty())
-    OS << "  \"error\": \"" << jsonEscape(Error) << "\",\n";
+    OS << "  \"error\": " << jsonQuote(Error) << ",\n";
   OS << "  \"variants\": [";
   for (size_t I = 0; I < Variants.size(); ++I) {
     const TuneVariant &V = Variants[I];
     OS << (I ? ",\n" : "\n");
     OS << "    {\n";
     OS << "      \"id\": " << V.Id << ",\n";
-    OS << "      \"options\": \"" << jsonEscape(V.Fingerprint) << "\",\n";
+    OS << "      \"options\": " << jsonQuote(V.Fingerprint) << ",\n";
     OS << "      \"duplicate_of\": " << V.DuplicateOf << ",\n";
     OS << "      \"status\": \"" << statusCodeName(V.Status) << "\",\n";
     if (!V.Error.empty())
-      OS << "      \"error\": \"" << jsonEscape(V.Error) << "\",\n";
+      OS << "      \"error\": " << jsonQuote(V.Error) << ",\n";
     if (!V.Key.empty())
-      OS << "      \"key\": \"" << jsonEscape(V.Key) << "\",\n";
+      OS << "      \"key\": " << jsonQuote(V.Key) << ",\n";
     if (V.DuplicateOf < 0 && V.Status == StatusCode::Ok) {
       char Buf[32];
       std::snprintf(Buf, sizeof(Buf), "%.4f", V.Score);

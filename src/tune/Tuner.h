@@ -7,16 +7,20 @@
 /// \file
 /// The empirical autotuner: explore() enumerates PlutoOptions variants over
 /// a declarative SearchSpace (tile sizes, second-level tiling, fusion and
-/// wavefront degrees), dedupes semantically identical sets through the
-/// normalized options fingerprint, compiles the distinct ones through the
-/// service layer (shared result cache, resource budgets, per-variant status
-/// isolation - one aborting variant never kills the search), ranks them
-/// with static features (tune/Features.h) so only a small front is ever
-/// run, and JIT-measures that front with the bias-controlled harness of
-/// runtime/Jit.h (warmup, median-of-K, pinned thread count) behind a
-/// differential-vs-interpreter correctness gate. The paper (Section 6.3)
-/// picks tile sizes and unroll factors "based on empirical evidence"; this
-/// subsystem is that loop made mechanical.
+/// wavefront degrees) and dedupes semantically identical sets through the
+/// normalized options fingerprint. Variants that agree on fusion and
+/// param_min (a schedule group) share one parse, dependence analysis and
+/// schedule; each distinct variant is then lowered and emitted once from
+/// its group's artifacts, under its own resource budget and with its own
+/// status (one aborting variant never kills the search), and its unit goes
+/// into the shared result cache under the key a compile of the same
+/// options would use. explore() ranks the variants with static features
+/// (tune/Features.h) so only a small front is ever run, and JIT-measures
+/// that front with the bias-controlled harness of runtime/Jit.h (warmup,
+/// median-of-K, pinned thread count) behind a differential-vs-interpreter
+/// correctness gate. The paper (Section 6.3) picks tile sizes and unroll
+/// factors "based on empirical evidence"; this subsystem is that loop made
+/// mechanical.
 ///
 /// The search is observable end to end: every variant's fate lands in a
 /// versioned JSON trace (TuneResult::traceJson(), "tune_schema": 1) and in
@@ -33,7 +37,6 @@
 #include "service/ResultCache.h"
 #include "tune/Features.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,29 +81,22 @@ struct TuneOptions {
   /// base variant rides on top when it would otherwise be cut.
   unsigned MaxMeasure = 6;
   /// False skips JIT measurement entirely (static exploration: enumerate,
-  /// compile, extract features, rank). The winner is then the best-scored
-  /// variant.
-  bool RunMeasurements = true;
-  /// Gate each measured variant behind a differential check against the
-  /// interpreter running the ORIGINAL program (identity schedule): a
+  /// lower, extract features, rank). The winner is then the best-scored
+  /// variant. A measured variant is gated by a differential check against
+  /// the interpreter running the ORIGINAL program (identity schedule): a
   /// variant whose JIT output diverges is an error, never a winner.
-  bool CheckCorrectness = true;
-  /// Shared result cache for the compile stage (plutod hands its own
-  /// cache in; the CLI its configured one). Null = no caching.
+  bool RunMeasurements = true;
+  /// Result cache every lowered variant's unit is inserted into (plutod
+  /// hands its own cache in; the CLI its configured one), so a later
+  /// compile of the winner's options is a hit. Null = no caching.
   std::shared_ptr<ResultCache> Cache;
-  /// Per-variant resource budget (service taxonomy: an exhausted variant
-  /// is resource-exhausted, not a search failure). It covers scheduling,
-  /// lowering and the compile stage of each variant. Fully unlimited
-  /// budgets are replaced by a default 10 s wall ceiling per variant, so
-  /// one runaway variant (two-level tiling can blow up codegen on skewed
-  /// stencils) degrades instead of hanging the search; set any explicit
-  /// limit to override.
+  /// Resource budget of each schedule group's front end and of each
+  /// variant's lowering (service taxonomy: an exhausted variant is
+  /// resource-exhausted, not a search failure). Fully unlimited budgets
+  /// are replaced by a default 10 s wall ceiling, so one runaway variant
+  /// (two-level tiling can blow up codegen on skewed stencils) degrades
+  /// instead of hanging the search; set any explicit limit to override.
   BudgetLimits Budget;
-  /// Worker threads for the compile stage (compileRequests Jobs).
-  unsigned Jobs = 1;
-  /// Pluggable pruning score; null = tune::defaultScore. Higher = measured
-  /// earlier.
-  std::function<double(const VariantFeatures &)> Score;
 };
 
 /// The fate of one enumerated option set.
@@ -137,7 +133,8 @@ struct TuneResult {
   /// measurements on, the fastest gated variant; otherwise the best-scored
   /// compiling one.
   int WinnerId = -1;
-  /// The winner's emitted C translation unit (service emit policy) and key.
+  /// The winner's emitted C translation unit (Pipeline::emit()) and its
+  /// cache key (Pipeline::cacheKey()).
   std::string WinnerC;
   std::string WinnerKey;
   /// Search accounting (also counted into PassStats).
@@ -182,7 +179,7 @@ Result<bool> parseSpec(const std::string &Spec, SearchSpace &SS,
 /// Runs the search over Source. Never throws; per-variant failures land in
 /// the variant's Status, search-level failures in TuneResult::Status.
 /// Instrumented fault site: "tune.compile" (one hit per distinct variant
-/// entering the compile stage; an injected failure skips that variant).
+/// about to be lowered; an injected failure skips that variant).
 TuneResult explore(const std::string &Source, const SearchSpace &SS,
                    const TuneOptions &TO = TuneOptions());
 

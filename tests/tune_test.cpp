@@ -9,6 +9,7 @@
 #include "driver/Kernels.h"
 #include "observe/PassStats.h"
 #include "support/FaultInjector.h"
+#include "Session.h"
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,50 @@ TEST(TuneExploreTest, CountersFlowIntoPassStats) {
   EXPECT_EQ(S.get(Counter::TuneVariantsMeasured), R.Measured);
   EXPECT_EQ(S.get(Counter::TuneVariantsErrors), R.Errors);
   EXPECT_EQ(R.Measured, 0u); // static mode never measures
+}
+
+//===----------------------------------------------------------------------===//
+// One schedule and one lowering per variant
+//===----------------------------------------------------------------------===//
+
+TEST(TuneExploreTest, OneScheduleGroupSchedulesOnce) {
+  // Every variant of smallSpace() shares one schedule group, so the whole
+  // search finds exactly the hyperplanes of one compile.
+  PassStats Search;
+  setActiveStats(&Search);
+  TuneResult R = explore(kernels::MatMul, smallSpace(), staticOptions());
+  setActiveStats(nullptr);
+  ASSERT_EQ(R.Status, StatusCode::Ok) << R.Error;
+  PassStats One;
+  setActiveStats(&One);
+  Pipeline S = session(kernels::MatMul);
+  auto Sched = S.scheduled();
+  setActiveStats(nullptr);
+  ASSERT_TRUE(Sched) << Sched.error();
+  EXPECT_GT(One.get(Counter::HyperplanesFound), 0u);
+  EXPECT_EQ(Search.get(Counter::HyperplanesFound),
+            One.get(Counter::HyperplanesFound));
+}
+
+TEST(TuneExploreTest, WinnerIsCachedUnderItsCompileKey) {
+  // explore() inserts each variant's unit into the cache it is handed, so
+  // compiling the winner's options afterwards is a hit on the same bytes.
+  TuneOptions TO = staticOptions();
+  TO.Cache = std::make_shared<ResultCache>();
+  TuneResult R = explore(kernels::MatMul, smallSpace(), TO);
+  ASSERT_EQ(R.Status, StatusCode::Ok) << R.Error;
+  ASSERT_NE(R.winner(), nullptr);
+  auto P = Pipeline::create(R.winner()->Opts);
+  ASSERT_TRUE(P) << P.error();
+  P->attachCache(TO.Cache);
+  CompileRequest Req;
+  Req.Source = kernels::MatMul;
+  Req.Opts = R.winner()->Opts;
+  CompileResponse Resp = P->compileRequest(Req);
+  ASSERT_EQ(Resp.Status, StatusCode::Ok) << Resp.Error;
+  EXPECT_TRUE(Resp.CacheHit);
+  EXPECT_EQ(Resp.EmittedC, R.WinnerC);
+  EXPECT_EQ(Resp.Key, R.WinnerKey);
 }
 
 //===----------------------------------------------------------------------===//

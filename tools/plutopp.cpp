@@ -237,7 +237,6 @@ int main(int argc, char **argv) {
     tune::TuneOptions TO;
     TO.Base = Opts;
     TO.Budget = Budget;
-    TO.Jobs = BO.Jobs;
     TO.Cache = BO.Cache;
     if (auto P = tune::parseSpec(TuneSpec, SS, TO); !P) {
       std::fprintf(stderr, "plutopp: %s\n", P.error().c_str());
