@@ -18,6 +18,9 @@ using namespace pluto;
 
 namespace {
 
+/// Cap on disjoint regions per level before falling back to guard mode.
+constexpr unsigned MaxPieces = 24;
+
 /// A disjoint region of the current level with the statements active in it.
 struct Piece {
   ConstraintSystem Region;
@@ -337,7 +340,7 @@ private:
                difference(C, Existing.Region, Ctx))
             NewCarry.push_back(std::move(Piece2));
         Carry = std::move(NewCarry);
-        if (Next.size() + Carry.size() > Opts.MaxPieces)
+        if (Next.size() + Carry.size() > MaxPieces)
           return std::nullopt;
       }
       for (ConstraintSystem &C : Carry) {
@@ -349,7 +352,7 @@ private:
         Next.push_back(std::move(PC));
       }
       Pieces = std::move(Next);
-      if (Pieces.size() > Opts.MaxPieces)
+      if (Pieces.size() > MaxPieces)
         return std::nullopt;
     }
     return Pieces;

@@ -33,16 +33,14 @@
 
 namespace pluto {
 
+/// generateAst()'s knobs. Pipeline::lowerSchedule sets the pragma rows
+/// when parallelization is on; tests reach guard mode and explicit pragma
+/// rows by calling generateAst() directly.
 struct CodeGenOptions {
-  /// Cap on disjoint regions per level before falling back to guard mode.
-  unsigned MaxPieces = 24;
-  /// Disable to force guard mode everywhere (testing / code-size control).
+  /// Disable to force guard mode everywhere.
   bool EnableSeparation = true;
-  /// Scattering rows whose loops get "#pragma omp parallel for". Usually
-  /// computed by the driver (outermost parallel row of the tile space).
+  /// Scattering rows whose loops get "#pragma omp parallel for".
   std::set<unsigned> ParallelPragmaRows;
-
-  bool operator==(const CodeGenOptions &O) const = default;
 };
 
 /// Generates the loop AST scanning Scop. Fails only on malformed input

@@ -171,8 +171,6 @@ Result<bool> PlutoOptions::validate() const {
     if (!F.isBudget() && F.get(*this, BudgetLimits()) < F.Min)
       return Err("invalid options: " + F.flag() + " must be at least " +
                  std::to_string(F.Min) + " (" + F.Help + ")");
-  if (CG.MaxPieces == 0)
-    return Err("invalid options: codegen piece cap must be positive");
   return true;
 }
 
@@ -211,13 +209,5 @@ std::string PlutoOptions::fingerprint() const {
     if (!F.isBudget())
       Out += std::string(F.Name) + "=" +
              std::to_string(F.get(N, BudgetLimits())) + ";";
-  Out += "cg_max_pieces=" + std::to_string(N.CG.MaxPieces) +
-         ";cg_separation=" + std::to_string(N.CG.EnableSeparation) +
-         ";cg_pragma_rows=";
-  bool First = true;
-  for (unsigned Row : N.CG.ParallelPragmaRows) {
-    Out += (First ? "" : ",") + std::to_string(Row);
-    First = false;
-  }
   return Out;
 }

@@ -39,8 +39,8 @@ namespace pluto {
 
 /// Options for the optimization pipeline. Construct, adjust fields, then
 /// hand to Pipeline::create(), which rejects invalid combinations via
-/// validate(). Every field a client can set is also a row of optionTable()
-/// below.
+/// validate(). The fields are exactly the nine PlutoOptions rows of
+/// optionTable() below.
 struct PlutoOptions {
   /// Tile every permutable band of width >= 2 (Algorithm 1).
   bool Tile = true;
@@ -59,13 +59,11 @@ struct PlutoOptions {
   bool IncludeInputDeps = true;
   /// Context assumption added for every parameter: p >= ParamMin.
   long long ParamMin = 4;
-  CodeGenOptions CG;
 
-  /// Checks every table field against its row's minimum (zero tile sizes
-  /// would build degenerate supernodes, zero wavefront degrees an empty
-  /// wavefront, a negative ParamMin an unintended context) and the codegen
-  /// piece cap. Returns true on success, an error message naming the
-  /// offending flag otherwise.
+  /// Checks every field against its row's minimum (zero tile sizes would
+  /// build degenerate supernodes, zero wavefront degrees an empty
+  /// wavefront, a negative ParamMin an unintended context). Returns true
+  /// on success, an error message naming the offending flag otherwise.
   Result<bool> validate() const;
 
   bool operator==(const PlutoOptions &O) const = default;
@@ -79,10 +77,9 @@ struct PlutoOptions {
   /// stays field-wise; only fingerprint() looks through this.
   PlutoOptions normalized() const;
 
-  /// Stable, human-readable canonical encoding of every field that can
-  /// affect pipeline output, computed on normalized(): `name=value;` for
-  /// each table row in table order, then the three CodeGenOptions entries.
-  /// Two option sets that cannot produce different output share one
+  /// Stable, human-readable canonical encoding of every field, computed on
+  /// normalized(): `name=value;` for each table row in table order. Two
+  /// option sets that cannot produce different output share one
   /// fingerprint, and any output-affecting field change produces a
   /// different one; the service layer hashes it into the content-addressed
   /// cache key (DESIGN.md section 9).

@@ -242,6 +242,9 @@ Result<const PlutoResult *> Pipeline::lowered() {
   if (!L)
     return Err(L.error());
   LoweredArt = std::move(*L);
+  // The moves left the Scop pointing at lowerSchedule()'s local program;
+  // point it at the memoized one, so generateAst() can scan it again.
+  LoweredArt->Sc.Prog = &LoweredArt->program();
   return static_cast<const PlutoResult *>(&*LoweredArt);
 }
 
@@ -433,8 +436,8 @@ Result<PlutoResult> Pipeline::lowerSchedule(ParsedProgram Parsed,
       reorderForVectorization(R.Sc);
   }
 
-  CodeGenOptions CG = Opts.CG;
-  if (Opts.Parallelize && CG.ParallelPragmaRows.empty()) {
+  CodeGenOptions CG;
+  if (Opts.Parallelize) {
     pickParallelPragmaRows(R.Sc, CG);
     if (Trace *T = activeTrace())
       for (unsigned Row : CG.ParallelPragmaRows)

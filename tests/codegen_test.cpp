@@ -55,19 +55,33 @@ void expectSameTensors(const std::map<std::string, Tensor> &A,
   }
 }
 
-/// Full-pipeline equivalence check for one kernel and option set.
+/// Full-pipeline equivalence check for one kernel and option set. With
+/// Guards, the lowered Scop is scanned again in guard mode (generateAst
+/// without separation) and that AST is checked instead.
 void checkEquivalence(const char *Src, const PlutoOptions &Opts,
                       const ExtentMap &Extents,
                       const std::map<std::string, long long> &Params,
-                      const std::map<std::string, double> &Syms = {}) {
+                      const std::map<std::string, double> &Syms = {},
+                      bool Guards = false) {
   Pipeline S = session(Src, Opts);
   auto Res = S.lowered();
   ASSERT_TRUE(Res) << Res.error();
   const Program &Prog = (*Res)->program();
   auto Orig = S.originalAst(Prog);
   ASSERT_TRUE(Orig) << Orig.error();
+  const CgNode *Ast = (*Res)->Ast.get();
+  CgNodePtr Guarded;
+  if (Guards) {
+    CodeGenOptions CG;
+    CG.EnableSeparation = false;
+    auto G = generateAst((*Res)->Sc, CG);
+    ASSERT_TRUE(G) << G.error();
+    Guarded = std::move(*G);
+    simplifyAst(Guarded);
+    Ast = Guarded.get();
+  }
   auto Want = runAst(Prog, **Orig, Extents, Params, Syms);
-  auto Got = runAst(Prog, *(*Res)->Ast, Extents, Params, Syms);
+  auto Got = runAst(Prog, *Ast, Extents, Params, Syms);
   expectSameTensors(Want, Got);
 }
 
@@ -167,10 +181,8 @@ TEST(CodegenTest, SecondLevelTilingEquivalent) {
 }
 
 TEST(CodegenTest, GuardModeEquivalent) {
-  PlutoOptions O = withTile(4);
-  O.CG.EnableSeparation = false;
-  checkEquivalence(kernels::Jacobi1D, O, {{"a", {18}}, {"b", {18}}},
-                   {{"T", 7}, {"N", 18}});
+  checkEquivalence(kernels::Jacobi1D, withTile(4), {{"a", {18}}, {"b", {18}}},
+                   {{"T", 7}, {"N", 18}}, {}, /*Guards=*/true);
 }
 
 TEST(CodegenTest, NoVectorizeEquivalent) {

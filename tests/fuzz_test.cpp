@@ -146,12 +146,25 @@ TEST_P(PipelineFuzz, TransformedMatchesOriginal) {
   Opts.WavefrontDegrees = 1 + Rng() % 2;
   Opts.Vectorize = Rng() % 2 == 0;
   Opts.IncludeInputDeps = Rng() % 2 == 0;
-  Opts.CG.EnableSeparation = Rng() % 4 != 0;
+  // Guard mode is a generateAst knob: a quarter of the seeds scan the
+  // lowered Scop again without separation and check that AST.
+  bool Separate = Rng() % 4 != 0;
 
   Pipeline Session = session(Src, Opts);
   auto Lowered = Session.lowered();
   ASSERT_TRUE(Lowered) << Lowered.error();
   const PlutoResult &R = **Lowered;
+  const CgNode *Ast = R.Ast.get();
+  CgNodePtr Guarded;
+  if (!Separate) {
+    CodeGenOptions CG;
+    CG.EnableSeparation = false;
+    auto G = generateAst(R.Sc, CG);
+    ASSERT_TRUE(G) << G.error();
+    Guarded = std::move(*G);
+    simplifyAst(Guarded);
+    Ast = Guarded.get();
+  }
 
   // Independent legality oracle on the found schedule.
   {
@@ -180,7 +193,7 @@ TEST_P(PipelineFuzz, TransformedMatchesOriginal) {
       return I.Arrays;
     };
     auto Want = runWith(**Orig);
-    auto Got = runWith(*R.Ast);
+    auto Got = runWith(*Ast);
     for (const auto &[Name, TW] : Want) {
       const Tensor &TG = Got.at(Name);
       ASSERT_EQ(TW.Data.size(), TG.Data.size());

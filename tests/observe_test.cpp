@@ -303,16 +303,21 @@ TEST(DriverPragmaTest, NestedBandPicksCollapseToOutermostPragma) {
 }
 
 TEST(DriverPragmaTest, ExplicitPragmaRowsAreRespected) {
-  // A caller-provided ParallelPragmaRows set bypasses the per-band picks.
+  // generateAst puts pragmas on exactly the rows it is given: the untiled
+  // matmul, lowered without the per-band picks, gets one on row 0 only.
   PlutoOptions Opts;
-  Opts.CG.ParallelPragmaRows = {0};
+  Opts.Parallelize = false;
   Opts.Tile = false;
   Opts.Vectorize = false;
   Pipeline Session = session(kernels::MatMul, Opts);
   auto Lowered = Session.lowered();
   ASSERT_TRUE(Lowered) << Lowered.error();
-  const PlutoResult &R = **Lowered;
-  EXPECT_EQ(countParallelLoops(*R.Ast), 1u);
+  EXPECT_EQ(countParallelLoops(*(*Lowered)->Ast), 0u);
+  CodeGenOptions CG;
+  CG.ParallelPragmaRows = {0};
+  auto Ast = generateAst((*Lowered)->Sc, CG);
+  ASSERT_TRUE(Ast) << Ast.error();
+  EXPECT_EQ(countParallelLoops(**Ast), 1u);
 }
 
 } // namespace

@@ -135,13 +135,13 @@ TEST(OptionsTest, EqualityIsFieldWise) {
   B.TileSize = 16;
   EXPECT_TRUE(A != B);
   B = A;
-  B.CG.ParallelPragmaRows.insert(2);
+  B.L2TileSize = 4; // normalized away without SecondLevelTile, still unequal
   EXPECT_TRUE(A != B);
 }
 
 TEST(OptionsTest, FingerprintIsSensitiveToEveryField) {
   const PlutoOptions Base;
-  std::vector<PlutoOptions> Variants(12, Base);
+  std::vector<PlutoOptions> Variants(9, Base);
   Variants[0].Tile = false;
   Variants[1].TileSize = 16;
   Variants[2].SecondLevelTile = true;
@@ -154,9 +154,6 @@ TEST(OptionsTest, FingerprintIsSensitiveToEveryField) {
   Variants[6].Vectorize = false;
   Variants[7].IncludeInputDeps = false;
   Variants[8].ParamMin = 8;
-  Variants[9].CG.MaxPieces = 12;
-  Variants[10].CG.EnableSeparation = false;
-  Variants[11].CG.ParallelPragmaRows.insert(1);
 
   std::set<std::string> Fps;
   Fps.insert(Base.fingerprint());
@@ -212,12 +209,13 @@ TEST(OptionsTest, FingerprintNormalizesIgnoredFields) {
 
 // The default options' fingerprint, pinned: any change to it re-keys every
 // cache entry, so it changes only on purpose (the option table renamed the
-// token input_deps= to include_input_deps=, its wire name).
+// token input_deps= to include_input_deps=, its wire name; the cg_* tokens
+// left with PlutoOptions::CG, which no client could set).
 TEST(OptionsTest, DefaultFingerprintIsPinned) {
   EXPECT_EQ(PlutoOptions().fingerprint(),
             "tile=1;tile_size=32;l2tile=0;l2tile_size=8;parallel=1;"
             "wavefront_degrees=1;vectorize=1;include_input_deps=1;"
-            "param_min=4;cg_max_pieces=24;cg_separation=1;cg_pragma_rows=");
+            "param_min=4;");
 }
 
 // Every row of the option table through the table's own spellings: its
