@@ -27,6 +27,15 @@ struct Piece {
   std::vector<unsigned> Stmts;
 };
 
+/// Adds every name E reads (scalars, symbolic constants, arrays, called
+/// functions) to Names.
+void collectNames(const Expr &E, std::set<std::string> &Names) {
+  if (!E.Name.empty())
+    Names.insert(E.Name);
+  for (const ExprPtr &A : E.Args)
+    collectNames(*A, Names);
+}
+
 /// Bound rows extracted for one dimension.
 struct DimBounds {
   bool HasEq = false;
@@ -80,11 +89,20 @@ private:
   // Setup
   //===------------------------------------------------------------------===//
 
+  /// Loop counters are c1, c2, ...; the prefix grows until no counter
+  /// captures a name of the program: a parameter, an iterator, an array or
+  /// any name a statement body reads.
   void pickLoopVarNames() {
     std::set<std::string> Taken(S.Prog->ParamNames.begin(),
                                 S.Prog->ParamNames.end());
     for (const ScopStmt &St : S.Stmts)
       Taken.insert(St.IterNames.begin(), St.IterNames.end());
+    for (const ArrayInfo &A : S.Prog->Arrays)
+      Taken.insert(A.Name);
+    for (const Statement &St : S.Prog->Stmts) {
+      collectNames(*St.Body.Lhs, Taken);
+      collectNames(*St.Body.Rhs, Taken);
+    }
     std::string Prefix = "c";
     while (true) {
       bool Clash = false;

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Kernels.h"
+#include "runtime/Jit.h"
 #include "serve/Protocol.h"
 #include "service/Batch.h"
 #include "service/Hash.h"
@@ -803,6 +804,33 @@ TEST(GoldenTest, EmittedCMatchesRecordedDigests) {
       << "emitted C differs from tests/golden/emitted_c.sha256 for:\n"
       << Names << "replacement file:\n"
       << Replacement;
+}
+
+// The emitted C of every example and Kernels.h unit must get past the
+// system compiler: plutopp once exited 0 on doitgen while its loop counter
+// c4 shadowed the array c4 and cc rejected the unit.
+TEST(GoldenTest, EmittedCPassesTheCompiler) {
+  if (!CompiledKernel::compilerAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  std::string Dir = tempDir("_syntax");
+  fs::create_directories(Dir);
+  auto P = Pipeline::create();
+  ASSERT_TRUE(P.hasValue());
+  for (const auto &[Name, Src] : goldenUnits()) {
+    if (!Name.starts_with("examples/") && !Name.starts_with("kernels/"))
+      continue;
+    CompileRequest Req;
+    Req.Name = Name;
+    Req.Source = Src;
+    CompileResponse R = P->compileRequest(Req);
+    ASSERT_EQ(R.Status, StatusCode::Ok) << Name << ": " << R.Error;
+    std::string Unit = Dir + "/unit.c", Log = Dir + "/cc.log";
+    std::ofstream(Unit, std::ios::binary) << R.EmittedC;
+    std::string Cmd =
+        "cc -fsyntax-only -fopenmp '" + Unit + "' > '" + Log + "' 2>&1";
+    EXPECT_EQ(std::system(Cmd.c_str()), 0) << Name << ":\n" << readFile(Log);
+  }
+  fs::remove_all(Dir);
 }
 
 } // namespace
