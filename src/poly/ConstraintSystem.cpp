@@ -277,24 +277,33 @@ bool ConstraintSystem::normalize() {
   return !Contradiction;
 }
 
-void ConstraintSystem::eliminateVar(unsigned Var) {
-  assert(Var < NumVars && "eliminating variable out of range");
+void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
+  assert(Pos + Count <= NumVars && "projection range out of bounds");
+  if (Count == 0)
+    return;
 
-  // Prefer exact substitution using an equality that involves Var (pick the
-  // one with the smallest absolute coefficient to limit growth).
-  int EqIdx = -1;
-  for (unsigned R = 0; R < Eqs.numRows(); ++R) {
-    if (Eqs(R, Var).isZero())
-      continue;
-    if (EqIdx < 0 ||
-        Eqs(R, Var).abs() < Eqs(static_cast<unsigned>(EqIdx), Var).abs())
-      EqIdx = static_cast<int>(R);
-  }
-
-  IntMatrix NewIneqs(NumVars);
-  IntMatrix NewEqs(NumVars);
-
-  if (EqIdx >= 0) {
+  // Phase 1: exact equality substitutions. While some equality involves a
+  // target variable, use it to eliminate that variable (no row growth):
+  // the lowest such target, by the equality with the smallest absolute
+  // coefficient on it (to limit coefficient growth).
+  std::vector<bool> IsTarget(NumVars, false);
+  for (unsigned I = 0; I < Count; ++I)
+    IsTarget[Pos + I] = true;
+  for (;;) {
+    unsigned Var = 0;
+    int EqIdx = -1;
+    for (unsigned V = 0; V < NumVars && EqIdx < 0; ++V) {
+      if (!IsTarget[V])
+        continue;
+      Var = V;
+      for (unsigned R = 0; R < Eqs.numRows(); ++R)
+        if (!Eqs(R, V).isZero() &&
+            (EqIdx < 0 ||
+             Eqs(R, V).abs() < Eqs(static_cast<unsigned>(EqIdx), V).abs()))
+          EqIdx = static_cast<int>(R);
+    }
+    if (EqIdx < 0)
+      break;
     const std::vector<BigInt> &E = Eqs.row(static_cast<unsigned>(EqIdx));
     BigInt AbsD = E[Var].abs();
     bool NegD = E[Var].isNegative();
@@ -311,115 +320,17 @@ void ConstraintSystem::eliminateVar(unsigned Var) {
       normalizeByGcd(R);
       return R;
     };
+    IntMatrix NewIneqs(NumVars);
+    IntMatrix NewEqs(NumVars);
     for (unsigned R = 0; R < Ineqs.numRows(); ++R)
       NewIneqs.addRow(substitute(Ineqs.row(R)));
-    for (unsigned R = 0; R < Eqs.numRows(); ++R) {
-      if (R == static_cast<unsigned>(EqIdx))
-        continue;
-      NewEqs.addRow(substitute(Eqs.row(R)));
-    }
+    for (unsigned R = 0; R < Eqs.numRows(); ++R)
+      if (R != static_cast<unsigned>(EqIdx))
+        NewEqs.addRow(substitute(Eqs.row(R)));
     Ineqs = std::move(NewIneqs);
     Eqs = std::move(NewEqs);
     --NumVars;
     normalize();
-    return;
-  }
-
-  // No equality: classic Fourier-Motzkin on the inequalities. Any equality
-  // rows here do not involve Var, so they pass through without column Var.
-  // Derived rows are built without column Var and deduplicated as they are
-  // generated, rows sharing a coefficient vector collapsing to the tightest
-  // constant — FM produces |Lower| * |Upper| combinations and many
-  // coincide after gcd normalization.
-  auto dropColumn = [&](std::vector<BigInt> &Row) {
-    Row.erase(Row.begin() + Var);
-    return std::move(Row);
-  };
-  std::vector<unsigned> Lower, Upper, None;
-  for (unsigned R = 0; R < Ineqs.numRows(); ++R) {
-    const BigInt &C = Ineqs(R, Var);
-    if (C.isPositive())
-      Lower.push_back(R); // c > 0: row gives a lower bound on Var.
-    else if (C.isNegative())
-      Upper.push_back(R);
-    else
-      None.push_back(R);
-  }
-  PrefixIndex Seen(NumVars - 1);
-  auto addDedup = [&](std::vector<BigInt> Row) {
-    unsigned Pos = NewIneqs.numRows();
-    unsigned K = Seen.findOrInsert(Row, Pos, rowsOf(NewIneqs));
-    if (K == Pos)
-      NewIneqs.addRow(std::move(Row));
-    else if (Row[NumVars - 1] < NewIneqs(K, NumVars - 1))
-      NewIneqs(K, NumVars - 1) = std::move(Row[NumVars - 1]);
-  };
-  for (unsigned R : None)
-    addDedup(dropColumn(Ineqs.row(R)));
-  // FM generates |Lower| * |Upper| rows; bulk-charge the compile budget one
-  // inner row's worth per outer iteration and bail out on exhaustion (the
-  // partially-built system is garbage, which the stage driver discards).
-  // Formed counts the pairs actually combined, so a step the budget stops
-  // early reports only its share.
-  uint64_t FmRowBytes = static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
-  uint64_t Formed = 0;
-  for (unsigned L : Lower) {
-    if (!budgetCharge(Upper.size()) ||
-        !budgetChargeMemory(Upper.size() * FmRowBytes))
-      break;
-    Formed += Upper.size();
-    for (unsigned U : Upper) {
-      const std::vector<BigInt> &RL = Ineqs.row(L);
-      const std::vector<BigInt> &RU = Ineqs.row(U);
-      const BigInt &P = RL[Var]; // > 0
-      BigInt Q = -RU[Var];       // > 0
-      std::vector<BigInt> R;
-      R.reserve(NumVars);
-      for (unsigned C = 0; C <= NumVars; ++C)
-        if (C != Var)
-          R.push_back(Q * RL[C] + P * RU[C]);
-      normalizeByGcd(R);
-      addDedup(std::move(R));
-    }
-  }
-  for (unsigned R = 0; R < Eqs.numRows(); ++R)
-    NewEqs.addRow(dropColumn(Eqs.row(R)));
-  if (activeStats()) {
-    uint64_t Generated = None.size() + Formed;
-    count(Counter::FmEliminations);
-    count(Counter::FmRowsGenerated, Generated);
-    count(Counter::FmRowsPruned, Generated - NewIneqs.numRows());
-  }
-  Ineqs = std::move(NewIneqs);
-  Eqs = std::move(NewEqs);
-  --NumVars;
-  normalize();
-}
-
-void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
-  assert(Pos + Count <= NumVars && "projection range out of bounds");
-  if (Count == 0)
-    return;
-
-  // Phase 1: exact equality substitutions. While some equality involves a
-  // target variable, use it to eliminate that variable (no row growth).
-  std::vector<bool> IsTarget(NumVars, false);
-  for (unsigned I = 0; I < Count; ++I)
-    IsTarget[Pos + I] = true;
-  for (;;) {
-    int Var = -1;
-    for (unsigned V = 0; V < NumVars && Var < 0; ++V) {
-      if (!IsTarget[V])
-        continue;
-      for (unsigned R = 0; R < Eqs.numRows(); ++R)
-        if (!Eqs(R, V).isZero()) {
-          Var = static_cast<int>(V);
-          break;
-        }
-    }
-    if (Var < 0)
-      break;
-    eliminateVar(static_cast<unsigned>(Var));
     IsTarget.erase(IsTarget.begin() + Var);
   }
 
@@ -502,7 +413,7 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
       size_t PassThrough = Next.size();
       uint64_t FmRowBytes =
           static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
-      uint64_t Formed = 0; // Pairs combined, as in eliminateVar.
+      uint64_t Formed = 0; // Pairs combined.
       for (const FmRow &L : Lower) {
         if (!budgetCharge(Upper.size()) ||
             !budgetChargeMemory(Upper.size() * FmRowBytes))

@@ -77,14 +77,12 @@ public:
   /// True iff every integer point of this system satisfies Row.(x,1) >= 0.
   bool impliesIneq(const std::vector<BigInt> &Row) const;
 
-  /// Eliminates variable Var by exact equality substitution when an equality
-  /// involves it, otherwise by Fourier-Motzkin. The variable space shrinks
-  /// by one (columns shift left). The result is the rational shadow, a
-  /// superset of the integer shadow - always safe for the uses in this code
-  /// base (bounds enumeration and dependence-test preprocessing).
-  void eliminateVar(unsigned Var);
-
-  /// Projects onto all variables except [Pos, Pos+Count).
+  /// Projects onto all variables except [Pos, Pos+Count); the variable
+  /// space shrinks by Count (columns shift left). Targets an equality
+  /// involves go by exact substitution, the rest by one batch of
+  /// Fourier-Motzkin steps. The result is the rational shadow, a superset
+  /// of the integer shadow - always safe for the uses in this code base
+  /// (bounds enumeration and dependence-test preprocessing).
   void projectOut(unsigned Pos, unsigned Count);
 
   /// Drops constraints that are implied by Context (and the remaining
