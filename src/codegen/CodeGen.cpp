@@ -10,8 +10,6 @@
 #include "support/Budget.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 
 using namespace pluto;
@@ -637,11 +635,6 @@ private:
       for (const auto &Row : B.Upper)
         U.push_back(upperExpr(Row, Level));
       if (L.empty() || U.empty()) {
-        if (std::getenv("PLUTOPP_DEBUG"))
-          fprintf(stderr,
-                  "[codegen] unbounded %s in region:\n%s--- stmts:%zu\n",
-                  CName[Level].c_str(), Region.toString().c_str(),
-                  Stmts.size());
         fail("unbounded loop dimension " + CName[Level]);
         return CgNode::block();
       }

@@ -187,7 +187,7 @@ std::vector<Dependence> analyzePair(const Program &Prog,
       return Out;
     if (A.Map.numRows() == 0)
       return Out; // Scalar RAR: no reuse direction to optimize.
-    if (Opts.InputDepsMaxRankOnly && A.Map.numRows() < MaxRank)
+    if (A.Map.numRows() < MaxRank)
       return Out; // Lower-rank reuse is asymptotically dominated.
     DepBuilder DB(Prog, S, T);
     ConstraintSystem CS = DB.base();

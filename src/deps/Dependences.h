@@ -97,13 +97,11 @@ public:
 struct DepOptions {
   /// Collect read-after-read dependences (paper Section 4.1). Costly on
   /// read-heavy stencils but enables reuse-driven fusion (the paper's MVT
-  /// experiment).
+  /// experiment). Only arrays of maximal rank (the asymptotically dominant
+  /// data) get them: O(N) vector reuse (e.g. y1/x1 in MVT) would force a
+  /// parametric reuse bound on every hyperplane, and the cost function
+  /// could no longer see the O(N^2) reuse on the matrix.
   bool IncludeInputDeps = true;
-  /// Only collect input dependences on arrays of maximal rank (the
-  /// asymptotically dominant data). Without this, O(N) vector reuse (e.g.
-  /// y1/x1 in MVT) forces a parametric reuse bound on every hyperplane and
-  /// the cost function can no longer see the O(N^2) reuse on the matrix.
-  bool InputDepsMaxRankOnly = true;
   /// Worker threads for the per-access-pair loop: 0 uses the OpenMP
   /// default, 1 forces serial execution. The result is bit-identical for
   /// every thread count (pairs are emitted in the serial iteration order).

@@ -40,8 +40,6 @@
 #include "support/Budget.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace pluto;
 using namespace pluto::ilp;
@@ -61,12 +59,6 @@ SolveLimits ilp::solveLimits() {
 void ilp::setSolveLimits(const SolveLimits &L) {
   GMaxPivots.store(L.MaxPivots, std::memory_order_relaxed);
   GMaxCuts.store(L.MaxCuts, std::memory_order_relaxed);
-}
-
-/// Set PLUTOPP_DEBUG_ILP=1 to trace pivots on stderr.
-static bool debugIlp() {
-  static bool Enabled = std::getenv("PLUTOPP_DEBUG_ILP") != nullptr;
-  return Enabled;
 }
 
 namespace {
@@ -116,14 +108,8 @@ public:
       if (Iterations >= MaxIterations || !budgetCharge())
         return Aborted = true, false;
       ++Iterations;
-      if (debugIlp()) {
-        const BigInt *Row = row(static_cast<unsigned>(R));
-        fprintf(stderr, "[ilp] pivot row %d col %d (const %s)\n", R, J,
-                Rational(Row[NumVars], Row[NumVars + 1]).toString().c_str());
-      }
       pivot(static_cast<unsigned>(R), static_cast<unsigned>(J));
-      if (debugIlp())
-        checkLexPositive();
+      assert(checkLexPositive() && "objective column lost lex-positivity");
     }
   }
 
@@ -231,21 +217,20 @@ private:
         Row[C] = Row[C].divExact(G);
   }
 
-  /// Debug invariant: the read-out (objective) part of every column is
-  /// lexico-non-negative. This is what certifies lex-minimality at
-  /// termination.
-  void checkLexPositive() const {
-    for (unsigned J = 0; J < NumVars; ++J) {
+  /// Debug invariant (asserted after every pivot): the read-out
+  /// (objective) part of every column is lexico-non-negative. This is what
+  /// certifies lex-minimality at termination.
+  bool checkLexPositive() const {
+    for (unsigned J = 0; J < NumVars; ++J)
       for (unsigned I = 0; I < NumVars; ++I) {
         const BigInt &V = row(I)[J];
         if (V.isZero())
           continue;
         if (V.isNegative())
-          fprintf(stderr, "[ilp] BROKEN: column %u objective-lex-negative\n",
-                  J);
+          return false;
         break;
       }
-    }
+    return true;
   }
 
   int firstNegativeConstantRow() const {

@@ -44,6 +44,11 @@ namespace {
 /// own image, stacks and allocator slop.
 constexpr uint64_t ChildMemoryHeadroomBytes = 256ull << 20;
 
+/// Slack added to a request's wall budget before the parent watchdog
+/// SIGKILLs the child, so the child's own (cleaner) in-band budget trip
+/// wins the race under normal scheduling.
+constexpr uint64_t WatchdogGraceMs = 500;
+
 /// Full write with EINTR handling; MSG_NOSIGNAL so a dead peer reports
 /// EPIPE instead of raising SIGPIPE.
 bool writeAll(int Fd, const std::string &Data) {
@@ -293,7 +298,7 @@ CompileResponse SandboxWorker::compile(const CompileRequest &Req,
   uint64_t WallMs = Req.Budget.WallMs;
   Clock::time_point Deadline =
       WallMs ? Clock::now() +
-                   std::chrono::milliseconds(WallMs + Cfg.WatchdogGraceMs)
+                   std::chrono::milliseconds(WallMs + WatchdogGraceMs)
              : Clock::time_point::max();
   std::string RespLine;
   for (;;) {

@@ -60,10 +60,6 @@ struct SandboxConfig {
   /// code/stack/runtime so the cooperative budget (which tracks transient
   /// pass allocations only) trips first on well-behaved inputs.
   uint64_t MemoryRlimitBytes = 0;
-  /// Slack added to a request's wall budget before the parent watchdog
-  /// SIGKILLs the child, so the child's own (cleaner) in-band budget trip
-  /// wins the race under normal scheduling.
-  uint64_t WatchdogGraceMs = 500;
 };
 
 /// One sandboxed compile worker: a forked child plus the parent-side state

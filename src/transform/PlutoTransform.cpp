@@ -13,15 +13,7 @@
 #include "transform/FarkasConstraints.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
-
-/// Set PLUTOPP_DEBUG=1 to trace the hyperplane search on stderr.
-static bool debugEnabled() {
-  static bool Enabled = std::getenv("PLUTOPP_DEBUG") != nullptr;
-  return Enabled;
-}
 
 using namespace pluto;
 
@@ -137,6 +129,9 @@ void pluto::detectParallelism(const Program &Prog, const DependenceGraph &DG,
 
 namespace {
 
+/// Safety cap on the number of schedule rows (cuts included).
+constexpr unsigned MaxScheduleRows = 64;
+
 /// Outcome of one findHyperplane() attempt.
 enum class FindResult {
   Found, ///< A row was appended to the schedule.
@@ -168,7 +163,7 @@ public:
     // the cheap statement-ordering scalar dimension is preferred whenever
     // it finishes the job legally.
     while (needsMoreIndependentRows() || !allDepsSatisfied()) {
-      if (Sched.numRows() >= Opts.MaxRows)
+      if (Sched.numRows() >= MaxScheduleRows)
         return Err(std::string(
             "transformation did not converge (row cap exceeded)"));
       if (!needsMoreIndependentRows() && textualRowWouldHelp()) {
@@ -555,20 +550,6 @@ private:
         Msg += "]";
       }
       T->record("transform", std::move(Msg));
-    }
-    if (debugEnabled()) {
-      fprintf(stderr, "[pluto] row %u (band %d):", Sched.numRows() - 1,
-              CurBandId);
-      for (unsigned S = 0; S < Prog.Stmts.size(); ++S) {
-        fprintf(stderr, "  S%u=[", S);
-        const IntMatrix &M = Sched.StmtRows[S];
-        for (unsigned C = 0; C < M.numCols(); ++C)
-          fprintf(stderr, "%s%s", C ? " " : "",
-                  M(Sched.numRows() - 1, C).toString().c_str());
-        fprintf(stderr, "] rank=%u/%u", HBasis[S].numRows(),
-                Layout.stmtNumIters(S));
-      }
-      fprintf(stderr, "\n");
     }
   }
 

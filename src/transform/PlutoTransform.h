@@ -28,8 +28,6 @@
 namespace pluto {
 
 struct TransformOptions {
-  /// Safety cap on the number of schedule rows (cuts included).
-  unsigned MaxRows = 64;
   /// The scheduler's three scaling fast paths, on or off together. Off is
   /// the exact monolithic search; each fast path falls back to it whenever
   /// it cannot prove it matches, so both settings give the same schedule

@@ -236,7 +236,6 @@ TEST_P(DepCompleteness, EveryConflictCovered) {
     Prog.addContextBound(Pm, 4);
   DepOptions DO;
   DO.IncludeInputDeps = false;
-  DO.InputDepsMaxRankOnly = false;
   DependenceGraph G = computeDependences(Prog, DO);
 
   const long long NVal = 6;
