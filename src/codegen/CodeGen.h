@@ -33,9 +33,9 @@
 
 namespace pluto {
 
-/// generateAst()'s knobs. Pipeline::lowerSchedule sets the pragma rows
-/// when parallelization is on; tests reach guard mode and explicit pragma
-/// rows by calling generateAst() directly.
+/// generateAst()'s knobs. Pipeline::lowerSchedule picks the pragma rows
+/// when parallelization is on; benches and tests reach guard mode and
+/// explicit pragma rows by calling generateAst() directly.
 struct CodeGenOptions {
   /// Disable to force guard mode everywhere.
   bool EnableSeparation = true;

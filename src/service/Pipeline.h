@@ -29,8 +29,8 @@
 /// emitted unit).
 ///
 /// A Pipeline is single-threaded (batch and daemon workers create one per
-/// request); the attached ResultCache is the shared, thread-safe
-/// component. See service/Batch.h for the concurrent driver on top.
+/// request); the attached ResultCache is the shared, thread-safe component. See service/Batch.h
+/// for the concurrent driver on top.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,9 +113,9 @@ public:
   /// match this session's options fingerprint (callers with heterogeneous
   /// option sets create a session per request - see compileRequests()); a
   /// mismatch is a bad-request response. The cold compile runs under
-  /// runBudgeted(Req.Budget). On source-error the response
-  /// carries every recovered frontend diagnostic, even when the failure
-  /// was coalesced onto another session's in-flight compile.
+  /// runBudgeted(Req.Budget). On source-error the response carries every
+  /// recovered frontend diagnostic, even when the failure was coalesced
+  /// onto another session's in-flight compile.
   CompileResponse compileRequest(const CompileRequest &Req);
 
   /// The content-addressed key compileRequest() would use for Source

@@ -270,7 +270,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
   // under their own emit configuration (Pipeline::lowerSchedule).
   //===--------------------------------------------------------------------===//
   struct Group {
-    std::optional<Pipeline> Pipe;
+    Pipeline Pipe;
     StatusCode Status = StatusCode::Ok;
     std::string Error;
   };
@@ -281,12 +281,11 @@ TuneResult pluto::tune::explore(const std::string &Source,
     std::string GK = scheduleGroupKey(V.Opts);
     auto It = Groups.find(GK);
     if (It == Groups.end()) {
-      Group G;
       // V.Opts validated above, so the session exists.
-      G.Pipe.emplace(Pipeline::create(V.Opts).takeValue());
-      G.Pipe->setSource(Source);
-      auto S = G.Pipe->runBudgeted(VariantLimits, [&]() -> Result<std::string> {
-        if (auto SR = G.Pipe->scheduled(); !SR)
+      Group G{Pipeline::create(V.Opts).takeValue(), StatusCode::Ok, {}};
+      G.Pipe.setSource(Source);
+      auto S = G.Pipe.runBudgeted(VariantLimits, [&]() -> Result<std::string> {
+        if (auto SR = G.Pipe.scheduled(); !SR)
           return Err(SR.error());
         return std::string();
       });
@@ -297,7 +296,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
           // group is a source error for the whole search.
           R.Status = G.Status;
           R.Error = G.Error;
-          R.Diags = G.Pipe->diagnostics();
+          R.Diags = G.Pipe.diagnostics();
           return R;
         }
       }
@@ -329,7 +328,7 @@ TuneResult pluto::tune::explore(const std::string &Source,
       ++R.Errors;
       continue;
     }
-    Pipeline &Front = *Groups.at(scheduleGroupKey(V.Opts)).Pipe;
+    Pipeline &Front = Groups.at(scheduleGroupKey(V.Opts)).Pipe;
     Pipeline VP = Pipeline::create(V.Opts).takeValue();
     std::optional<PlutoResult> Lowered;
     auto C = VP.runBudgeted(VariantLimits, [&]() -> Result<std::string> {
@@ -398,9 +397,9 @@ TuneResult pluto::tune::explore(const std::string &Source,
     const ParsedProgram *Parsed0 = nullptr;
     const Pipeline *Pipe0 = nullptr;
     for (auto &KV : Groups)
-      if (KV.second.Pipe && KV.second.Status == StatusCode::Ok) {
-        Parsed0 = *KV.second.Pipe->parsed();
-        Pipe0 = &*KV.second.Pipe;
+      if (KV.second.Status == StatusCode::Ok) {
+        Parsed0 = *KV.second.Pipe.parsed();
+        Pipe0 = &KV.second.Pipe;
         break;
       }
     if (Parsed0) {

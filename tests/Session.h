@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The one shorthand over Pipeline the tests and the figure benchmarks
-/// share: a session already set to a source unit. The stage accessors
+/// share: a session already set to a source unit (plus the guard-mode
+/// rescan of its lowering). The stage accessors
 /// return pointers into the session, so keep it alive while they are used:
 ///
 ///   Pipeline S = session(Src, Opts);
@@ -33,6 +34,19 @@ inline Pipeline session(const std::string &Source,
     throw std::invalid_argument(P.error());
   P->setSource(Source);
   return P.takeValue();
+}
+
+/// R's lowered Scop scanned again in guard mode (generateAst without
+/// separation), the mode no pipeline option selects. A codegen failure
+/// throws, which fails the calling test.
+inline CgNodePtr guardModeAst(const PlutoResult &R) {
+  CodeGenOptions CG;
+  CG.EnableSeparation = false;
+  auto Ast = generateAst(R.Sc, CG);
+  if (!Ast)
+    throw std::runtime_error(Ast.error());
+  simplifyAst(*Ast);
+  return Ast.takeValue();
 }
 
 } // namespace pluto

@@ -69,19 +69,10 @@ void checkEquivalence(const char *Src, const PlutoOptions &Opts,
   const Program &Prog = (*Res)->program();
   auto Orig = S.originalAst(Prog);
   ASSERT_TRUE(Orig) << Orig.error();
-  const CgNode *Ast = (*Res)->Ast.get();
-  CgNodePtr Guarded;
-  if (Guards) {
-    CodeGenOptions CG;
-    CG.EnableSeparation = false;
-    auto G = generateAst((*Res)->Sc, CG);
-    ASSERT_TRUE(G) << G.error();
-    Guarded = std::move(*G);
-    simplifyAst(Guarded);
-    Ast = Guarded.get();
-  }
+  CgNodePtr Guarded = Guards ? guardModeAst(**Res) : nullptr;
   auto Want = runAst(Prog, **Orig, Extents, Params, Syms);
-  auto Got = runAst(Prog, *Ast, Extents, Params, Syms);
+  auto Got = runAst(Prog, Guarded ? *Guarded : *(*Res)->Ast, Extents,
+                    Params, Syms);
   expectSameTensors(Want, Got);
 }
 

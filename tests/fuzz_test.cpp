@@ -154,17 +154,8 @@ TEST_P(PipelineFuzz, TransformedMatchesOriginal) {
   auto Lowered = Session.lowered();
   ASSERT_TRUE(Lowered) << Lowered.error();
   const PlutoResult &R = **Lowered;
-  const CgNode *Ast = R.Ast.get();
-  CgNodePtr Guarded;
-  if (!Separate) {
-    CodeGenOptions CG;
-    CG.EnableSeparation = false;
-    auto G = generateAst(R.Sc, CG);
-    ASSERT_TRUE(G) << G.error();
-    Guarded = std::move(*G);
-    simplifyAst(Guarded);
-    Ast = Guarded.get();
-  }
+  CgNodePtr Guarded = Separate ? nullptr : guardModeAst(R);
+  const CgNode &Ast = Guarded ? *Guarded : *R.Ast;
 
   // Independent legality oracle on the found schedule.
   {
@@ -193,7 +184,7 @@ TEST_P(PipelineFuzz, TransformedMatchesOriginal) {
       return I.Arrays;
     };
     auto Want = runWith(**Orig);
-    auto Got = runWith(*Ast);
+    auto Got = runWith(Ast);
     for (const auto &[Name, TW] : Want) {
       const Tensor &TG = Got.at(Name);
       ASSERT_EQ(TW.Data.size(), TG.Data.size());
