@@ -21,7 +21,7 @@
 namespace pluto {
 
 /// Identity of the transformation toolchain, part of every cache key.
-inline constexpr const char ToolchainVersion[] = "plutopp-4";
+inline constexpr const char ToolchainVersion[] = "plutopp-5";
 
 /// Layout version of the persistent cache directory (the `v1/` subdir).
 inline constexpr unsigned CacheDiskFormatVersion = 1;
