@@ -62,19 +62,6 @@ void BM_Dependences(benchmark::State &State, const char *Src) {
   }
 }
 
-/// Dependence analysis pinned to a thread count (serial vs. parallel
-/// worklist; results are bit-identical, only wall time differs).
-void BM_DependencesThreads(benchmark::State &State, const char *Src,
-                           int Threads) {
-  Program Prog = parsedProgram(Src);
-  DepOptions Opts;
-  Opts.NumThreads = Threads;
-  for (auto _ : State) {
-    DependenceGraph G = computeDependences(Prog, Opts);
-    benchmark::DoNotOptimize(G.Deps.size());
-  }
-}
-
 void BM_Transform(benchmark::State &State, const char *Src) {
   Program Prog = parsedProgram(Src);
   DependenceGraph G = computeDependences(Prog);
@@ -245,16 +232,6 @@ int main(int argc, char **argv) {
     benchmark::RegisterBenchmark(
         (std::string("end_to_end_codegen/") + K.Name).c_str(),
         [Src = K.Src](benchmark::State &S) { BM_EndToEnd(S, Src); });
-    benchmark::RegisterBenchmark(
-        (std::string("dependences_serial/") + K.Name).c_str(),
-        [Src = K.Src](benchmark::State &S) {
-          BM_DependencesThreads(S, Src, 1);
-        });
-    benchmark::RegisterBenchmark(
-        (std::string("dependences_parallel/") + K.Name).c_str(),
-        [Src = K.Src](benchmark::State &S) {
-          BM_DependencesThreads(S, Src, 0);
-        });
   }
   benchmark::RegisterBenchmark(
       "service/batch_cold",

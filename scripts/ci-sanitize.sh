@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI job: build the whole tree with AddressSanitizer + UBSan and run the
 # complete test suite under it. Any sanitizer report aborts the run
-# (-fno-sanitize-recover=all) and fails the job.
+# (-fno-sanitize-recover=all) and fails the job. The concurrent tests also
+# run under ThreadSanitizer, in a build of their own.
 #
 # Usage: scripts/ci-sanitize.sh [build-dir]
 set -eu
@@ -31,6 +32,20 @@ for T in support_test ilp_test poly_test transform_test; do
   "$DEBUG_DIR/tests/$T" --gtest_brief=1
 done
 echo "ci-sanitize: Debug exact-core tests OK"
+
+# ThreadSanitizer over the tests that run compiles concurrently: batch
+# jobs, plutod workers and their sandboxes. Each compile runs on its
+# calling thread, so these runs need no pinned OpenMP thread count; the
+# variable is unset on purpose. TSan exits non-zero after any report.
+TSAN_DIR="$BUILD_DIR-tsan"
+TSAN_TESTS="deps_test service_test serve_test robustness_test"
+cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target $TSAN_TESTS
+for T in $TSAN_TESTS; do
+  (unset OMP_NUM_THREADS; "$TSAN_DIR/tests/$T" --gtest_brief=1)
+done
+echo "ci-sanitize: ThreadSanitizer tests OK"
 
 # Smoke-run the plutopp CLI under the same sanitizers: full pipeline with
 # diagnostics on (exercises the observe counters/trace allocation paths)

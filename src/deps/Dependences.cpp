@@ -13,10 +13,6 @@
 #include <functional>
 #include <set>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 using namespace pluto;
 
 const char *pluto::depKindName(DepKind K) {
@@ -137,18 +133,6 @@ DepKind kindOf(bool SrcWrite, bool DstWrite) {
   return DepKind::Input;
 }
 
-} // namespace
-
-namespace {
-
-/// One (src stmt, dst stmt, src access, dst access) quadruple of the
-/// dependence-pair worklist. Quadruples are independent of each other, so
-/// they can be processed on any thread; results are concatenated in task
-/// order to keep the output bit-identical to the serial loop.
-struct PairTask {
-  unsigned SI, TI, AI, BI;
-};
-
 /// Emptiness gate for one candidate polyhedron. A proven-empty candidate
 /// is discarded; a solve-budget abort (SolveStatus::Aborted inside the
 /// emptiness ILP) keeps the candidate - the conservative choice - but is
@@ -160,13 +144,12 @@ bool candidateEmpty(const ConstraintSystem &CS) {
   return F == ilp::Feasibility::Empty;
 }
 
-/// Emits the dependences of one access pair, in the same order the serial
-/// nest produced them (input; carried levels 1..Common; loop-independent).
-std::vector<Dependence> analyzePair(const Program &Prog,
-                                    const DepOptions &Opts, unsigned MaxRank,
-                                    const PairTask &Task) {
-  std::vector<Dependence> Out;
-  const unsigned SI = Task.SI, TI = Task.TI, AI = Task.AI, BI = Task.BI;
+/// Appends the dependences from access AI of statement SI to access BI of
+/// statement TI to Out, in the order input; carried levels 1..Common;
+/// loop-independent.
+void analyzePair(const Program &Prog, const DepOptions &Opts,
+                 unsigned MaxRank, unsigned SI, unsigned TI, unsigned AI,
+                 unsigned BI, std::vector<Dependence> &Out) {
   const Statement &S = Prog.Stmts[SI];
   const Statement &T = Prog.Stmts[TI];
   const Access &A = S.Accesses[AI];
@@ -179,21 +162,21 @@ std::vector<Dependence> analyzePair(const Program &Prog,
     // pair once, from the earlier (stmt, acc) index, and skip
     // scalar/self-reference noise.
     if (!Opts.IncludeInputDeps)
-      return Out;
+      return;
     // Each unordered pair once; the (acc, acc) self-pair is kept - it
     // captures self-temporal reuse of a reference (e.g. a[i][k] across j
     // iterations in matmul).
     if (std::make_pair(SI, AI) > std::make_pair(TI, BI))
-      return Out;
+      return;
     if (A.Map.numRows() == 0)
-      return Out; // Scalar RAR: no reuse direction to optimize.
+      return; // Scalar RAR: no reuse direction to optimize.
     if (A.Map.numRows() < MaxRank)
-      return Out; // Lower-rank reuse is asymptotically dominated.
+      return; // Lower-rank reuse is asymptotically dominated.
     DepBuilder DB(Prog, S, T);
     ConstraintSystem CS = DB.base();
     DB.addAccessEquality(CS, A, B);
     if (!CS.normalize() || candidateEmpty(CS))
-      return Out;
+      return;
     Dependence D;
     D.SrcStmt = SI;
     D.DstStmt = TI;
@@ -202,7 +185,7 @@ std::vector<Dependence> analyzePair(const Program &Prog,
     D.Kind = Kind;
     D.Poly = std::move(CS);
     Out.push_back(std::move(D));
-    return Out;
+    return;
   }
 
   DepBuilder DB(Prog, S, T);
@@ -230,7 +213,7 @@ std::vector<Dependence> analyzePair(const Program &Prog,
     DB.addAccessEquality(CS, A, B);
     DB.addLoopIndependentOrder(CS, Common);
     if (!CS.normalize() || candidateEmpty(CS))
-      return Out;
+      return;
     Dependence D;
     D.SrcStmt = SI;
     D.DstStmt = TI;
@@ -241,7 +224,6 @@ std::vector<Dependence> analyzePair(const Program &Prog,
     D.Poly = std::move(CS);
     Out.push_back(std::move(D));
   }
-  return Out;
 }
 
 /// True when E contains a Var/ArrayRef naming Name.
@@ -303,60 +285,25 @@ DependenceGraph pluto::computeDependences(const Program &Prog,
   for (const ArrayInfo &A : Prog.Arrays)
     MaxRank = std::max(MaxRank, A.Rank);
 
-  // Build the worklist of same-array access pairs in the serial iteration
-  // order; each quadruple is analyzed independently.
-  std::vector<PairTask> Tasks;
+  // Every same-array access pair is a candidate. Once the budget trips the
+  // remaining pairs are only counted.
+  uint64_t Candidates = 0;
   for (unsigned SI = 0; SI < Prog.Stmts.size(); ++SI)
     for (unsigned TI = 0; TI < Prog.Stmts.size(); ++TI)
       for (unsigned AI = 0; AI < Prog.Stmts[SI].Accesses.size(); ++AI)
-        for (unsigned BI = 0; BI < Prog.Stmts[TI].Accesses.size(); ++BI)
-          if (Prog.Stmts[SI].Accesses[AI].Array ==
+        for (unsigned BI = 0; BI < Prog.Stmts[TI].Accesses.size(); ++BI) {
+          if (Prog.Stmts[SI].Accesses[AI].Array !=
               Prog.Stmts[TI].Accesses[BI].Array)
-            Tasks.push_back({SI, TI, AI, BI});
-
-  std::vector<std::vector<Dependence>> Results(Tasks.size());
-#ifdef _OPENMP
-  // singleThreadMode(): forked sandbox workers must not re-enter the
-  // OpenMP runtime they inherited across fork.
-  if (!singleThreadMode() && Opts.NumThreads != 1 && Tasks.size() > 1) {
-    // The emptiness ILPs vary wildly in cost per pair: dynamic scheduling
-    // load-balances; per-task result slots keep the output deterministic.
-    // The compile budget is thread-local, so capture the calling thread's
-    // and install it in every OpenMP worker (its counters are atomic).
-    Budget *SharedBudget = activeBudget();
-#pragma omp parallel for schedule(dynamic, 1)                                  \
-    num_threads(Opts.NumThreads > 0 ? Opts.NumThreads : omp_get_max_threads())
-    for (long I = 0; I < static_cast<long>(Tasks.size()); ++I) {
-      ScopedBudget Install(SharedBudget);
-      Results[I] = budgetCharge()
-                       ? analyzePair(Prog, Opts, MaxRank, Tasks[I])
-                       : std::vector<Dependence>();
-    }
-  } else {
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      if (!budgetCharge())
-        break;
-      Results[I] = analyzePair(Prog, Opts, MaxRank, Tasks[I]);
-    }
-  }
-#else
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    if (!budgetCharge())
-      break;
-    Results[I] = analyzePair(Prog, Opts, MaxRank, Tasks[I]);
-  }
-#endif
-
-  for (std::vector<Dependence> &R : Results)
-    for (Dependence &D : R)
-      G.Deps.push_back(std::move(D));
+            continue;
+          ++Candidates;
+          if (budgetCharge())
+            analyzePair(Prog, Opts, MaxRank, SI, TI, AI, BI, G.Deps);
+        }
 
   tagReductions(Prog, G);
 
-  // Edge census, taken serially after the parallel region so collection
-  // never contends with the OpenMP pair loop.
   if (activeStats()) {
-    count(Counter::DepCandidates, Tasks.size());
+    count(Counter::DepCandidates, Candidates);
     std::set<unsigned> RedStmts;
     for (const Dependence &D : G.Deps)
       if (D.IsReduction)

@@ -102,10 +102,6 @@ struct DepOptions {
   /// parametric reuse bound on every hyperplane, and the cost function
   /// could no longer see the O(N^2) reuse on the matrix.
   bool IncludeInputDeps = true;
-  /// Worker threads for the per-access-pair loop: 0 uses the OpenMP
-  /// default, 1 forces serial execution. The result is bit-identical for
-  /// every thread count (pairs are emitted in the serial iteration order).
-  int NumThreads = 0;
 };
 
 /// Computes the dependence graph of Prog.

@@ -48,8 +48,9 @@ struct SolveLimits {
 };
 
 /// The process-wide budgets consulted by every solve. Reads are relaxed
-/// atomic loads, so dependence analysis may solve from OpenMP workers while
-/// the limits stay fixed; writers must not race with in-flight solves.
+/// atomic loads, so concurrent compiles (batch jobs, plutod workers) may
+/// solve while the limits stay fixed; writers must not race with in-flight
+/// solves.
 SolveLimits solveLimits();
 void setSolveLimits(const SolveLimits &L);
 

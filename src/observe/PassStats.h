@@ -13,13 +13,13 @@
 /// Collection is opt-in and zero-overhead when disabled: a single global
 /// `std::atomic<PassStats *>` is consulted with a relaxed load (a plain
 /// load on x86) at every count site, and the site is a no-op when it is
-/// null — which is the default. Counters are atomic because dependence
-/// analysis counts from inside an OpenMP parallel region and the service
-/// layer's compileRequests() runs whole pipelines on worker threads; pass
-/// timers accumulate through a CAS loop for the same reason. Hot loops
-/// never count per iteration: instrumentation sits at aggregation
-/// boundaries (end of a lexmin call, end of one FM elimination step) so
-/// the counted quantities are bulk-added.
+/// null — which is the default. Counters are atomic because the batch
+/// driver's compileRequests() and plutod's workers run whole pipelines on
+/// concurrent threads that share one sink; pass timers accumulate through
+/// a CAS loop for the same reason. Hot loops never count per iteration:
+/// instrumentation sits at aggregation boundaries (end of a lexmin call,
+/// end of one FM elimination step) so the counted quantities are
+/// bulk-added.
 ///
 /// The JSON schema emitted by toJson() is documented in DESIGN.md section 8.
 ///

@@ -10,8 +10,8 @@
 /// band tiled or wavefronted, and the final per-loop classification. Like
 /// PassStats, the trace is opt-in through a global pointer and free when
 /// disabled; unlike the counters it builds strings, so producers must guard
-/// message construction behind activeTrace() and only serial passes may
-/// record (the OpenMP dependence loop counts, it does not trace).
+/// message construction behind activeTrace(), and only a run that compiles
+/// one unit at a time may install one.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "observe/PassStats.h"
 #include "serve/Protocol.h"
 #include "service/Pipeline.h"
-#include "support/Budget.h"
 #include "support/FaultInjector.h"
 
 #include <cerrno>
@@ -117,10 +116,6 @@ std::string serveOne(const std::string &Line) {
 /// The child's whole life: read request lines off the socketpair, compile,
 /// write response lines, exit cleanly on EOF (the parent closed its end).
 [[noreturn]] void runChild(int Fd, const SandboxConfig &Cfg) {
-  // The fork inherited the parent's OpenMP runtime state, which is not
-  // usable in the child; every pass must stay on this one thread.
-  setSingleThreadMode(true);
-
   // Drop every inherited descriptor except the IPC socket and stdio: the
   // child must not hold the daemon's listen socket, wake pipe or client
   // connections open past their parent-side close.

@@ -30,9 +30,8 @@
 ///    the child-side limits cannot).
 ///
 /// The child compiles each request in a Pipeline session of its own, with
-/// no attached cache and in single-thread mode (a forked child must not
-/// re-enter the parent's OpenMP runtime); caching, keying and the crash
-/// circuit breaker stay in the parent (serve/Server.cpp).
+/// no attached cache; caching, keying and the crash circuit breaker stay in
+/// the parent (serve/Server.cpp).
 ///
 /// Fault sites (support/FaultInjector.h): `sandbox.spawn` fails the fork,
 /// `sandbox.abort` makes the child abort() on a request, `sandbox.hang`

@@ -28,8 +28,9 @@
 /// compiles are byte-identical by construction (the cache stores the exact
 /// emitted unit).
 ///
-/// A Pipeline is single-threaded (batch and daemon workers create one per
-/// request); the attached ResultCache is the shared, thread-safe component. See service/Batch.h
+/// A Pipeline is single-threaded and runs every stage on the calling thread
+/// (batch and daemon workers create one per request); the attached
+/// ResultCache is the shared, thread-safe component. See service/Batch.h
 /// for the concurrent driver on top.
 ///
 //===----------------------------------------------------------------------===//

@@ -8,10 +8,6 @@
 
 using namespace pluto;
 
-namespace {
-std::atomic<bool> GSingleThread{false};
-} // namespace
-
 BudgetLimits BudgetLimits::tightest(const BudgetLimits &A,
                                     const BudgetLimits &B) {
   auto Min = [](uint64_t X, uint64_t Y) {
@@ -29,7 +25,7 @@ BudgetLimits BudgetLimits::tightest(const BudgetLimits &A,
 }
 
 bool Budget::checkWall() {
-  if (Exhausted.load(std::memory_order_relaxed))
+  if (Exhausted)
     return false;
   if (!Limits.WallMs)
     return true;
@@ -41,12 +37,4 @@ bool Budget::checkWall() {
     return false;
   }
   return true;
-}
-
-void pluto::setSingleThreadMode(bool On) {
-  GSingleThread.store(On, std::memory_order_relaxed);
-}
-
-bool pluto::singleThreadMode() {
-  return GSingleThread.load(std::memory_order_relaxed);
 }

@@ -14,10 +14,9 @@
 /// The design follows the observe/PassStats active-sink idiom: hot code
 /// calls the free function budgetCharge(), which reads one thread-local
 /// pointer and is a single predictable branch when no budget is installed
-/// (the default - budgets-off runs pay nothing measurable). A Budget's
-/// counters are atomic, so one budget may be shared by every thread of an
-/// OpenMP region: capture activeBudget() before the parallel region and
-/// install it in each worker with ScopedBudget.
+/// (the default - budgets-off runs pay nothing measurable). A compile runs
+/// on the thread that asked for it, so a Budget is charged by that one
+/// thread and its counters are plain fields.
 ///
 /// Exhaustion is *sticky and cooperative*: once any limit trips, charge()
 /// returns false forever and the hot loop is expected to bail out fast,
@@ -27,17 +26,11 @@
 /// checks are throttled (one steady_clock read per ~64 work units) to keep
 /// charge() cheap.
 ///
-/// The same header hosts the process-wide single-thread mode flag used by
-/// sandbox worker children: forked children must not re-enter the parent's
-/// OpenMP runtime, so deps consults singleThreadMode() before going
-/// parallel.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PLUTOPP_SUPPORT_BUDGET_H
 #define PLUTOPP_SUPPORT_BUDGET_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -68,9 +61,9 @@ struct BudgetLimits {
   static BudgetLimits tightest(const BudgetLimits &A, const BudgetLimits &B);
 };
 
-/// One compile's budget: monotonically consumed, never reset. Thread-safe;
-/// meant to be installed thread-locally via ScopedBudget and consulted
-/// through budgetCharge()/budgetExhausted().
+/// One compile's budget: monotonically consumed, never reset. Not
+/// thread-safe; meant to be installed thread-locally via ScopedBudget and
+/// consulted through budgetCharge()/budgetExhausted().
 class Budget {
 public:
   explicit Budget(BudgetLimits L)
@@ -80,9 +73,9 @@ public:
   /// units). Returns false once the budget is exhausted - callers should
   /// unwind promptly, leaving whatever garbage state they have.
   bool charge(uint64_t N = 1) {
-    if (Exhausted.load(std::memory_order_relaxed))
+    if (Exhausted)
       return false;
-    uint64_t W = Work.fetch_add(N, std::memory_order_relaxed) + N;
+    uint64_t W = Work += N;
     if (Limits.MaxWorkUnits && W > Limits.MaxWorkUnits) {
       trip("work");
       return false;
@@ -94,9 +87,9 @@ public:
 
   /// Accounts Bytes of transient memory. Returns false once exhausted.
   bool chargeMemory(uint64_t Bytes) {
-    if (Exhausted.load(std::memory_order_relaxed))
+    if (Exhausted)
       return false;
-    uint64_t M = Memory.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+    uint64_t M = Memory += Bytes;
     if (Limits.MaxMemoryBytes && M > Limits.MaxMemoryBytes) {
       trip("memory");
       return false;
@@ -110,29 +103,25 @@ public:
   /// Marks the budget exhausted for Reason (a static string). Used by
   /// out-of-band detectors (bad_alloc handlers).
   void trip(const char *Why) {
-    const char *Expected = nullptr;
-    Reason.compare_exchange_strong(Expected, Why, std::memory_order_relaxed);
-    Exhausted.store(true, std::memory_order_relaxed);
+    if (!Reason)
+      Reason = Why;
+    Exhausted = true;
   }
 
-  bool exhausted() const { return Exhausted.load(std::memory_order_relaxed); }
+  bool exhausted() const { return Exhausted; }
   /// "work", "memory" or "wall-clock"; null while not exhausted.
-  const char *reason() const {
-    return Reason.load(std::memory_order_relaxed);
-  }
-  uint64_t workUsed() const { return Work.load(std::memory_order_relaxed); }
-  uint64_t memoryUsed() const {
-    return Memory.load(std::memory_order_relaxed);
-  }
+  const char *reason() const { return Reason; }
+  uint64_t workUsed() const { return Work; }
+  uint64_t memoryUsed() const { return Memory; }
   const BudgetLimits &limits() const { return Limits; }
 
 private:
   BudgetLimits Limits;
   std::chrono::steady_clock::time_point Start;
-  std::atomic<uint64_t> Work{0};
-  std::atomic<uint64_t> Memory{0};
-  std::atomic<bool> Exhausted{false};
-  std::atomic<const char *> Reason{nullptr};
+  uint64_t Work = 0;
+  uint64_t Memory = 0;
+  bool Exhausted = false;
+  const char *Reason = nullptr;
 };
 
 namespace detail {
@@ -180,12 +169,6 @@ inline bool budgetExhausted() {
   Budget *B = detail::ActiveBudget;
   return B && B->exhausted();
 }
-
-/// Process-wide single-thread mode: set in forked sandbox workers, whose
-/// inherited OpenMP runtime state is not usable after fork. Passes that
-/// would spawn threads (the dependence census) run serially when set.
-void setSingleThreadMode(bool On);
-bool singleThreadMode();
 
 } // namespace pluto
 

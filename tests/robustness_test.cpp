@@ -180,14 +180,6 @@ TEST(BudgetTest, ScopedBudgetInstallsAndRestores) {
   EXPECT_EQ(activeBudget(), nullptr);
 }
 
-TEST(BudgetTest, SingleThreadModeFlag) {
-  EXPECT_FALSE(singleThreadMode());
-  setSingleThreadMode(true);
-  EXPECT_TRUE(singleThreadMode());
-  setSingleThreadMode(false);
-  EXPECT_FALSE(singleThreadMode());
-}
-
 //===----------------------------------------------------------------------===//
 // StatusCode taxonomy: names, exit codes, aggregation
 //===----------------------------------------------------------------------===//
