@@ -27,9 +27,46 @@
 
 namespace pluto {
 
-/// Appends the JSON escape of S (no surrounding quotes) to Out.
+namespace detail {
+/// The length of the well-formed UTF-8 sequence (RFC 3629: no overlong
+/// form, no surrogate, nothing above U+10FFFF) that starts at S[I], or 0
+/// when the byte there starts none.
+inline size_t utf8SequenceLength(const std::string &S, size_t I) {
+  auto Byte = [&](size_t K) -> unsigned {
+    return I + K < S.size() ? static_cast<unsigned char>(S[I + K]) : 0;
+  };
+  unsigned Lead = Byte(0);
+  size_t Len = 0;
+  unsigned Lo = 0x80, Hi = 0xBF; // Bounds of the second byte.
+  if (Lead >= 0xC2 && Lead <= 0xDF) {
+    Len = 2;
+  } else if (Lead >= 0xE0 && Lead <= 0xEF) {
+    Len = 3;
+    Lo = Lead == 0xE0 ? 0xA0 : Lo;
+    Hi = Lead == 0xED ? 0x9F : Hi;
+  } else if (Lead >= 0xF0 && Lead <= 0xF4) {
+    Len = 4;
+    Lo = Lead == 0xF0 ? 0x90 : Lo;
+    Hi = Lead == 0xF4 ? 0x8F : Hi;
+  } else {
+    return 0;
+  }
+  for (size_t K = 1; K < Len; ++K) {
+    if (Byte(K) < Lo || Byte(K) > Hi)
+      return 0;
+    Lo = 0x80;
+    Hi = 0xBF;
+  }
+  return Len;
+}
+} // namespace detail
+
+/// Appends the JSON escape of S (no surrounding quotes) to Out. The result
+/// is valid UTF-8: well-formed sequences pass through byte for byte, and
+/// every byte that starts none becomes U+FFFD.
 inline void appendJsonEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
+  for (size_t I = 0; I < S.size(); ++I) {
+    char C = S[I];
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -47,13 +84,18 @@ inline void appendJsonEscaped(std::string &Out, const std::string &S) {
       Out += "\\t";
       break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20) {
+      if (static_cast<signed char>(C) >= 0x20) { // Printable ASCII.
+        Out += C;
+      } else if (static_cast<unsigned char>(C) < 0x20) {
         char Buf[8];
         std::snprintf(Buf, sizeof(Buf), "\\u%04x",
                       static_cast<unsigned>(static_cast<unsigned char>(C)));
         Out += Buf;
+      } else if (size_t Len = detail::utf8SequenceLength(S, I)) {
+        Out.append(S, I, Len);
+        I += Len - 1;
       } else {
-        Out += C;
+        Out += "\xEF\xBF\xBD"; // U+FFFD REPLACEMENT CHARACTER
       }
     }
   }

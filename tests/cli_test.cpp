@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -212,6 +213,30 @@ private:
   }
 };
 
+/// True when S is well-formed UTF-8 (RFC 3629): no stray continuation
+/// byte, no truncated or overlong sequence, no surrogate, nothing above
+/// U+10FFFF.
+bool validUtf8(const std::string &S) {
+  for (size_t I = 0; I < S.size();) {
+    unsigned char Lead = S[I++];
+    if (Lead < 0x80)
+      continue;
+    int Extra = Lead >= 0xF0 ? 3 : Lead >= 0xE0 ? 2 : Lead >= 0xC0 ? 1 : -1;
+    if (Extra < 0 || Lead > 0xF4)
+      return false;
+    uint32_t Cp = Lead & (0x3F >> Extra);
+    for (int K = 0; K < Extra; ++K, ++I) {
+      if (I >= S.size() || (static_cast<unsigned char>(S[I]) & 0xC0) != 0x80)
+        return false;
+      Cp = Cp << 6 | (S[I] & 0x3F);
+    }
+    const uint32_t Min[] = {0, 0x80, 0x800, 0x10000};
+    if (Cp < Min[Extra] || Cp > 0x10FFFF || (Cp >= 0xD800 && Cp <= 0xDFFF))
+      return false;
+  }
+  return true;
+}
+
 /// Reads the numeric value following `"Key": ` (first occurrence).
 double numberAfterKey(const std::string &J, const std::string &Key) {
   size_t At = J.find("\"" + Key + "\": ");
@@ -251,6 +276,12 @@ TEST(CliTest, ErrorExitCodes) {
   EXPECT_EQ(runCli(Bad).ExitCode, 2);
   std::remove(Bad.c_str());
   EXPECT_EQ(runCli("--help").ExitCode, 0);
+  // A directory is not an input: it cannot be opened, like a missing file.
+  std::string Dir = std::string(PLUTOPP_EXAMPLES_DIR) + "/";
+  RunResult R = runCli(Dir + " 2>&1");
+  EXPECT_EQ(R.ExitCode, 1);
+  EXPECT_NE(R.Stdout.find("cannot open '" + Dir + "'"), std::string::npos)
+      << R.Stdout;
 }
 
 // One compile of a file with three distinct problems must surface all
@@ -279,6 +310,22 @@ TEST(CliTest, MultiErrorSourceReportsEveryDiagnostic) {
   EXPECT_NE(R.Stdout.find("\"diagnostics\": ["), std::string::npos);
   EXPECT_NE(R.Stdout.find("\"line\": 2"), std::string::npos);
   EXPECT_NE(R.Stdout.find("\"severity\": \"error\""), std::string::npos);
+  std::remove(Bad.c_str());
+}
+
+// The lexer reports non-ASCII source one byte at a time; the JSON report
+// that quotes those bytes must still be valid UTF-8.
+TEST(CliTest, ReportOfNonAsciiSourceIsValidUtf8) {
+  std::string Bad = tempPath("_utf8.c");
+  {
+    std::ofstream Out(Bad);
+    Out << "for (i = 0; i < N; i++) { a[i] = \xC3\xA9; }\n";
+  }
+  RunResult R = runCli("--report=json " + Bad);
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_TRUE(JsonChecker(R.Stdout).valid()) << R.Stdout;
+  EXPECT_NE(R.Stdout.find("\"diagnostics\": ["), std::string::npos);
+  EXPECT_TRUE(validUtf8(R.Stdout)) << R.Stdout;
   std::remove(Bad.c_str());
 }
 
@@ -459,10 +506,33 @@ TEST(CliTest, ReportJsonCarriesSchemaVersion) {
 }
 
 TEST(CliTest, OutWithMultipleInputsRejected) {
+  namespace fs = std::filesystem;
   RunResult R = runCli("--out=" + tempPath("_multi.c") + " " +
                        examplePath("matmul.c") + " " +
                        examplePath("jacobi1d.c"));
   EXPECT_EQ(R.ExitCode, 2);
+
+  // Two inputs that share a stem would write one --out-dir file: both
+  // clients refuse, name both inputs, and write nothing.
+  std::string A = tempPath("_stem_a"), B = tempPath("_stem_b");
+  fs::create_directories(A);
+  fs::create_directories(B);
+  fs::copy_file(examplePath("matmul.c"), A + "/k.c");
+  fs::copy_file(examplePath("jacobi1d.c"), B + "/k.c");
+  std::string Dir = tempPath("_stem_out");
+  std::string Args = "--out-dir=" + Dir + " " + A + "/k.c " + B + "/k.c";
+  std::string Socket = "--socket=" + tempPath("_no_daemon.sock") + " ";
+  for (const RunResult &Run :
+       {runCli(Args + " 2>&1"),
+        runTool(PLUTOCTL_PATH, Socket + Args + " 2>&1")}) {
+    EXPECT_EQ(Run.ExitCode, 2) << Run.Stdout;
+    EXPECT_NE(Run.Stdout.find("'" + A + "/k.c' and '" + B + "/k.c'"),
+              std::string::npos)
+        << Run.Stdout;
+  }
+  EXPECT_FALSE(fs::exists(Dir));
+  fs::remove_all(A);
+  fs::remove_all(B);
 }
 
 // The service path end to end: concurrent batch over every example kernel

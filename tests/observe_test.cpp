@@ -156,6 +156,16 @@ TEST(TraceTest, JsonEscapesMessages) {
   EXPECT_NE(J.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(J.find("\\n"), std::string::npos);
   EXPECT_NE(J.find("\\\\"), std::string::npos);
+
+  // Every byte that starts no well-formed UTF-8 sequence becomes U+FFFD: a
+  // lone lead byte, the two bytes of a truncated sequence, the two bytes of
+  // an overlong '/'. A valid 'é' passes through unchanged.
+  T.record("test", "\xC3|\xE2\x82|\xC0\xAF|\xC3\xA9");
+  J = T.toJson();
+  const std::string R = "\xEF\xBF\xBD";
+  EXPECT_NE(J.find(R + "|" + R + R + "|" + R + R + "|\xC3\xA9"),
+            std::string::npos)
+      << J;
 }
 
 //===----------------------------------------------------------------------===//

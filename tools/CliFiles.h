@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 
@@ -28,7 +29,7 @@ namespace pluto::cli {
 
 /// One request per path in Paths under Opts and Budget, or a single
 /// `<stdin>` unit when Paths is empty. nullopt when a path cannot be
-/// opened.
+/// opened or names a directory.
 inline std::optional<std::vector<CompileRequest>>
 readInputs(const char *Tool, const std::vector<std::string> &Paths,
            const PlutoOptions &Opts, const BudgetLimits &Budget) {
@@ -41,8 +42,9 @@ readInputs(const char *Tool, const std::vector<std::string> &Paths,
   if (Paths.empty())
     Units.push_back(Unit("<stdin>", std::cin));
   for (const std::string &Path : Paths) {
+    std::error_code Ec;
     std::ifstream In(Path);
-    if (!In) {
+    if (!In || std::filesystem::is_directory(Path, Ec)) {
       std::fprintf(stderr, "%s: cannot open '%s'\n", Tool, Path.c_str());
       return std::nullopt;
     }
@@ -68,6 +70,23 @@ inline std::string outDirPath(const std::string &Dir,
                               const std::string &Name) {
   std::string Stem = std::filesystem::path(Name).stem().string();
   return Dir + "/" + (Stem.empty() ? "unit" : Stem) + ".pluto.c";
+}
+
+/// False, after naming both inputs on stderr, when two of Paths would
+/// write the same --out-dir file. That is a bad request (exit 2), caught
+/// before any input is read.
+inline bool distinctOutDirPaths(const char *Tool, const std::string &Dir,
+                                const std::vector<std::string> &Paths) {
+  std::map<std::string, const std::string *> Owner;
+  for (const std::string &Path : Paths) {
+    auto [It, Fresh] = Owner.emplace(outDirPath(Dir, Path), &Path);
+    if (!Fresh) {
+      std::fprintf(stderr, "%s: '%s' and '%s' would both write '%s'\n", Tool,
+                   It->second->c_str(), Path.c_str(), It->first.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Writes Text to Path, replacing it.

@@ -263,6 +263,9 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "plutoctl: %s\n", V.error().c_str());
     return 2;
   }
+  if (!OutDir.empty() &&
+      !cli::distinctOutDirPaths("plutoctl", OutDir, Inputs))
+    return 2;
 
   // The compile path reads every input and creates --out-dir before the
   // daemon is contacted, as plutopp does.

@@ -182,6 +182,9 @@ int main(int argc, char **argv) {
                  "--out-dir\n");
     return 2;
   }
+  if (!OutDir.empty() &&
+      !cli::distinctOutDirPaths("plutopp", OutDir, InputPaths))
+    return 2;
   if (Tune && (InputPaths.size() > 1 || !OutDir.empty())) {
     std::fprintf(stderr,
                  "plutopp: --tune takes a single input (and --out, not "
