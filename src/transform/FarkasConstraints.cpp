@@ -32,7 +32,8 @@ bool isConstantRow(const std::vector<BigInt> &Row) {
 
 } // namespace
 
-FarkasDomain::FarkasDomain(const Dependence &D) : Dep(D) {
+FarkasDomain::FarkasDomain(const Dependence &D, FarkasConeCache &Cones)
+    : Dep(D) {
   unsigned NX = D.Poly.numVars();
   IntMatrix Ineqs = D.Poly.ineqs(), Eqs = D.Poly.eqs();
   // Row I < NX of X expresses x_I over the dimensions not yet substituted
@@ -105,45 +106,40 @@ FarkasDomain::FarkasDomain(const Dependence &D) : Dep(D) {
     Poly.addIneq(std::move(Kept.row(R)));
   for (unsigned R = 0; R < Eqs.numRows(); ++R)
     Poly.addEq(std::move(Eqs.row(R)));
+  Cone = &Cones.coneOf(Poly);
 }
 
-ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
-                                        const IntMatrix &FormCoeffs,
-                                        unsigned NumLayoutVars) {
-  const ConstraintSystem &DepPoly = Dom.Poly;
-  unsigned NX = DepPoly.numVars();
-  assert(FormCoeffs.numRows() == Dom.Dep.Poly.numVars() + 1 &&
-         "one coefficient row per dependence dim plus the constant");
-  assert(FormCoeffs.numCols() == NumLayoutVars + 1 &&
-         "coefficient rows are affine over the layout variables");
-  // The form over the compressed dimensions.
-  IntMatrix Form = Dom.FormMap * FormCoeffs;
+const FarkasCone &FarkasConeCache::coneOf(const ConstraintSystem &Poly) {
+  unsigned NZ = Poly.numVars() + 1; // A form's coefficients over (y, 1).
+  unsigned NumIneq = Poly.numIneqs(), NumEq = Poly.numEqs();
+  // The key: the width and inequality count, then every row in order.
+  std::vector<BigInt> Key = {BigInt(NZ), BigInt(NumIneq)};
+  Key.reserve(2 + (NumIneq + NumEq) * NZ);
+  for (const IntMatrix *M : {&Poly.ineqs(), &Poly.eqs()})
+    for (unsigned R = 0; R < M->numRows(); ++R)
+      Key.insert(Key.end(), M->row(R).begin(), M->row(R).end());
+  auto [It, Fresh] = Cones.try_emplace(std::move(Key));
+  if (!Fresh)
+    return It->second;
 
-  unsigned NumIneq = DepPoly.numIneqs();
-  unsigned NumEq = DepPoly.numEqs();
   // Multipliers: lambda0, one per inequality, a +/- pair per equality.
   unsigned NumLambda = 1 + NumIneq + 2 * NumEq;
-  unsigned V = NumLayoutVars + NumLambda;
-  unsigned L0 = NumLayoutVars; // Column of lambda0.
-
+  unsigned V = NZ + NumLambda;
+  unsigned L0 = NZ; // Column of lambda0.
   ConstraintSystem Sys(V);
-
-  // Coefficient-matching equalities: for each dependence-space column v,
-  //   sum_k lambda_k * A[k][v] - Form_v(layout) == 0,
-  // and for the constant column,
-  //   lambda0 + sum_k lambda_k * b_k - Form_const(layout) == 0.
-  for (unsigned X = 0; X <= NX; ++X) {
+  // Coefficient matching for the identity form: for each column X of
+  // (y, 1), sum_k lambda_k * A[k][X] - z_X == 0, plus lambda0 in the
+  // constant column.
+  for (unsigned X = 0; X < NZ; ++X) {
     std::vector<BigInt> Row(V + 1, BigInt(0));
-    for (unsigned C = 0; C < NumLayoutVars; ++C)
-      Row[C] = -Form(X, C);
-    Row[V] = -Form(X, NumLayoutVars);
-    if (X == NX)
+    Row[X] = BigInt(-1);
+    if (X + 1 == NZ)
       Row[L0] = BigInt(1);
     for (unsigned K = 0; K < NumIneq; ++K)
-      Row[L0 + 1 + K] = DepPoly.ineqs()(K, X);
+      Row[L0 + 1 + K] = Poly.ineqs()(K, X);
     for (unsigned E = 0; E < NumEq; ++E) {
-      Row[L0 + 1 + NumIneq + 2 * E] = DepPoly.eqs()(E, X);
-      Row[L0 + 1 + NumIneq + 2 * E + 1] = -DepPoly.eqs()(E, X);
+      Row[L0 + 1 + NumIneq + 2 * E] = Poly.eqs()(E, X);
+      Row[L0 + 1 + NumIneq + 2 * E + 1] = -Poly.eqs()(E, X);
     }
     Sys.addEq(std::move(Row));
   }
@@ -155,7 +151,38 @@ ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
   }
   // Eliminate the multipliers: the coefficient-matching equalities
   // substitute most of them exactly; the rest fall to Fourier-Motzkin.
-  Sys.projectOut(NumLayoutVars, NumLambda);
+  Sys.projectOut(NZ, NumLambda);
+  // Every row is homogeneous, so the constant column is zero; drop it.
+  FarkasCone &Cone = It->second;
+  Cone.Ineqs = IntMatrix(NZ);
+  Cone.Eqs = IntMatrix(NZ);
+  for (auto [From, To] : {std::pair(&Sys.ineqs(), &Cone.Ineqs),
+                          std::pair(&Sys.eqs(), &Cone.Eqs)})
+    for (unsigned R = 0; R < From->numRows(); ++R) {
+      std::vector<BigInt> Row = From->row(R);
+      assert(Row.back().isZero() && "the cone's rows are homogeneous");
+      Row.pop_back();
+      To->addRow(std::move(Row));
+    }
+  return Cone;
+}
+
+ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
+                                        const IntMatrix &FormCoeffs,
+                                        unsigned NumLayoutVars) {
+  assert(FormCoeffs.numRows() == Dom.Dep.Poly.numVars() + 1 &&
+         "one coefficient row per dependence dim plus the constant");
+  assert(FormCoeffs.numCols() == NumLayoutVars + 1 &&
+         "coefficient rows are affine over the layout variables");
+  // The form's coefficients over (y, 1), then the cone's rows applied to
+  // them: the multipliers are already eliminated.
+  IntMatrix Form = Dom.FormMap * FormCoeffs;
+  IntMatrix Ineqs = Dom.Cone->Ineqs * Form, Eqs = Dom.Cone->Eqs * Form;
+  ConstraintSystem Sys(NumLayoutVars);
+  for (unsigned R = 0; R < Ineqs.numRows(); ++R)
+    Sys.addIneq(std::move(Ineqs.row(R)));
+  for (unsigned R = 0; R < Eqs.numRows(); ++R)
+    Sys.addEq(std::move(Eqs.row(R)));
   Sys.normalize();
   return Sys;
 }
@@ -200,33 +227,44 @@ void addBoundingForm(IntMatrix &M, const Dependence &D, const Program &Prog,
 
 } // namespace
 
-ConstraintSystem pluto::legalityConstraints(const FarkasDomain &Dom,
-                                            const Program &Prog,
-                                            const VarLayout &Layout) {
-  const Dependence &D = Dom.Dep;
+IntMatrix pluto::legalityForm(const Dependence &D, const Program &Prog,
+                              const VarLayout &Layout) {
   assert(D.isLegalityDep() && "input dependences impose no legality");
-  IntMatrix Form = deltaCoeffs(D, Prog, Layout, /*Sign=*/+1);
-  return farkasEliminate(Dom, Form, Layout.numVars());
+  return deltaCoeffs(D, Prog, Layout, /*Sign=*/+1);
 }
 
-ConstraintSystem pluto::boundingConstraints(const FarkasDomain &Dom,
+std::vector<IntMatrix> pluto::boundingForms(const Dependence &D,
                                             const Program &Prog,
                                             const VarLayout &Layout) {
-  const Dependence &D = Dom.Dep;
   // Input dependences use the secondary bounding pair (ur, wr).
   bool IsInput = D.Kind == DepKind::Input;
   unsigned UOff = IsInput ? Layout.uRarOffset() : Layout.uOffset();
   unsigned WOff = IsInput ? Layout.wRarOffset() : Layout.wOffset();
   // u.p + w - delta >= 0 on P_e.
-  IntMatrix Upper = deltaCoeffs(D, Prog, Layout, /*Sign=*/-1);
-  addBoundingForm(Upper, D, Prog, UOff, WOff);
-  ConstraintSystem Sys = farkasEliminate(Dom, Upper, Layout.numVars());
-  if (IsInput) {
-    // Input dependences may have negative components in the transformed
-    // space: bound from below as well (paper Section 4.1).
-    IntMatrix Lower = deltaCoeffs(D, Prog, Layout, /*Sign=*/+1);
-    addBoundingForm(Lower, D, Prog, UOff, WOff);
-    Sys.append(farkasEliminate(Dom, Lower, Layout.numVars()));
+  std::vector<IntMatrix> Forms = {deltaCoeffs(D, Prog, Layout, /*Sign=*/-1)};
+  // Input dependences may have negative components in the transformed
+  // space: bound from below as well (paper Section 4.1).
+  if (IsInput)
+    Forms.push_back(deltaCoeffs(D, Prog, Layout, /*Sign=*/+1));
+  for (IntMatrix &F : Forms)
+    addBoundingForm(F, D, Prog, UOff, WOff);
+  return Forms;
+}
+
+ConstraintSystem pluto::legalityConstraints(const FarkasDomain &Dom,
+                                            const Program &Prog,
+                                            const VarLayout &Layout) {
+  return farkasEliminate(Dom, legalityForm(Dom.Dep, Prog, Layout),
+                         Layout.numVars());
+}
+
+ConstraintSystem pluto::boundingConstraints(const FarkasDomain &Dom,
+                                            const Program &Prog,
+                                            const VarLayout &Layout) {
+  std::vector<IntMatrix> Forms = boundingForms(Dom.Dep, Prog, Layout);
+  ConstraintSystem Sys = farkasEliminate(Dom, Forms[0], Layout.numVars());
+  if (Forms.size() > 1) {
+    Sys.append(farkasEliminate(Dom, Forms[1], Layout.numVars()));
     Sys.normalize();
   }
   return Sys;

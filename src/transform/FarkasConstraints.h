@@ -15,18 +15,31 @@
 ///    (and the mirrored form for input dependences, Section 4.1).
 ///
 /// A non-negative affine form over a polyhedron is a non-negative
-/// combination of the polyhedron's faces (Farkas); equating coefficients
-/// yields equalities linking the transformation coefficients c, the bounding
-/// coefficients (u, w) and the Farkas multipliers lambda. The multipliers
-/// are then eliminated (Gaussian substitution + Fourier-Motzkin), leaving
-/// constraints purely over the global ILP variables.
+/// combination of the polyhedron's faces (Farkas). Equating coefficients
+/// links a form's coefficient vector z to the Farkas multipliers lambda;
+/// eliminating the multipliers (Gaussian substitution + Fourier-Motzkin)
+/// leaves the cone of the forms that are non-negative on the polyhedron,
+/// H.z >= 0 and G.z == 0 (FarkasCone). The forms here have coefficients
+/// affine in the global ILP variables v, z = F.(v, 1), so each legality or
+/// bounding form gets its constraints, H.F.(v, 1) >= 0 and G.F.(v, 1) == 0,
+/// from one matrix product (DESIGN.md section 7.2).
+///
+/// The product is exact: projecting the multipliers out commutes with the
+/// substitution z = F.(v, 1), as both sides are {v : F.(v, 1) in the cone}.
+/// The forms have no constant term, so every row of either formulation is
+/// homogeneous and normalize()'s gcd tightening never acts in either one:
+/// the lexmin sees the integer set a fresh elimination per form gives. The
+/// multipliers depend only on the polyhedron, so a schedule search computes
+/// one cone per distinct polyhedron (FarkasConeCache, keyed by its full
+/// rows) and shares it among every form of every dependence on it.
 ///
 /// The lemma is applied to the dependence polyhedron after its equalities
-/// are compressed out (FarkasDomain, DESIGN.md section 7.2): an equality
-/// with a +-1 coefficient substitutes that variable away instead of adding
-/// a +-multiplier pair, and inequalities that then coincide collapse. The
-/// rational polyhedron is unchanged, so the constraints describe the same
-/// set; each dependence is compressed once for all of its forms.
+/// are compressed out (FarkasDomain): an equality with a +-1 coefficient
+/// substitutes that variable away instead of adding a +-multiplier pair,
+/// and inequalities that then coincide collapse. The rational polyhedron is
+/// unchanged, so the constraints describe the same set; compression also
+/// makes dependences that differ only in their substituted dimensions
+/// share a cone.
 ///
 /// Global variable layout (lexmin order, paper eq. (5)):
 ///   [ ur_1..ur_np | wr | u_1..u_np | w | c^{S1}_m1..c^{S1}_1, c^{S1}_0 |...]
@@ -53,6 +66,8 @@
 
 #include "deps/Dependences.h"
 #include "ir/Program.h"
+
+#include <map>
 
 namespace pluto {
 
@@ -89,6 +104,34 @@ private:
   unsigned Total;
 };
 
+/// The Farkas cone of a compressed dependence polyhedron P over y
+/// (DESIGN.md section 7.2): the coefficient vectors z = (z_y, z_1) of the
+/// affine forms z_y.y + z_1 that are non-negative on P, as Ineqs.z >= 0 and
+/// Eqs.z == 0 (one column per entry of z, no constant column: every row is
+/// homogeneous). By the affine Farkas lemma these forms are the
+/// non-negative combinations of P's faces and of the constant 1; the cone
+/// is that coefficient-matching system with the multipliers projected out,
+/// the set isl computes with isl_basic_set_coefficients.
+struct FarkasCone {
+  IntMatrix Ineqs;
+  IntMatrix Eqs;
+};
+
+/// The Farkas cones of one schedule search, each computed once per distinct
+/// compressed polyhedron. The key is the polyhedron's full rows, so two
+/// polyhedra share a cone only when they are equal row for row.
+class FarkasConeCache {
+public:
+  /// The cone of Poly, computed on first request. The reference stays
+  /// valid for the cache's lifetime.
+  const FarkasCone &coneOf(const ConstraintSystem &Poly);
+  /// The number of cones computed so far.
+  size_t size() const { return Cones.size(); }
+
+private:
+  std::map<std::vector<BigInt>, FarkasCone> Cones;
+};
+
 /// A dependence polyhedron prepared for Farkas elimination (DESIGN.md
 /// section 7.2). Each equality of D.Poly with a +-1 coefficient (after
 /// division by the gcd of its entries) substitutes that dependence-space
@@ -100,7 +143,8 @@ private:
 /// multipliers. Equalities with no unit coefficient stay and keep their
 /// multiplier pairs. D.Poly itself is left as it is.
 struct FarkasDomain {
-  explicit FarkasDomain(const Dependence &D);
+  /// Compresses D.Poly and looks its cone up in (or adds it to) Cones.
+  FarkasDomain(const Dependence &D, FarkasConeCache &Cones);
 
   /// The dependence; it must outlive the domain.
   const Dependence &Dep;
@@ -110,7 +154,20 @@ struct FarkasDomain {
   /// Maps the coefficient rows of a form over [src iters | dst iters |
   /// params | 1] to its coefficient rows over (y, 1): FormMap * Rows.
   IntMatrix FormMap;
+  /// The cone of Poly, owned by the cache the domain was built with.
+  const FarkasCone *Cone = nullptr;
 };
+
+/// The coefficient rows, as farkasEliminate takes them, of the form that
+/// legality (paper eq. (2)) needs non-negative on D.Poly: delta_e.
+IntMatrix legalityForm(const Dependence &D, const Program &Prog,
+                       const VarLayout &Layout);
+
+/// The coefficient rows of the forms that cost bounding (paper eq. (4))
+/// needs non-negative on D.Poly: u.p + w - delta_e, and for an input
+/// dependence also u.p + w + delta_e, over its own (ur, wr) (Sec. 4.1).
+std::vector<IntMatrix> boundingForms(const Dependence &D, const Program &Prog,
+                                     const VarLayout &Layout);
 
 /// Constraints (over Layout variables) making phi legal for dependence
 /// Dom.Dep (paper eq. (2)), via Farkas elimination on Dom.Poly.
@@ -126,7 +183,9 @@ ConstraintSystem boundingConstraints(const FarkasDomain &Dom,
 
 /// Shared engine: given an affine form over the dependence space whose
 /// coefficients are themselves affine in the layout variables, produce the
-/// layout-variable constraints equivalent to "form >= 0 on Dom.Dep.Poly".
+/// layout-variable constraints equivalent to "form >= 0 on Dom.Dep.Poly":
+/// with F = Dom.FormMap * FormCoeffs, the form's coefficients over (y, 1),
+/// the rows Cone.Ineqs * F >= 0 and Cone.Eqs * F == 0, normalized.
 /// FormCoeffs has one row per dependence-space column (src iters, dst
 /// iters, params, constant); each row is over [layout vars | 1].
 ConstraintSystem farkasEliminate(const FarkasDomain &Dom,

@@ -215,7 +215,7 @@ private:
   /// Constraint material shared by every hyperplane query of the current
   /// band. The active dependence set is fixed within a band (anything
   /// satisfied at or after BandStart stays active), so the per-dependence
-  /// Farkas eliminations, the assembled core system and the warm solver's
+  /// Farkas systems, the assembled core system and the warm solver's
   /// tableau snapshot are all reusable until the next cut.
   struct BandCache {
     bool Valid = false;
@@ -226,6 +226,9 @@ private:
     ilp::LexMinSolver Warm;
   };
   BandCache Cache;
+  /// The Farkas cones of every band of this search, one per distinct
+  /// compressed dependence polyhedron.
+  FarkasConeCache Cones;
 
   bool needsMoreIndependentRows() const {
     for (unsigned S = 0; S < Prog.Stmts.size(); ++S)
@@ -309,13 +312,13 @@ private:
       if (D.Kind == DepKind::Input) {
         // Input deps always participate (cost bounding only).
         Cache.Deps.push_back({&D, ConstraintSystem(Layout.numVars()),
-                              boundingConstraints(FarkasDomain(D), Prog,
-                                                  Layout)});
+                              boundingConstraints(FarkasDomain(D, Cones),
+                                                  Prog, Layout)});
         continue;
       }
       if (!isActive(D))
         continue;
-      FarkasDomain Dom(D);
+      FarkasDomain Dom(D, Cones);
       Cache.Deps.push_back({&D, legalityConstraints(Dom, Prog, Layout),
                             boundingConstraints(Dom, Prog, Layout)});
     }

@@ -8,13 +8,15 @@
 // bounding (Sec. 7), and structural properties (bands, parallelism,
 // legality) on the other kernels. The Farkas systems built on the
 // equality-compressed dependence polyhedra are checked against the
-// textbook formulation with a multiplier pair per equality.
+// textbook formulation with a multiplier pair per equality, and the cone
+// product against a fresh multiplier elimination per form.
 //
 //===----------------------------------------------------------------------===//
 
 #include "transform/PlutoTransform.h"
 
 #include "driver/Kernels.h"
+#include "observe/PassStats.h"
 #include "parser/Parser.h"
 #include "transform/FarkasConstraints.h"
 
@@ -348,7 +350,9 @@ bool impliesAll(const ConstraintSystem &By, const ConstraintSystem &Of) {
   return true;
 }
 
-TEST(FarkasTest, CompressedSystemsMatchSplitEqualityFormulation) {
+/// The units the Farkas tests sweep: examples/*.c, the 15 Kernels.h
+/// kernels and a strided unit, as (name, source) pairs.
+std::vector<std::pair<std::string, std::string>> farkasUnits() {
   std::vector<std::pair<std::string, std::string>> Units;
   std::vector<fs::path> Examples;
   for (const auto &E : fs::directory_iterator(PLUTOPP_EXAMPLES_DIR))
@@ -381,20 +385,38 @@ TEST(FarkasTest, CompressedSystemsMatchSplitEqualityFormulation) {
                                 "    a[2*i+3*j] = a[2*i+3*j+6] + 1.0;\n"
                                 "for (k = 0; k < N; k++)\n"
                                 "  b[k] = a[2*k] + a[k];\n");
+  return Units;
+}
 
+/// Src parsed, with every parameter bounded below by 4.
+Program parseBounded(const std::string &Src) {
+  ParseResult Parsed = parseSourceDiags(Src);
+  EXPECT_TRUE(Parsed.ok()) << joinDiagnostics(Parsed.Diags);
+  if (!Parsed.ok())
+    return Program();
+  Program Prog = Parsed.Program->Prog;
+  for (const std::string &Param : Prog.ParamNames)
+    Prog.addContextBound(Param, 4);
+  return Prog;
+}
+
+std::string depName(const std::string &Unit, const Dependence &D) {
+  return Unit + ": " + depKindName(D.Kind) + " S" +
+         std::to_string(D.SrcStmt) + " -> S" + std::to_string(D.DstStmt) +
+         " at level " + std::to_string(D.CarryLevel);
+}
+
+TEST(FarkasTest, CompressedSystemsMatchSplitEqualityFormulation) {
   unsigned Systems = 0, KeptEqualities = 0;
-  for (const auto &[Name, Src] : Units) {
-    ParseResult Parsed = parseSourceDiags(Src);
-    ASSERT_TRUE(Parsed.ok()) << Name;
-    Program Prog = Parsed.Program->Prog;
-    for (const std::string &Param : Prog.ParamNames)
-      Prog.addContextBound(Param, 4);
+  for (const auto &[Name, Src] : farkasUnits()) {
+    Program Prog = parseBounded(Src);
     DependenceGraph DG = computeDependences(Prog);
     VarLayout Layout(Prog);
+    FarkasConeCache Cones;
     for (const Dependence &D : DG.Deps) {
-      FarkasDomain Dom(D);
+      FarkasDomain Dom(D, Cones);
       Dependence Split = splitEqualities(D);
-      FarkasDomain SplitDom(Split);
+      FarkasDomain SplitDom(Split, Cones);
       ASSERT_EQ(SplitDom.Poly.numVars(), D.Poly.numVars());
       KeptEqualities += Dom.Poly.numEqs();
       std::vector<std::pair<ConstraintSystem, ConstraintSystem>> Pairs;
@@ -407,13 +429,104 @@ TEST(FarkasTest, CompressedSystemsMatchSplitEqualityFormulation) {
         ++Systems;
         EXPECT_TRUE(impliesAll(Compressed, Textbook) &&
                     impliesAll(Textbook, Compressed))
-            << Name << ": " << depKindName(D.Kind) << " S" << D.SrcStmt
-            << " -> S" << D.DstStmt << " at level " << D.CarryLevel;
+            << depName(Name, D);
       }
     }
   }
   EXPECT_GT(Systems, 500u);
   EXPECT_GT(KeptEqualities, 0u) << "no equality kept its multiplier pair";
+}
+
+/// The per-form Farkas elimination the cone product replaces: the form's
+/// coefficient-matching system over [layout | multipliers] on Dom.Poly,
+/// with the multipliers projected out.
+ConstraintSystem eliminatePerForm(const FarkasDomain &Dom,
+                                  const IntMatrix &FormCoeffs,
+                                  unsigned NumLayoutVars) {
+  const ConstraintSystem &Poly = Dom.Poly;
+  unsigned NY = Poly.numVars();
+  IntMatrix Form = Dom.FormMap * FormCoeffs;
+  unsigned NumIneq = Poly.numIneqs(), NumEq = Poly.numEqs();
+  // Multipliers: lambda0, one per inequality, a +/- pair per equality.
+  unsigned NumLambda = 1 + NumIneq + 2 * NumEq;
+  unsigned V = NumLayoutVars + NumLambda, L0 = NumLayoutVars;
+  ConstraintSystem Sys(V);
+  for (unsigned X = 0; X <= NY; ++X) {
+    std::vector<BigInt> Row(V + 1, BigInt(0));
+    for (unsigned C = 0; C < NumLayoutVars; ++C)
+      Row[C] = -Form(X, C);
+    Row[V] = -Form(X, NumLayoutVars);
+    if (X == NY)
+      Row[L0] = BigInt(1);
+    for (unsigned K = 0; K < NumIneq; ++K)
+      Row[L0 + 1 + K] = Poly.ineqs()(K, X);
+    for (unsigned E = 0; E < NumEq; ++E) {
+      Row[L0 + 1 + NumIneq + 2 * E] = Poly.eqs()(E, X);
+      Row[L0 + 2 + NumIneq + 2 * E] = -Poly.eqs()(E, X);
+    }
+    Sys.addEq(std::move(Row));
+  }
+  for (unsigned K = 0; K < NumLambda; ++K) {
+    std::vector<BigInt> Row(V + 1, BigInt(0));
+    Row[L0 + K] = BigInt(1);
+    Sys.addIneq(std::move(Row));
+  }
+  Sys.projectOut(NumLayoutVars, NumLambda);
+  Sys.normalize();
+  return Sys;
+}
+
+TEST(FarkasTest, ConeProductMatchesPerFormElimination) {
+  unsigned Forms = 0, InputForms = 0;
+  for (const auto &[Name, Src] : farkasUnits()) {
+    Program Prog = parseBounded(Src);
+    DependenceGraph DG = computeDependences(Prog);
+    VarLayout Layout(Prog);
+    FarkasConeCache Cones;
+    for (const Dependence &D : DG.Deps) {
+      FarkasDomain Dom(D, Cones);
+      // Bounding (both directions for an input dependence), then legality.
+      std::vector<IntMatrix> Fs = boundingForms(D, Prog, Layout);
+      InputForms += D.Kind == DepKind::Input ? Fs.size() : 0;
+      if (D.isLegalityDep())
+        Fs.push_back(legalityForm(D, Prog, Layout));
+      for (unsigned F = 0; F < Fs.size(); ++F) {
+        ++Forms;
+        ConstraintSystem Product =
+            farkasEliminate(Dom, Fs[F], Layout.numVars());
+        ConstraintSystem Reference =
+            eliminatePerForm(Dom, Fs[F], Layout.numVars());
+        EXPECT_TRUE(impliesAll(Product, Reference) &&
+                    impliesAll(Reference, Product))
+            << depName(Name, D) << ", form " << F;
+      }
+    }
+  }
+  EXPECT_GT(Forms, 600u);
+  EXPECT_GT(InputForms, 0u);
+}
+
+TEST(FarkasTest, ScheduleComputesOneConePerDistinctPolyhedron) {
+  Program Prog = parseBounded(kernels::Seidel2D);
+  DependenceGraph DG = computeDependences(Prog);
+  FarkasConeCache Cones;
+  PassStats ConeStats;
+  setActiveStats(&ConeStats);
+  for (const Dependence &D : DG.Deps)
+    FarkasDomain Dom(D, Cones); // Adds its polyhedron's cone to Cones.
+  setActiveStats(nullptr);
+  EXPECT_EQ(DG.Deps.size(), 72u);
+  EXPECT_EQ(Cones.size(), 26u);
+  // The search builds those cones once each, over all of its bands, and
+  // runs no other multiplier elimination.
+  PassStats SchedStats;
+  setActiveStats(&SchedStats);
+  auto Sched = computeSchedule(Prog, DG);
+  setActiveStats(nullptr);
+  ASSERT_TRUE(Sched) << Sched.error();
+  EXPECT_GT(ConeStats.get(Counter::FmEliminations), 0u);
+  EXPECT_EQ(SchedStats.get(Counter::FmEliminations),
+            ConeStats.get(Counter::FmEliminations));
 }
 
 } // namespace
