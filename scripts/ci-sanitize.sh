@@ -193,7 +193,7 @@ for I in 1 2 3 4; do
 done
 # One non-default flag set through both clients: they parse the same
 # option table, so the served and the local code must match byte for byte.
-SMALL="$SRC_DIR/examples/matmul.c $SRC_DIR/examples/jacobi1d.c"
+SMALL="$SRC_DIR/examples/matmul.c $SRC_DIR/examples/jacobi1d.c $SRC_DIR/examples/seidel2d.c"
 FLAGS="--l2tile --wavefront-degrees=2 --no-vectorize --timeout-ms=60000"
 "$CLI" $FLAGS $SMALL > "$LOCAL" 2> /dev/null
 "$PLUTOCTL" --socket="$SOCK" $FLAGS $SMALL > "$SERVED"

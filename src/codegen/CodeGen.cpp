@@ -19,6 +19,14 @@ namespace {
 /// Cap on disjoint regions per level before falling back to guard mode.
 constexpr unsigned MaxPieces = 24;
 
+/// A level projection with more inequalities than this drops its redundant
+/// rows before the next level is projected from it. Fourier-Motzkin keeps
+/// every irredundant-looking pair, so without it an L2-tiled scattering
+/// grows from 137 to 701 to 10,837 rows over three levels; the largest
+/// projection of a default compile stays below the threshold, so its
+/// bounds are untouched.
+constexpr unsigned MaxProjectionRows = 128;
+
 /// A disjoint region of the current level with the statements active in it.
 struct Piece {
   ConstraintSystem Region;
@@ -166,14 +174,20 @@ private:
     for (unsigned St = 0; St < S.Stmts.size(); ++St) {
       unsigned M = static_cast<unsigned>(S.Stmts[St].IterNames.size());
       Proj[St].resize(D + 1, ConstraintSystem(0));
+      auto Trim = [](ConstraintSystem &P) {
+        if (P.numIneqs() > MaxProjectionRows)
+          P.removeRedundant();
+      };
       ConstraintSystem Full = Ext[St];
       Full.projectOut(D, M); // Eliminate the statement iterators.
+      Trim(Full);
       // Full is now over [c_1..c_D | params].
       Proj[St][D] = Full;
       for (unsigned L = D; L-- > 0;) {
         ConstraintSystem Outer = Proj[St][L + 1];
         Outer.projectOut(L, 1);
         Outer.insertDims(L, 1);
+        Trim(Outer);
         Proj[St][L] = std::move(Outer);
       }
     }

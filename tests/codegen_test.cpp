@@ -14,6 +14,7 @@
 #include "driver/Driver.h"
 #include "driver/Kernels.h"
 #include "runtime/Interpreter.h"
+#include "support/Budget.h"
 #include "Session.h"
 
 #include <gtest/gtest.h>
@@ -169,6 +170,22 @@ TEST(CodegenTest, SecondLevelTilingEquivalent) {
   checkEquivalence(kernels::MatMul, O,
                    {{"a", {11, 11}}, {"b", {11, 11}}, {"c", {11, 11}}},
                    {{"N", 11}});
+}
+
+// Second-level tiling of seidel2d projects its scattering to levels of
+// hundreds of rows; dropping their redundant rows keeps codegen within a
+// budget a row-growing projection exhausts, and the code stays exact.
+TEST(CodegenTest, SecondLevelTiledSeidel2DFitsWorkBudget) {
+  PlutoOptions O = withTile(3);
+  O.SecondLevelTile = true;
+  O.L2TileSize = 2;
+  BudgetLimits Limits;
+  Limits.MaxWorkUnits = 1000000;
+  Budget B(Limits);
+  ScopedBudget Scope(&B);
+  checkEquivalence(kernels::Seidel2D, O, {{"a", {13, 13}}},
+                   {{"T", 5}, {"N", 13}});
+  EXPECT_FALSE(B.exhausted());
 }
 
 TEST(CodegenTest, GuardModeEquivalent) {
