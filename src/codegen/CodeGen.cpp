@@ -334,8 +334,9 @@ private:
     return !Probe.normalize() || Probe.isIntegerEmpty();
   }
 
-  /// Splits the projections of Active statements into disjoint pieces.
-  /// Returns std::nullopt if the piece count explodes.
+  /// Splits the projections of Active statements into disjoint pieces,
+  /// each tested to have an integer point in Ctx. Returns std::nullopt if
+  /// the piece count explodes.
   std::optional<std::vector<Piece>>
   separate(const std::vector<unsigned> &Active,
            const std::vector<ConstraintSystem> &Ps,
@@ -597,10 +598,6 @@ private:
   CgNodePtr emitLoopForRegion(unsigned Level, const ConstraintSystem &Region,
                               const std::vector<unsigned> &Stmts,
                               const ConstraintSystem &Ctx) {
-    // Dead-region elimination: a piece can be non-empty on its own yet
-    // unreachable under the accumulated context.
-    if (emptyInCtx(Region, Ctx))
-      return CgNode::block();
     DimBounds B = splitBounds(Region, Level);
     std::vector<CgCond> Conds = condsFromRows(B);
 
