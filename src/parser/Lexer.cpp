@@ -6,9 +6,22 @@
 
 #include "parser/Lexer.h"
 
+#include "support/Json.h"
+
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
 
 using namespace pluto;
+
+/// The code point of the well-formed Len-byte UTF-8 sequence at S[I].
+static unsigned decodeUtf8(const std::string &S, size_t I, size_t Len) {
+  unsigned CodePoint = static_cast<unsigned char>(S[I]) & (0x7F >> Len);
+  for (size_t K = 1; K < Len; ++K)
+    CodePoint =
+        (CodePoint << 6) | (static_cast<unsigned char>(S[I + K]) & 0x3Fu);
+  return CodePoint;
+}
 
 std::vector<Token> pluto::tokenize(const std::string &Source,
                                    std::vector<Diagnostic> &Diags) {
@@ -16,8 +29,10 @@ std::vector<Token> pluto::tokenize(const std::string &Source,
   unsigned Line = 1, Col = 1;
   size_t I = 0, N = Source.size();
 
+  // Advances over Count characters. A character is the code point of a
+  // well-formed UTF-8 sequence, or any other single byte.
   auto advance = [&](size_t Count) {
-    for (size_t K = 0; K < Count && I < N; ++K, ++I) {
+    for (size_t K = 0; K < Count && I < N; ++K) {
       char C = Source[I];
       if (C == '\n') {
         ++Line;
@@ -35,6 +50,7 @@ std::vector<Token> pluto::tokenize(const std::string &Source,
         // carets still line up).
         ++Col;
       }
+      I += std::max<size_t>(1, detail::utf8SequenceLength(Source, I));
     }
   };
   auto push = [&](Token::Kind K, std::string Text, unsigned L, unsigned C) {
@@ -125,12 +141,24 @@ std::vector<Token> pluto::tokenize(const std::string &Source,
       continue;
     }
     // Invalid character: report with the exact span and keep going, so one
-    // pass surfaces every bad byte of the input.
+    // pass surfaces every bad character of the input. A byte that starts
+    // no well-formed UTF-8 sequence is named as such.
     Diagnostic D;
     D.Line = Line;
     D.Col = Col;
     D.Len = 1;
-    D.Message = "unexpected character '" + std::string(1, C) + "'";
+    char Hex[16];
+    unsigned char Byte = static_cast<unsigned char>(C);
+    if (size_t Len = detail::utf8SequenceLength(Source, I)) {
+      std::snprintf(Hex, sizeof(Hex), "%04X", decodeUtf8(Source, I, Len));
+      D.Message = "unexpected character '" + Source.substr(I, Len) +
+                  "' (U+" + Hex + ")";
+    } else if (Byte >= 0x80) {
+      std::snprintf(Hex, sizeof(Hex), "%02X", Byte);
+      D.Message = std::string("invalid UTF-8 byte 0x") + Hex;
+    } else {
+      D.Message = "unexpected character '" + std::string(1, C) + "'";
+    }
     Diags.push_back(std::move(D));
     advance(1);
   }

@@ -46,9 +46,13 @@ struct Token {
 
 /// Tokenizes Source. Invalid characters produce one error diagnostic each
 /// (with the exact line:column span) and are skipped, so the stream always
-/// covers the whole input; it ends with an End token. Line/column tracking
-/// counts characters: a tab occupies one column, and CR, LF and CRLF all
-/// terminate a line (a CR that is part of a CRLF pair occupies no column).
+/// covers the whole input; it ends with an End token. Source is read as
+/// UTF-8: a multi-byte character outside the accepted ASCII subset is one
+/// diagnostic naming its code point, and each byte that starts no
+/// well-formed sequence (RFC 3629) is one "invalid UTF-8 byte" diagnostic.
+/// Line/column tracking counts characters (code points, or single invalid
+/// bytes): a tab occupies one column, and CR, LF and CRLF all terminate a
+/// line (a CR that is part of a CRLF pair occupies no column).
 std::vector<Token> tokenize(const std::string &Source,
                             std::vector<Diagnostic> &Diags);
 

@@ -117,6 +117,35 @@ TEST(LexerTracking, TabThenInvalidCharColumn) {
   EXPECT_EQ(Diags[0].Col, 2u);
 }
 
+TEST(LexerTracking, NonAsciiCharacterIsOneDiagnosticNamingIt) {
+  std::vector<Diagnostic> Diags;
+  auto Toks = tokenize("x = caf\xC3\xA9;", Diags);
+  ASSERT_EQ(errorCount(Diags), 1u);
+  EXPECT_EQ(Diags[0].Col, 8u);
+  EXPECT_EQ(Diags[0].Len, 1u);
+  EXPECT_EQ(Diags[0].Message, "unexpected character '\xC3\xA9' (U+00E9)");
+  EXPECT_NE(findToken(Toks, ";"), nullptr);
+}
+
+TEST(LexerTracking, InvalidUtf8ByteIsNamed) {
+  std::vector<Diagnostic> Diags;
+  auto Toks = tokenize("x = y \xFF z;", Diags);
+  ASSERT_EQ(errorCount(Diags), 1u);
+  EXPECT_EQ(Diags[0].Col, 7u);
+  EXPECT_EQ(Diags[0].Message, "invalid UTF-8 byte 0xFF");
+  const Token *Z = findToken(Toks, "z");
+  ASSERT_NE(Z, nullptr);
+  EXPECT_EQ(Z->Col, 9u);
+}
+
+TEST(LexerTracking, ColumnsCountCodePointsInsideComments) {
+  std::vector<Diagnostic> Diags;
+  tokenize("  a[i] = /* \xC3\xA9 */ b[i] $ 1;", Diags);
+  ASSERT_EQ(errorCount(Diags), 1u);
+  EXPECT_EQ(Diags[0].Line, 1u);
+  EXPECT_EQ(Diags[0].Col, 23u); // The 'e' with its accent is one column.
+}
+
 //===----------------------------------------------------------------------===//
 // Parser recovery: every problem, one pass
 //===----------------------------------------------------------------------===//
