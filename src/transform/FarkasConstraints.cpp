@@ -261,11 +261,9 @@ ConstraintSystem pluto::legalityConstraints(const FarkasDomain &Dom,
 ConstraintSystem pluto::boundingConstraints(const FarkasDomain &Dom,
                                             const Program &Prog,
                                             const VarLayout &Layout) {
-  std::vector<IntMatrix> Forms = boundingForms(Dom.Dep, Prog, Layout);
-  ConstraintSystem Sys = farkasEliminate(Dom, Forms[0], Layout.numVars());
-  if (Forms.size() > 1) {
-    Sys.append(farkasEliminate(Dom, Forms[1], Layout.numVars()));
-    Sys.normalize();
-  }
+  ConstraintSystem Sys(Layout.numVars());
+  for (const IntMatrix &Form : boundingForms(Dom.Dep, Prog, Layout))
+    Sys.append(farkasEliminate(Dom, Form, Layout.numVars()));
+  Sys.normalize();
   return Sys;
 }
