@@ -109,7 +109,8 @@ FarkasDomain::FarkasDomain(const Dependence &D, FarkasConeCache &Cones)
   Cone = &Cones.coneOf(Poly);
 }
 
-const FarkasCone &FarkasConeCache::coneOf(const ConstraintSystem &Poly) {
+const ConstraintSystem &
+FarkasConeCache::coneOf(const ConstraintSystem &Poly) {
   unsigned NZ = Poly.numVars() + 1; // A form's coefficients over (y, 1).
   unsigned NumIneq = Poly.numIneqs(), NumEq = Poly.numEqs();
   // The key: the width and inequality count, then every row in order.
@@ -152,19 +153,7 @@ const FarkasCone &FarkasConeCache::coneOf(const ConstraintSystem &Poly) {
   // Eliminate the multipliers: the coefficient-matching equalities
   // substitute most of them exactly; the rest fall to Fourier-Motzkin.
   Sys.projectOut(NZ, NumLambda);
-  // Every row is homogeneous, so the constant column is zero; drop it.
-  FarkasCone &Cone = It->second;
-  Cone.Ineqs = IntMatrix(NZ);
-  Cone.Eqs = IntMatrix(NZ);
-  for (auto [From, To] : {std::pair(&Sys.ineqs(), &Cone.Ineqs),
-                          std::pair(&Sys.eqs(), &Cone.Eqs)})
-    for (unsigned R = 0; R < From->numRows(); ++R) {
-      std::vector<BigInt> Row = From->row(R);
-      assert(Row.back().isZero() && "the cone's rows are homogeneous");
-      Row.pop_back();
-      To->addRow(std::move(Row));
-    }
-  return Cone;
+  return It->second = std::move(Sys);
 }
 
 ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
@@ -175,9 +164,11 @@ ConstraintSystem pluto::farkasEliminate(const FarkasDomain &Dom,
   assert(FormCoeffs.numCols() == NumLayoutVars + 1 &&
          "coefficient rows are affine over the layout variables");
   // The form's coefficients over (y, 1), then the cone's rows applied to
-  // them: the multipliers are already eliminated.
+  // them: the multipliers are already eliminated. The cone's rows are
+  // homogeneous, so a zero row meets their constant column.
   IntMatrix Form = Dom.FormMap * FormCoeffs;
-  IntMatrix Ineqs = Dom.Cone->Ineqs * Form, Eqs = Dom.Cone->Eqs * Form;
+  Form.addZeroRow();
+  IntMatrix Ineqs = Dom.Cone->ineqs() * Form, Eqs = Dom.Cone->eqs() * Form;
   ConstraintSystem Sys(NumLayoutVars);
   for (unsigned R = 0; R < Ineqs.numRows(); ++R)
     Sys.addIneq(std::move(Ineqs.row(R)));

@@ -19,10 +19,10 @@
 /// links a form's coefficient vector z to the Farkas multipliers lambda;
 /// eliminating the multipliers (Gaussian substitution + Fourier-Motzkin)
 /// leaves the cone of the forms that are non-negative on the polyhedron,
-/// H.z >= 0 and G.z == 0 (FarkasCone). The forms here have coefficients
-/// affine in the global ILP variables v, z = F.(v, 1), so each legality or
-/// bounding form gets its constraints, H.F.(v, 1) >= 0 and G.F.(v, 1) == 0,
-/// from one matrix product (DESIGN.md section 7.2).
+/// H.z >= 0 and G.z == 0 (FarkasConeCache::coneOf). The forms here have
+/// coefficients affine in the global ILP variables v, z = F.(v, 1), so
+/// each legality or bounding form gets its constraints, H.F.(v, 1) >= 0
+/// and G.F.(v, 1) == 0, from one matrix product (DESIGN.md section 7.2).
 ///
 /// The product is exact: projecting the multipliers out commutes with the
 /// substitution z = F.(v, 1), as both sides are {v : F.(v, 1) in the cone}.
@@ -104,32 +104,26 @@ private:
   unsigned Total;
 };
 
-/// The Farkas cone of a compressed dependence polyhedron P over y
-/// (DESIGN.md section 7.2): the coefficient vectors z = (z_y, z_1) of the
-/// affine forms z_y.y + z_1 that are non-negative on P, as Ineqs.z >= 0 and
-/// Eqs.z == 0 (one column per entry of z, no constant column: every row is
-/// homogeneous). By the affine Farkas lemma these forms are the
-/// non-negative combinations of P's faces and of the constant 1; the cone
-/// is that coefficient-matching system with the multipliers projected out,
-/// the set isl computes with isl_basic_set_coefficients.
-struct FarkasCone {
-  IntMatrix Ineqs;
-  IntMatrix Eqs;
-};
-
 /// The Farkas cones of one schedule search, each computed once per distinct
 /// compressed polyhedron. The key is the polyhedron's full rows, so two
 /// polyhedra share a cone only when they are equal row for row.
 class FarkasConeCache {
 public:
-  /// The cone of Poly, computed on first request. The reference stays
-  /// valid for the cache's lifetime.
-  const FarkasCone &coneOf(const ConstraintSystem &Poly);
+  /// The cone of Poly over y (DESIGN.md section 7.2): the coefficient
+  /// vectors z = (z_y, z_1) of the affine forms z_y.y + z_1 that are
+  /// non-negative on Poly, as a system over z whose every row is
+  /// homogeneous. By the affine Farkas lemma these forms are the
+  /// non-negative combinations of Poly's faces and of the constant 1; the
+  /// cone is that coefficient-matching system with the multipliers
+  /// projected out, the set isl computes with isl_basic_set_coefficients.
+  /// Computed on first request; the reference stays valid as long as the
+  /// cache.
+  const ConstraintSystem &coneOf(const ConstraintSystem &Poly);
   /// The number of cones computed so far.
   size_t size() const { return Cones.size(); }
 
 private:
-  std::map<std::vector<BigInt>, FarkasCone> Cones;
+  std::map<std::vector<BigInt>, ConstraintSystem> Cones;
 };
 
 /// A dependence polyhedron prepared for Farkas elimination (DESIGN.md
@@ -155,7 +149,7 @@ struct FarkasDomain {
   /// params | 1] to its coefficient rows over (y, 1): FormMap * Rows.
   IntMatrix FormMap;
   /// The cone of Poly, owned by the cache the domain was built with.
-  const FarkasCone *Cone = nullptr;
+  const ConstraintSystem *Cone = nullptr;
 };
 
 /// The coefficient rows, as farkasEliminate takes them, of the form that
@@ -170,7 +164,7 @@ std::vector<IntMatrix> boundingForms(const Dependence &D, const Program &Prog,
                                      const VarLayout &Layout);
 
 /// Constraints (over Layout variables) making phi legal for dependence
-/// Dom.Dep (paper eq. (2)), via Farkas elimination on Dom.Poly.
+/// Dom.Dep (paper eq. (2)), from the Farkas cone of Dom.Poly.
 ConstraintSystem legalityConstraints(const FarkasDomain &Dom,
                                      const Program &Prog,
                                      const VarLayout &Layout);
@@ -185,7 +179,7 @@ ConstraintSystem boundingConstraints(const FarkasDomain &Dom,
 /// coefficients are themselves affine in the layout variables, produce the
 /// layout-variable constraints equivalent to "form >= 0 on Dom.Dep.Poly":
 /// with F = Dom.FormMap * FormCoeffs, the form's coefficients over (y, 1),
-/// the rows Cone.Ineqs * F >= 0 and Cone.Eqs * F == 0, normalized.
+/// the cone's rows times F, normalized. No multiplier is eliminated here.
 /// FormCoeffs has one row per dependence-space column (src iters, dst
 /// iters, params, constant); each row is over [layout vars | 1].
 ConstraintSystem farkasEliminate(const FarkasDomain &Dom,
