@@ -171,13 +171,13 @@ private:
 
   void buildProjections() {
     Proj.resize(S.Stmts.size());
+    auto Trim = [](ConstraintSystem &P) {
+      if (P.numIneqs() > MaxProjectionRows)
+        P.removeRedundant();
+    };
     for (unsigned St = 0; St < S.Stmts.size(); ++St) {
       unsigned M = static_cast<unsigned>(S.Stmts[St].IterNames.size());
       Proj[St].resize(D + 1, ConstraintSystem(0));
-      auto Trim = [](ConstraintSystem &P) {
-        if (P.numIneqs() > MaxProjectionRows)
-          P.removeRedundant();
-      };
       ConstraintSystem Full = Ext[St];
       Full.projectOut(D, M); // Eliminate the statement iterators.
       Trim(Full);

@@ -37,9 +37,7 @@
 /// are compressed out (FarkasDomain): an equality with a +-1 coefficient
 /// substitutes that variable away instead of adding a +-multiplier pair,
 /// and inequalities that then coincide collapse. The rational polyhedron is
-/// unchanged, so the constraints describe the same set; compression also
-/// makes dependences that differ only in their substituted dimensions
-/// share a cone.
+/// unchanged, so the constraints describe the same set.
 ///
 /// Global variable layout (lexmin order, paper eq. (5)):
 ///   [ ur_1..ur_np | wr | u_1..u_np | w | c^{S1}_m1..c^{S1}_1, c^{S1}_0 |...]
