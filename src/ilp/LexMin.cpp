@@ -24,13 +24,22 @@
 // from the first fractional variable row is appended and the dual simplex
 // resumes. This is exactly PIP's algorithm without the parameter dimension.
 //
-// Storage follows PIP and isl: each row is a vector of BigInt numerators
+// Storage follows PIP and isl: each row is a vector of integer numerators
 // over one positive per-row denominator, kept divided by its gcd. A pivot
 // touches only the rows with a nonzero entry in the pivot column and
 // combines them fraction-free; the entering column is chosen by integer
 // cross-multiplication. Every entry is the same rational value the textbook
 // tableau holds, so pivots, cuts and lexmin points are those of the
 // rational formulation.
+//
+// A cold solve runs first on int64_t entries in one contiguous buffer, with
+// every product, difference, negation and gcd overflow-checked and the
+// column rule's cross products compared in 128 bits. If an input entry does
+// not fit or any step overflows, the run is abandoned and the same system
+// is solved from the start on BigInt entries. Without overflow the int64
+// entries equal the BigInt ones, so both runs make the same pivots and cuts
+// and reach the same point. Warm-started band tableaux (LexMinSolver) stay
+// on BigInt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +49,8 @@
 #include "support/Budget.h"
 
 #include <atomic>
+#include <cstdint>
+#include <type_traits>
 
 using namespace pluto;
 using namespace pluto::ilp;
@@ -63,36 +74,175 @@ void ilp::setSolveLimits(const SolveLimits &L) {
 
 namespace {
 
-class Tableau {
+// Entry arithmetic, overloaded for the two entry types. Each step reports
+// overflow by returning false: a BigInt step never overflows, an int64 one
+// is checked, and a product or difference that leaves int64 abandons the
+// int64 run (its value is then garbage and never read).
+
+bool isZero(const BigInt &V) { return V.isZero(); }
+bool isZero(int64_t V) { return V == 0; }
+bool isPositive(const BigInt &V) { return V.isPositive(); }
+bool isPositive(int64_t V) { return V > 0; }
+bool isNegative(const BigInt &V) { return V.isNegative(); }
+bool isNegative(int64_t V) { return V < 0; }
+bool isOne(const BigInt &V) { return V.isOne(); }
+bool isOne(int64_t V) { return V == 1; }
+
+bool mulOk(const BigInt &A, const BigInt &B, BigInt &Out) {
+  Out = A * B;
+  return true;
+}
+bool mulOk(int64_t A, int64_t B, int64_t &Out) {
+  return !__builtin_mul_overflow(A, B, &Out);
+}
+bool subOk(const BigInt &A, const BigInt &B, BigInt &Out) {
+  Out = A - B;
+  return true;
+}
+bool subOk(int64_t A, int64_t B, int64_t &Out) {
+  return !__builtin_sub_overflow(A, B, &Out);
+}
+bool negOk(const BigInt &A, BigInt &Out) {
+  Out = -A;
+  return true;
+}
+bool negOk(int64_t A, int64_t &Out) {
+  return !__builtin_sub_overflow(int64_t(0), A, &Out);
+}
+bool gcdOk(const BigInt &A, const BigInt &B, BigInt &Out) {
+  Out = BigInt::gcd(A, B);
+  return true;
+}
+bool gcdOk(int64_t A, int64_t B, int64_t &Out) {
+  auto Abs = [](int64_t V) {
+    return V < 0 ? ~static_cast<uint64_t>(V) + 1 : static_cast<uint64_t>(V);
+  };
+  uint64_t X = Abs(A), Y = Abs(B);
+  while (Y != 0) {
+    uint64_t T = X % Y;
+    X = Y;
+    Y = T;
+  }
+  // gcd(INT64_MIN, 0) is 2^63, one past the int64 range.
+  if (X > static_cast<uint64_t>(INT64_MAX))
+    return false;
+  Out = static_cast<int64_t>(X);
+  return true;
+}
+bool divExactOk(const BigInt &A, const BigInt &B, BigInt &Out) {
+  Out = A.divExact(B);
+  return true;
+}
+bool divExactOk(int64_t A, int64_t B, int64_t &Out) {
+  assert(B != 0 && "division by zero");
+  if (A == INT64_MIN && B == -1)
+    return false;
+  assert(A % B == 0 && "divExact with non-divisible operands");
+  Out = A / B;
+  return true;
+}
+/// Remainder of floor division by a positive D, in [0, D).
+BigInt floorMod(const BigInt &A, const BigInt &D) { return A.floorMod(D); }
+int64_t floorMod(int64_t A, int64_t D) {
+  int64_t M = A % D;
+  return M < 0 ? M + D : M;
+}
+/// Sign of A * B - C * D. Two int64 products always fit in 128 bits.
+int compareProducts(const BigInt &A, const BigInt &B, const BigInt &C,
+                    const BigInt &D) {
+  return (A * B).compare(C * D);
+}
+int compareProducts(int64_t A, int64_t B, int64_t C, int64_t D) {
+  __extension__ typedef __int128 Wide;
+  Wide L = static_cast<Wide>(A) * B, R = static_cast<Wide>(C) * D;
+  return (L > R) - (L < R);
+}
+/// Converts an input entry, negated when Negate is set.
+bool convertOk(const BigInt &V, bool Negate, BigInt &Out) {
+  Out = Negate ? -V : V;
+  return true;
+}
+bool convertOk(const BigInt &V, bool Negate, int64_t &Out) {
+  if (!V.fitsInt64())
+    return false;
+  Out = V.toInt64();
+  return !Negate || negOk(Out, Out);
+}
+
+/// Tableau rows, each Width entries. int64 rows share one contiguous
+/// buffer; BigInt rows are separate vectors, because one flat BigInt
+/// buffer, though as fast, raised peak RSS: its doubling reallocations
+/// fragment the heap.
+template <typename T> class RowStore {
 public:
-  Tableau(const IntMatrix &Ineqs, const IntMatrix &Eqs, unsigned NumVars)
-      : NumVars(NumVars), MaxIterations(solveLimits().MaxPivots) {
-    Rows.reserve(2 * NumVars + Ineqs.numRows() + 2 * Eqs.numRows());
+  explicit RowStore(unsigned Width) : Width(Width) {}
+  void reserve(unsigned Rows) { Data.reserve(size_t(Rows) * Width); }
+  unsigned size() const { return static_cast<unsigned>(Data.size() / Width); }
+  T *row(unsigned I) { return Data.data() + size_t(I) * Width; }
+  const T *row(unsigned I) const { return Data.data() + size_t(I) * Width; }
+  /// Appends an all-zero row; earlier row pointers may dangle after it.
+  T *append() {
+    Data.resize(Data.size() + Width);
+    return row(size() - 1);
+  }
+
+private:
+  unsigned Width;
+  std::vector<T> Data;
+};
+
+template <> class RowStore<BigInt> {
+public:
+  explicit RowStore(unsigned Width) : Width(Width) {}
+  void reserve(unsigned Rows) { Data.reserve(Rows); }
+  unsigned size() const { return static_cast<unsigned>(Data.size()); }
+  BigInt *row(unsigned I) { return Data[I].data(); }
+  const BigInt *row(unsigned I) const { return Data[I].data(); }
+  BigInt *append() {
+    Data.emplace_back(Width);
+    return Data.back().data();
+  }
+
+private:
+  unsigned Width;
+  std::vector<std::vector<BigInt>> Data;
+};
+
+/// The lexicographic dual simplex tableau over entries of type T (BigInt,
+/// or int64_t with every step overflow-checked). Without overflow both
+/// hold the same numbers, so they make the same pivots and cuts.
+template <typename T> class Tableau {
+public:
+  /// Builds the tableau of the system Rows. With FreeVars its variables
+  /// take any sign: each x_i becomes p_i - n_i with p_i, n_i >= 0, and the
+  /// tableau's variables are (p_0, n_0, p_1, n_1, ...).
+  Tableau(const RowRefs &Rows, bool FreeVars)
+      : InVars(Rows.NumVars), FreeVars(FreeVars),
+        NumVars(FreeVars ? 2 * Rows.NumVars : Rows.NumVars),
+        Store(NumVars + 2), MaxIterations(solveLimits().MaxPivots) {
+    Store.reserve(2 * NumVars +
+                  static_cast<unsigned>(Rows.Ineqs.size() +
+                                        2 * Rows.Eqs.size()));
     // Read-out rows: x_i = u_i. These are the lexicographic objective; they
     // are never selected as pivot rows (their non-negativity is enforced by
     // the duplicate slack rows added below), so they always transform
     // linearly and the column lexico-positivity argument stays valid.
     for (unsigned I = 0; I < NumVars; ++I)
-      appendRow()[I] = BigInt(1);
+      appendRow()[I] = T(1);
     // Slack twins enforcing x_i >= 0.
     for (unsigned I = 0; I < NumVars; ++I)
-      appendRow()[I] = BigInt(1);
-    // Constraint rows are integral: denominator 1 keeps them normalized.
-    auto addConstraintRow = [&](const IntMatrix &M, unsigned R, bool Negate) {
-      BigInt *Row = appendRow();
-      for (unsigned C = 0; C <= NumVars; ++C)
-        Row[C] = Negate ? -M(R, C) : M(R, C);
-    };
-    for (unsigned R = 0; R < Ineqs.numRows(); ++R)
-      addConstraintRow(Ineqs, R, /*Negate=*/false);
-    for (unsigned R = 0; R < Eqs.numRows(); ++R) {
-      addConstraintRow(Eqs, R, /*Negate=*/false);
-      addConstraintRow(Eqs, R, /*Negate=*/true);
+      appendRow()[I] = T(1);
+    for (const BigInt *Row : Rows.Ineqs)
+      Overflowed |= !addConstraintRow(Row, /*Negate=*/false);
+    for (const BigInt *Row : Rows.Eqs) {
+      Overflowed |= !addConstraintRow(Row, /*Negate=*/false);
+      Overflowed |= !addConstraintRow(Row, /*Negate=*/true);
     }
   }
 
   /// Runs the dual simplex until primal feasible; returns false if the
-  /// system is (rationally, hence integrally) infeasible.
+  /// system is (rationally, hence integrally) infeasible, or if the run
+  /// aborted or overflowed.
   bool dualSimplex() {
     for (;;) {
       int R = firstNegativeConstantRow();
@@ -108,7 +258,8 @@ public:
       if (Iterations >= MaxIterations || !budgetCharge())
         return Aborted = true, false;
       ++Iterations;
-      pivot(static_cast<unsigned>(R), static_cast<unsigned>(J));
+      if (!pivot(static_cast<unsigned>(R), static_cast<unsigned>(J)))
+        return Overflowed = true, false;
       assert(checkLexPositive() && "objective column lost lex-positivity");
     }
   }
@@ -116,9 +267,8 @@ public:
   /// Index of the first variable row whose constant is non-integral, or -1.
   int firstFractionalVarRow() const {
     for (unsigned I = 0; I < NumVars; ++I) {
-      const BigInt *Row = row(I);
-      if (!Row[NumVars + 1].isOne() &&
-          !(Row[NumVars] % Row[NumVars + 1]).isZero())
+      const T *Row = row(I);
+      if (!isOne(Row[NumVars + 1]) && !isZero(Row[NumVars] % Row[NumVars + 1]))
         return static_cast<int>(I);
     }
     return -1;
@@ -128,25 +278,37 @@ public:
   ///   sum_j frac(D[r][j]) u_j + frac(D[r][n]) - 1 >= 0.
   /// Over the row's denominator d, frac(a / d) is (a mod d) / d.
   void addGomoryCut(unsigned SrcRow) {
-    BigInt *Cut = appendRow();
-    const BigInt *Src = row(SrcRow);
-    const BigInt &D = Src[NumVars + 1];
+    T *Cut = appendRow();
+    const T *Src = row(SrcRow);
+    const T &D = Src[NumVars + 1];
     for (unsigned C = 0; C < NumVars; ++C)
-      Cut[C] = Src[C].floorMod(D);
-    Cut[NumVars] = Src[NumVars].floorMod(D) - D;
+      Cut[C] = floorMod(Src[C], D);
+    // floorMod(a, d) - d lies in [-d, 0): no overflow.
+    Cut[NumVars] = floorMod(Src[NumVars], D) - D;
     Cut[NumVars + 1] = D;
-    normalizeRow(Cut);
+    Overflowed |= !normalizeRow(Cut);
   }
 
+  /// The values of the caller's variables at the tableau's point.
   std::vector<BigInt> varValues() const {
     std::vector<BigInt> V;
     V.reserve(NumVars);
-    for (unsigned I = 0; I < NumVars; ++I)
-      V.push_back(row(I)[NumVars].divExact(row(I)[NumVars + 1]));
-    return V;
+    for (unsigned I = 0; I < NumVars; ++I) {
+      T Q(0);
+      divExactOk(row(I)[NumVars], row(I)[NumVars + 1], Q);
+      V.push_back(BigInt(Q));
+    }
+    if (!FreeVars)
+      return V;
+    std::vector<BigInt> X(InVars);
+    for (unsigned I = 0; I < InVars; ++I)
+      X[I] = V[2 * I] - V[2 * I + 1];
+    return X;
   }
 
   bool aborted() const { return Aborted; }
+  /// True once an entry did not fit T: the run's answer is void.
+  bool overflowed() const { return Overflowed; }
   unsigned iterations() const { return Iterations; }
 
   /// Appends a new constraint row a.(x, 1) >= 0, given over the ORIGINAL
@@ -156,7 +318,8 @@ public:
   /// lexico-positivity is preserved (the new row is read after all existing
   /// rows, so it can only refine columns that were identically zero).
   void appendTransformed(const std::vector<BigInt> &Row) {
-    assert(Row.size() == NumVars + 1 && "row width mismatch");
+    static_assert(std::is_same_v<T, BigInt>, "warm starts stay on BigInt");
+    assert(!FreeVars && Row.size() == NumVars + 1 && "row width mismatch");
     // The sum is taken over the lcm of the substituted rows' denominators.
     BigInt L(1);
     for (unsigned I = 0; I < NumVars; ++I)
@@ -183,38 +346,58 @@ private:
   // every row is normalized (gcd of its numerators and denominator is 1),
   // so the entry in column c is exactly Row[c] / Row[NumVars + 1] and its
   // sign is the sign of Row[c].
+  unsigned InVars;
+  bool FreeVars;
   unsigned NumVars;
-  std::vector<std::vector<BigInt>> Rows;
+  RowStore<T> Store;
   unsigned Iterations = 0;
   bool Aborted = false;
+  bool Overflowed = false;
   // Generous cap by default (see ilp::SolveLimits); the structured systems
   // Pluto produces pivot a few dozen times. The cap only guards against
   // pathological cycling.
   unsigned MaxIterations;
 
-  unsigned numRows() const { return static_cast<unsigned>(Rows.size()); }
-  BigInt *row(unsigned I) { return Rows[I].data(); }
-  const BigInt *row(unsigned I) const { return Rows[I].data(); }
+  unsigned numRows() const { return Store.size(); }
+  T *row(unsigned I) { return Store.row(I); }
+  const T *row(unsigned I) const { return Store.row(I); }
 
   /// Appends an all-zero row with denominator 1 and returns it.
-  BigInt *appendRow() {
-    Rows.emplace_back(NumVars + 2);
-    BigInt *Row = Rows.back().data();
-    Row[NumVars + 1] = BigInt(1);
+  T *appendRow() {
+    T *Row = Store.append();
+    Row[NumVars + 1] = T(1);
     return Row;
   }
 
+  /// Appends the constraint row Src . (x, 1) >= 0 over the caller's
+  /// variables, negated when Negate is set. Constraint rows are integral:
+  /// denominator 1 keeps them normalized. False if an entry does not fit.
+  bool addConstraintRow(const BigInt *Src, bool Negate) {
+    T *Row = appendRow();
+    bool Ok = convertOk(Src[InVars], Negate, Row[NumVars]);
+    for (unsigned I = 0; I < InVars; ++I) {
+      if (!FreeVars) {
+        Ok &= convertOk(Src[I], Negate, Row[I]);
+        continue;
+      }
+      Ok &= convertOk(Src[I], Negate, Row[2 * I]);
+      Ok &= negOk(Row[2 * I], Row[2 * I + 1]);
+    }
+    return Ok;
+  }
+
   /// Divides the numerators and the denominator of Row by their gcd.
-  void normalizeRow(BigInt *Row) const {
-    BigInt G = Row[NumVars + 1];
-    for (unsigned C = 0; C <= NumVars && !G.isOne(); ++C)
-      if (!Row[C].isZero())
-        G = BigInt::gcd(G, Row[C]);
-    if (G.isOne())
-      return;
+  bool normalizeRow(T *Row) const {
+    T G = Row[NumVars + 1];
+    for (unsigned C = 0; C <= NumVars && !isOne(G); ++C)
+      if (!isZero(Row[C]) && !gcdOk(G, Row[C], G))
+        return false;
+    if (isOne(G))
+      return true;
     for (unsigned C = 0; C <= NumVars + 1; ++C)
-      if (!Row[C].isZero())
-        Row[C] = Row[C].divExact(G);
+      if (!isZero(Row[C]) && !divExactOk(Row[C], G, Row[C]))
+        return false;
+    return true;
   }
 
   /// Debug invariant (asserted after every pivot): the read-out
@@ -223,10 +406,10 @@ private:
   bool checkLexPositive() const {
     for (unsigned J = 0; J < NumVars; ++J)
       for (unsigned I = 0; I < NumVars; ++I) {
-        const BigInt &V = row(I)[J];
-        if (V.isZero())
+        const T &V = row(I)[J];
+        if (isZero(V))
           continue;
-        if (V.isNegative())
+        if (isNegative(V))
           return false;
         break;
       }
@@ -237,7 +420,7 @@ private:
     // Read-out rows (the first NumVars) are repaired through their slack
     // twins; start the scan past them.
     for (unsigned I = NumVars, E = numRows(); I < E; ++I)
-      if (row(I)[NumVars].isNegative())
+      if (isNegative(row(I)[NumVars]))
         return static_cast<int>(I);
     return -1;
   }
@@ -248,19 +431,18 @@ private:
   /// the denominators cancel, so a/R[A] vs b/R[B] is decided by the integer
   /// cross products a * R[B] vs b * R[A].
   int compareScaledColumns(unsigned A, unsigned B, unsigned R) const {
-    const BigInt &RA = row(R)[A];
-    const BigInt &RB = row(R)[B];
+    const T &RA = row(R)[A];
+    const T &RB = row(R)[B];
     for (unsigned I = 0, E = numRows(); I < E; ++I) {
-      const BigInt &VA = row(I)[A];
-      const BigInt &VB = row(I)[B];
-      int SA = VA.isPositive() - VA.isNegative();
-      int SB = VB.isPositive() - VB.isNegative();
+      const T &VA = row(I)[A];
+      const T &VB = row(I)[B];
+      int SA = isPositive(VA) - isNegative(VA);
+      int SB = isPositive(VB) - isNegative(VB);
       if (SA != SB)
         return SA < SB ? -1 : 1;
       if (SA == 0)
         continue;
-      int C = (VA * RB).compare(VB * RA);
-      if (C != 0)
+      if (int C = compareProducts(VA, RB, VB, RA))
         return C;
     }
     return 0;
@@ -272,7 +454,7 @@ private:
   int chooseEnteringColumn(unsigned R) const {
     int Best = -1;
     for (unsigned J = 0; J < NumVars; ++J) {
-      if (!row(R)[J].isPositive())
+      if (!isPositive(row(R)[J]))
         continue;
       if (Best < 0 ||
           compareScaledColumns(J, static_cast<unsigned>(Best), R) < 0)
@@ -282,8 +464,8 @@ private:
   }
 
   /// Pivots: the quantity of row R leaves the row set's basis and becomes
-  /// the non-basic variable of column J.
-  void pivot(unsigned R, unsigned J) {
+  /// the non-basic variable of column J. False on overflow.
+  bool pivot(unsigned R, unsigned J) {
     // In entry terms, with P = D[R][J] > 0, row R is rewritten as the
     // definition of the old u_J:
     //   u_J = (q - sum_{c != J} D[R][c] u_c - D[R][n]) / P,
@@ -296,57 +478,65 @@ private:
     //   (a_c * r_J - a_J * r_c for c != J, a_J * d_R) / (d_i * r_J),
     // then is divided by its gcd; row R becomes (-r_c for c != J, d_R) / r_J,
     // which is already normalized because row R was.
-    BigInt *PR = row(R);
-    const BigInt P = PR[J];
-    const BigInt DR = PR[NumVars + 1];
-    assert(P.isPositive() && "pivot element must be positive");
+    T *PR = row(R);
+    const T P = PR[J];
+    const T DR = PR[NumVars + 1];
+    assert(isPositive(P) && "pivot element must be positive");
     for (unsigned I = 0, E = numRows(); I < E; ++I) {
-      BigInt *Row = row(I);
-      if (I == R || Row[J].isZero())
+      T *Row = row(I);
+      if (I == R || isZero(Row[J]))
         continue;
-      const BigInt A = Row[J];
+      const T A = Row[J];
+      bool Ok = true;
       for (unsigned C = 0; C <= NumVars; ++C) {
         if (C == J)
           continue;
-        if (!P.isOne() && !Row[C].isZero())
-          Row[C] = Row[C] * P;
-        if (!PR[C].isZero())
-          Row[C] -= A * PR[C];
+        if (!isOne(P) && !isZero(Row[C]))
+          Ok &= mulOk(Row[C], P, Row[C]);
+        if (!isZero(PR[C])) {
+          T Prod;
+          Ok &= mulOk(A, PR[C], Prod);
+          Ok &= subOk(Row[C], Prod, Row[C]);
+        }
       }
-      Row[J] = A * DR;
-      Row[NumVars + 1] = Row[NumVars + 1] * P;
-      normalizeRow(Row);
+      Ok &= mulOk(A, DR, Row[J]);
+      Ok &= mulOk(Row[NumVars + 1], P, Row[NumVars + 1]);
+      if (!Ok || !normalizeRow(Row))
+        return false;
     }
     for (unsigned C = 0; C <= NumVars; ++C)
-      if (C != J)
-        PR[C] = -PR[C];
+      if (C != J && !negOk(PR[C], PR[C]))
+        return false;
     PR[J] = DR;
     PR[NumVars + 1] = P;
+    return true;
   }
 };
 
 /// Shared driver: runs the dual simplex + Gomory cut loop on T until the
-/// integer optimum, infeasibility, or budget exhaustion. CutsUsed reports
-/// the cuts appended by this run (the tableau may carry earlier ones).
-LexMinResult runToInteger(Tableau &T, unsigned &CutsUsed) {
+/// integer optimum, infeasibility, budget exhaustion or overflow (the
+/// caller checks T.overflowed() first). CutsUsed reports the cuts appended
+/// by this run (the tableau may carry earlier ones).
+template <typename T>
+LexMinResult runToInteger(Tableau<T> &Tab, unsigned &CutsUsed) {
   LexMinResult Result;
   CutsUsed = 0;
   // Cut budget: each round restores feasibility then cuts one fractional
   // coordinate. Structured Pluto systems need a handful of cuts at most.
   const unsigned MaxCuts = solveLimits().MaxCuts;
-  for (unsigned Cuts = 0; Cuts <= MaxCuts; ++Cuts) {
-    if (!T.dualSimplex()) {
+  for (unsigned Cuts = 0; Cuts <= MaxCuts && !Tab.overflowed(); ++Cuts) {
+    if (!Tab.dualSimplex()) {
       Result.Status =
-          T.aborted() ? SolveStatus::Aborted : SolveStatus::Infeasible;
+          Tab.aborted() ? SolveStatus::Aborted : SolveStatus::Infeasible;
       return Result;
     }
-    int FracRow = T.firstFractionalVarRow();
+    int FracRow = Tab.firstFractionalVarRow();
     if (FracRow < 0) {
       Result.Status = SolveStatus::Feasible;
-      Result.Point = T.varValues();
+      Result.Point = Tab.varValues();
       return Result;
     }
-    T.addGomoryCut(static_cast<unsigned>(FracRow));
+    Tab.addGomoryCut(static_cast<unsigned>(FracRow));
     ++CutsUsed;
   }
   Result.Status = SolveStatus::Aborted;
@@ -356,31 +546,65 @@ LexMinResult runToInteger(Tableau &T, unsigned &CutsUsed) {
 /// Stats are bulk-added once per solve from the tableau totals, so the
 /// pivot loop itself stays uninstrumented. PivotsBefore subtracts pivots a
 /// reused tableau already carried when this solve began.
-void noteSolveStats(const Tableau &T, unsigned PivotsBefore,
-                    unsigned CutsUsed, bool DidAbort) {
+template <typename T>
+void noteSolveStats(const Tableau<T> &Tab, unsigned PivotsBefore,
+                    unsigned CutsUsed, const LexMinResult &Result) {
   if (!activeStats())
     return;
   count(Counter::LexMinCalls);
-  count(Counter::SimplexPivots, T.iterations() - PivotsBefore);
+  count(Counter::SimplexPivots, Tab.iterations() - PivotsBefore);
   count(Counter::GomoryCuts, CutsUsed);
-  if (DidAbort)
+  if (Result.Status == SolveStatus::Aborted)
     count(Counter::IlpAborts);
+}
+
+/// A cold solve: on an int64 tableau first, and from the start on a BigInt
+/// one if an entry or a step of the int64 run overflows. Both runs charge
+/// the budget for their pivots; the stats count the run that answered.
+LexMinResult solveCold(const RowRefs &Rows, bool FreeVars) {
+  unsigned CutsUsed = 0;
+  {
+    Tableau<int64_t> Fast(Rows, FreeVars);
+    LexMinResult Result = runToInteger(Fast, CutsUsed);
+    if (!Fast.overflowed()) {
+      noteSolveStats(Fast, 0, CutsUsed, Result);
+      return Result;
+    }
+  }
+  count(Counter::LexMinBigIntReruns);
+  Tableau<BigInt> Exact(Rows, FreeVars);
+  LexMinResult Result = runToInteger(Exact, CutsUsed);
+  noteSolveStats(Exact, 0, CutsUsed, Result);
+  return Result;
 }
 
 } // namespace
 
+RowRefs::RowRefs(const IntMatrix &Ineqs, const IntMatrix &Eqs,
+                 unsigned NumVars)
+    : NumVars(NumVars) {
+  addIneqs(Ineqs);
+  addEqs(Eqs);
+}
+
+void RowRefs::addIneqs(const IntMatrix &M, unsigned Skip) {
+  assert((M.empty() || M.numCols() == NumVars + 1) &&
+         "inequality width mismatch");
+  for (unsigned R = 0; R < M.numRows(); ++R)
+    if (R != Skip)
+      Ineqs.push_back(M.row(R).data());
+}
+
+void RowRefs::addEqs(const IntMatrix &M) {
+  assert((M.empty() || M.numCols() == NumVars + 1) &&
+         "equality width mismatch");
+  for (unsigned R = 0; R < M.numRows(); ++R)
+    Eqs.push_back(M.row(R).data());
+}
+
 LexMinResult ilp::lexMinNonNeg(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                                unsigned NumVars) {
-  assert((Ineqs.empty() || Ineqs.numCols() == NumVars + 1) &&
-         "inequality width mismatch");
-  assert((Eqs.empty() || Eqs.numCols() == NumVars + 1) &&
-         "equality width mismatch");
-
-  Tableau T(Ineqs, Eqs, NumVars);
-  unsigned CutsUsed = 0;
-  LexMinResult Result = runToInteger(T, CutsUsed);
-  noteSolveStats(T, 0, CutsUsed, Result.Status == SolveStatus::Aborted);
-  return Result;
+  return solveCold(RowRefs(Ineqs, Eqs, NumVars), /*FreeVars=*/false);
 }
 
 struct LexMinSolver::Impl {
@@ -393,15 +617,16 @@ struct LexMinSolver::Impl {
   /// the base's integer points, hence for base + extras).
   bool BaseSolved = false;
   SolveStatus BaseStatus = SolveStatus::Infeasible;
-  std::unique_ptr<Tableau> BaseT;
+  std::unique_ptr<Tableau<BigInt>> BaseT;
 
   void solveBase() {
     BaseSolved = true;
-    BaseT = std::make_unique<Tableau>(BaseIneqs, BaseEqs, NumVars);
+    BaseT = std::make_unique<Tableau<BigInt>>(
+        RowRefs(BaseIneqs, BaseEqs, NumVars), /*FreeVars=*/false);
     unsigned CutsUsed = 0;
     LexMinResult R = runToInteger(*BaseT, CutsUsed);
     BaseStatus = R.Status;
-    noteSolveStats(*BaseT, 0, CutsUsed, R.Status == SolveStatus::Aborted);
+    noteSolveStats(*BaseT, 0, CutsUsed, R);
   }
 };
 
@@ -446,45 +671,32 @@ LexMinResult LexMinSolver::solveWith(const IntMatrix &ExtraIneqs) {
   }
   if (Reused)
     count(Counter::LexMinWarmStarts);
-  Tableau T = *I->BaseT;
+  Tableau<BigInt> T = *I->BaseT;
   unsigned PivotsBefore = T.iterations();
   for (unsigned R = 0; R < ExtraIneqs.numRows(); ++R)
     T.appendTransformed(ExtraIneqs.row(R));
   unsigned CutsUsed = 0;
   Result = runToInteger(T, CutsUsed);
-  noteSolveStats(T, PivotsBefore, CutsUsed,
-                 Result.Status == SolveStatus::Aborted);
+  noteSolveStats(T, PivotsBefore, CutsUsed, Result);
   return Result;
+}
+
+Feasibility ilp::integerFeasibility(const RowRefs &Rows,
+                                    std::vector<BigInt> *Witness) {
+  LexMinResult LM = solveCold(Rows, /*FreeVars=*/true);
+  if (LM.Status == SolveStatus::Aborted)
+    return Feasibility::Unknown;
+  if (!LM.feasible())
+    return Feasibility::Empty;
+  if (Witness)
+    *Witness = std::move(LM.Point);
+  return Feasibility::HasPoint;
 }
 
 Feasibility ilp::integerFeasibility(const IntMatrix &Ineqs,
                                     const IntMatrix &Eqs, unsigned NumVars,
                                     std::vector<BigInt> *Witness) {
-  // Split x_i = p_i - n_i with p_i, n_i >= 0.
-  auto split = [&](const IntMatrix &M) {
-    IntMatrix R(2 * NumVars + 1);
-    for (unsigned I = 0; I < M.numRows(); ++I) {
-      std::vector<BigInt> Row(2 * NumVars + 1);
-      for (unsigned J = 0; J < NumVars; ++J) {
-        Row[2 * J] = M(I, J);
-        Row[2 * J + 1] = -M(I, J);
-      }
-      Row[2 * NumVars] = M(I, NumVars);
-      R.addRow(std::move(Row));
-    }
-    return R;
-  };
-  LexMinResult LM = lexMinNonNeg(split(Ineqs), split(Eqs), 2 * NumVars);
-  if (LM.Status == SolveStatus::Aborted)
-    return Feasibility::Unknown;
-  if (!LM.feasible())
-    return Feasibility::Empty;
-  if (Witness) {
-    Witness->clear();
-    for (unsigned I = 0; I < NumVars; ++I)
-      Witness->push_back(LM.Point[2 * I] - LM.Point[2 * I + 1]);
-  }
-  return Feasibility::HasPoint;
+  return integerFeasibility(RowRefs(Ineqs, Eqs, NumVars), Witness);
 }
 
 bool ilp::hasIntegerPoint(const IntMatrix &Ineqs, const IntMatrix &Eqs,

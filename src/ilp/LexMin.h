@@ -16,7 +16,11 @@
 /// non-negative transformation coefficients (Section 4.2); a helper maps
 /// free-sign systems (dependence polyhedra) onto this form by variable
 /// doubling, which gives the exact integer emptiness test the dependence
-/// analyzer needs.
+/// analyzer and the code generator need.
+///
+/// A cold solve runs on machine-word entries first and repeats on BigInt
+/// only when some step overflows (PipLib likewise ships 64-bit builds
+/// beside its GMP one); both runs make the same pivots and cuts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,6 +80,24 @@ struct LexMinResult {
   bool feasible() const { return Status == SolveStatus::Feasible; }
 };
 
+/// The rows of a system held elsewhere (matrix rows, single vectors). Each
+/// pointer addresses NumVars + 1 entries, the coefficients then the
+/// constant. The solvers read the rows in place, so a caller can pose the
+/// union of several row sets, or a system plus one extra row, without
+/// copying them.
+struct RowRefs {
+  explicit RowRefs(unsigned NumVars) : NumVars(NumVars) {}
+  RowRefs(const IntMatrix &Ineqs, const IntMatrix &Eqs, unsigned NumVars);
+
+  /// Appends every row of M (NumVars + 1 columns) but row Skip.
+  void addIneqs(const IntMatrix &M, unsigned Skip = ~0u);
+  void addEqs(const IntMatrix &M);
+
+  unsigned NumVars;
+  std::vector<const BigInt *> Ineqs;
+  std::vector<const BigInt *> Eqs;
+};
+
 /// Computes the integer lexicographic minimum of x = (x_0, ..., x_{n-1}),
 /// all x_i >= 0, subject to Ineqs * (x, 1) >= 0 and Eqs * (x, 1) == 0.
 /// Both matrices have NumVars + 1 columns (coefficients then the constant
@@ -96,6 +118,8 @@ enum class Feasibility {
 /// x_i may take any sign. Implemented by splitting each variable into a
 /// difference of two non-negative ones. If Witness is non-null and a point
 /// is found, it receives one.
+Feasibility integerFeasibility(const RowRefs &Rows,
+                               std::vector<BigInt> *Witness = nullptr);
 Feasibility integerFeasibility(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                                unsigned NumVars,
                                std::vector<BigInt> *Witness = nullptr);
@@ -118,7 +142,7 @@ bool hasIntegerPoint(const IntMatrix &Ineqs, const IntMatrix &Eqs,
 /// simplex from there instead of re-solving from scratch. The integer
 /// lexicographic minimum is unique, so a warm solve returns exactly what a
 /// cold lexMinNonNeg over base + extras would; on Aborted the caller falls
-/// back to a cold solve.
+/// back to a cold solve. Its tableau holds BigInt entries throughout.
 class LexMinSolver {
 public:
   LexMinSolver();

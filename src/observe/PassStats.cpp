@@ -45,6 +45,8 @@ const char *pluto::counterName(Counter C) {
     return "ilp_aborts";
   case Counter::LexMinWarmStarts:
     return "lexmin_warm_starts";
+  case Counter::LexMinBigIntReruns:
+    return "lexmin_bigint_reruns";
   case Counter::FmEliminations:
     return "fm_eliminations";
   case Counter::FmRowsGenerated:

@@ -57,6 +57,7 @@ enum class Counter : unsigned {
   GomoryCuts,
   IlpAborts,
   LexMinWarmStarts, ///< solves served from a warm-started band tableau
+  LexMinBigIntReruns, ///< cold solves rerun on BigInt after int64 overflow
   // poly/ - Fourier-Motzkin core.
   FmEliminations,  ///< variable eliminations performed via FM combination
   FmRowsGenerated, ///< lower*upper combinations formed across eliminations

@@ -91,6 +91,22 @@ auto rowsOf(const IntMatrix &M) {
 
 /// True iff some row of M other than Skip has Row's coefficient vector and
 /// a constant no larger than Row's, i.e. syntactically implies Row >= 0.
+/// True iff every integer point of the system Rows satisfies
+/// Row.(x,1) >= 0: Rows plus not(Row) is empty, and not(a.x + c >= 0) over
+/// the integers is -a.x - c - 1 >= 0. The rows are read in place.
+bool implies(ilp::RowRefs Rows, const std::vector<BigInt> &Row) {
+  count(Counter::RedundancyChecks);
+  count(Counter::EmptinessTests);
+  unsigned N = Rows.NumVars;
+  assert(Row.size() == N + 1 && "constraint width mismatch");
+  std::vector<BigInt> NegRow(N + 1);
+  for (unsigned I = 0; I <= N; ++I)
+    NegRow[I] = -Row[I];
+  NegRow[N] -= BigInt(1);
+  Rows.Ineqs.push_back(NegRow.data());
+  return ilp::integerFeasibility(Rows) == ilp::Feasibility::Empty;
+}
+
 bool hasDominatingRow(const IntMatrix &M, unsigned Skip,
                       const std::vector<BigInt> &Row) {
   unsigned N = static_cast<unsigned>(Row.size()) - 1;
@@ -182,17 +198,7 @@ ilp::Feasibility ConstraintSystem::integerFeasibility() const {
 }
 
 bool ConstraintSystem::impliesIneq(const std::vector<BigInt> &Row) const {
-  count(Counter::RedundancyChecks);
-  assert(Row.size() == NumVars + 1 && "constraint width mismatch");
-  // Implied iff (this AND not Row) is empty; not(a.x + c >= 0) over the
-  // integers is -a.x - c - 1 >= 0.
-  ConstraintSystem Neg = *this;
-  std::vector<BigInt> NegRow(NumVars + 1);
-  for (unsigned I = 0; I <= NumVars; ++I)
-    NegRow[I] = -Row[I];
-  NegRow[NumVars] -= BigInt(1);
-  Neg.addIneq(std::move(NegRow));
-  return Neg.isIntegerEmpty();
+  return implies(ilp::RowRefs(Ineqs, Eqs, NumVars), Row);
 }
 
 /// Divides an inequality row by the gcd of its variable coefficients,
@@ -503,13 +509,10 @@ void ConstraintSystem::gist(const ConstraintSystem &Context) {
     bool Implied = hasDominatingRow(Context.Ineqs, ~0u, Row) ||
                    hasDominatingRow(Ineqs, R, Row);
     if (!Implied) {
-      ConstraintSystem Probe = Context;
-      for (unsigned I = 0; I < Ineqs.numRows(); ++I)
-        if (I != R)
-          Probe.addIneq(Ineqs.row(I));
-      for (unsigned I = 0; I < Eqs.numRows(); ++I)
-        Probe.addEq(Eqs.row(I));
-      Implied = Probe.impliesIneq(Row);
+      ilp::RowRefs Probe(Context.Ineqs, Context.Eqs, NumVars);
+      Probe.addIneqs(Ineqs, /*Skip=*/R);
+      Probe.addEqs(Eqs);
+      Implied = implies(std::move(Probe), Row);
     }
     if (Implied) {
       Ineqs.removeRow(R);
