@@ -214,11 +214,14 @@ private:
 template <typename T> class Tableau {
 public:
   /// Builds the tableau of the system Rows. With FreeVars its variables
-  /// take any sign: each x_i becomes p_i - n_i with p_i, n_i >= 0, and the
-  /// tableau's variables are (p_0, n_0, p_1, n_1, ...).
+  /// take any sign: each x_i becomes y_i - M with y_i, M >= 0, and the
+  /// tableau's variables are (M, y_0, y_1, ...), M first in lexicographic
+  /// order. An integer point x gives the point M = max(0, -min x_i),
+  /// y = x + M, and every integer (M, y) gives the point y - M, so the
+  /// shifted system has an integer point iff the caller's system has.
   Tableau(const RowRefs &Rows, bool FreeVars)
       : InVars(Rows.NumVars), FreeVars(FreeVars),
-        NumVars(FreeVars ? 2 * Rows.NumVars : Rows.NumVars),
+        NumVars(Rows.NumVars + FreeVars),
         Store(NumVars + 2), MaxIterations(solveLimits().MaxPivots) {
     Store.reserve(2 * NumVars +
                   static_cast<unsigned>(Rows.Ineqs.size() +
@@ -302,7 +305,7 @@ public:
       return V;
     std::vector<BigInt> X(InVars);
     for (unsigned I = 0; I < InVars; ++I)
-      X[I] = V[2 * I] - V[2 * I + 1];
+      X[I] = V[1 + I] - V[0];
     return X;
   }
 
@@ -375,13 +378,15 @@ private:
   bool addConstraintRow(const BigInt *Src, bool Negate) {
     T *Row = appendRow();
     bool Ok = convertOk(Src[InVars], Negate, Row[NumVars]);
-    for (unsigned I = 0; I < InVars; ++I) {
-      if (!FreeVars) {
+    if (!FreeVars) {
+      for (unsigned I = 0; I < InVars; ++I)
         Ok &= convertOk(Src[I], Negate, Row[I]);
-        continue;
-      }
-      Ok &= convertOk(Src[I], Negate, Row[2 * I]);
-      Ok &= negOk(Row[2 * I], Row[2 * I + 1]);
+      return Ok;
+    }
+    // a.x = a.y - (sum_i a_i) M: the shift column holds -sum_i a_i.
+    for (unsigned I = 0; I < InVars; ++I) {
+      Ok &= convertOk(Src[I], Negate, Row[1 + I]);
+      Ok &= subOk(Row[0], Row[1 + I], Row[0]);
     }
     return Ok;
   }

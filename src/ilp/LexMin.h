@@ -14,9 +14,10 @@
 /// Gomory's method-of-integer-forms cuts. All problem variables are
 /// constrained to be non-negative, matching the paper's practical choice of
 /// non-negative transformation coefficients (Section 4.2); a helper maps
-/// free-sign systems (dependence polyhedra) onto this form by variable
-/// doubling, which gives the exact integer emptiness test the dependence
-/// analyzer and the code generator need.
+/// free-sign systems (dependence polyhedra, codegen regions) onto this form
+/// with one shared shift variable, x = y - M * (1, ..., 1) over y, M >= 0,
+/// which gives the exact integer emptiness test the dependence analyzer
+/// and the code generator need.
 ///
 /// A cold solve runs on machine-word entries first and repeats on BigInt
 /// only when some step overflows (PipLib likewise ships 64-bit builds
@@ -115,8 +116,9 @@ enum class Feasibility {
 };
 
 /// Integer feasibility of Ineqs * (x, 1) >= 0, Eqs * (x, 1) == 0 where the
-/// x_i may take any sign. Implemented by splitting each variable into a
-/// difference of two non-negative ones. If Witness is non-null and a point
+/// x_i may take any sign. Implemented as a lexmin over (M, y) >= 0 with
+/// x = y - M * (1, ..., 1): an integer point x maps to M = max(0, -min x_i),
+/// y = x + M, so the verdict is exact. If Witness is non-null and a point
 /// is found, it receives one.
 Feasibility integerFeasibility(const RowRefs &Rows,
                                std::vector<BigInt> *Witness = nullptr);

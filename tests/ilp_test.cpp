@@ -377,6 +377,24 @@ TEST(LexMinOracleTest, BigCoefficientsTakeTheLimbPath) {
   EXPECT_TRUE(AnyLarge);
 }
 
+TEST(LexMinOracleTest, BigCoefficientFamilyRerunsOnBigInt) {
+  // The Seed % 3 == 0 family above leaves int64 inside the tableau, so its
+  // cold solves rerun on BigInt; the small-coefficient family never does.
+  PassStats Big, Small;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    Rng R(Seed);
+    bool IsBig = Seed % 3 == 0;
+    RandomSystem S =
+        randomSystem(R, static_cast<unsigned>(R.range(2, 4)), 0, 5, IsBig);
+    setActiveStats(IsBig ? &Big : &Small);
+    lexMinNonNeg(withBox(S.Ineqs, S.NumVars, 0, 5), S.Eqs, S.NumVars);
+    setActiveStats(nullptr);
+  }
+  EXPECT_GT(Big.get(Counter::LexMinBigIntReruns), 0u);
+  EXPECT_EQ(Small.get(Counter::LexMinBigIntReruns), 0u);
+  EXPECT_EQ(Big.get(Counter::LexMinCalls), 20u);
+}
+
 TEST(LexMinOracleTest, IntegerFeasibilityMatchesBruteForce) {
   const long long B = 3;
   unsigned Empty = 0, NonEmpty = 0;
@@ -430,6 +448,83 @@ TEST(LexMinOracleTest, WarmSolveWithMatchesColdSolve) {
       EXPECT_EQ(Warm.Point, Cold.Point) << "seed " << Seed;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The int64 tableau: each overflow reruns the solve on BigInt
+//===----------------------------------------------------------------------===//
+
+/// Runs Solve under a fresh stats sink; returns its BigInt reruns.
+uint64_t bigIntReruns(const std::function<void()> &Solve) {
+  PassStats Stats;
+  setActiveStats(&Stats);
+  Solve();
+  setActiveStats(nullptr);
+  EXPECT_EQ(Stats.get(Counter::LexMinCalls), 1u);
+  return Stats.get(Counter::LexMinBigIntReruns);
+}
+
+TEST(Int64TableauTest, FirstPivotProductOverflowReruns) {
+  // x0 + x1 >= 1 and x0 - x1 + 3 >= 0, each scaled by K = 2^40. Every
+  // entry fits int64, but the first pivot (first row, column x1, pivot K)
+  // multiplies the second row's entry K by K: 2^80. Lexmin (0, 1).
+  const long long K = 1LL << 40;
+  IntMatrix I = withBox(rows({{K, K, -K}, {K, -K, 3 * K}}, 3), 2, 0, 5);
+  LexMinResult R;
+  EXPECT_EQ(bigIntReruns([&] { R = lexMinNonNeg(I, IntMatrix(3), 2); }), 1u);
+  ASSERT_TRUE(R.feasible());
+  EXPECT_EQ(pt(R), (std::vector<long long>{0, 1}));
+  EXPECT_EQ(R.Point, *bruteLexMin(I, IntMatrix(3), 2, 0, 5));
+}
+
+TEST(Int64TableauTest, ShiftEntryOverflowReruns) {
+  // 2^62 (x0 + x1) + x2 >= 0 with x0 >= 1 and x1 <= -1: every coefficient
+  // fits, but the shift column's entry -(2^62 + 2^62 + 1) does not. With
+  // the row that asks for 2^62 (x0 + x1) + x2 <= -1 as well the system is
+  // empty.
+  const long long P = 1LL << 62;
+  IntMatrix I = withBox(rows({{P, P, 1, 0}, {1, 0, 0, -1}, {0, -1, 0, -1}}, 4),
+                        3, -2, 2);
+  std::vector<BigInt> W;
+  Feasibility F = Feasibility::Unknown;
+  EXPECT_EQ(bigIntReruns([&] {
+              F = integerFeasibility(I, IntMatrix(4), 3, &W);
+            }),
+            1u);
+  ASSERT_TRUE(bruteLexMin(I, IntMatrix(4), 3, -2, 2).has_value());
+  ASSERT_EQ(F, Feasibility::HasPoint);
+  EXPECT_TRUE(satisfies(I, IntMatrix(4), W));
+
+  I.addRow({BigInt(-P), BigInt(-P), BigInt(-1), BigInt(-1)});
+  EXPECT_EQ(bigIntReruns([&] {
+              F = integerFeasibility(I, IntMatrix(4), 3);
+            }),
+            1u);
+  EXPECT_FALSE(bruteLexMin(I, IntMatrix(4), 3, -2, 2).has_value());
+  EXPECT_EQ(F, Feasibility::Empty);
+}
+
+TEST(Int64TableauTest, Int64MinNegationDoesNotWrap) {
+  // x0 + INT64_MIN >= 0: the pivot negates the constant, and -INT64_MIN
+  // is 2^63, one past int64. A wrapped negation would give x0 = INT64_MIN.
+  IntMatrix I = rows({{1, INT64_MIN}}, 2);
+  LexMinResult R;
+  EXPECT_EQ(bigIntReruns([&] { R = lexMinNonNeg(I, IntMatrix(2), 1); }), 1u);
+  ASSERT_TRUE(R.feasible());
+  ASSERT_EQ(R.Point.size(), 1u);
+  EXPECT_EQ(R.Point[0], BigInt::fromString("9223372036854775808"));
+
+  // INT64_MIN x0 + INT64_MIN == 0, so x0 = -1: the equality's negated twin
+  // row does not fit int64.
+  IntMatrix E = rows({{INT64_MIN, INT64_MIN}}, 2);
+  std::vector<BigInt> W;
+  Feasibility F = Feasibility::Unknown;
+  EXPECT_EQ(bigIntReruns([&] {
+              F = integerFeasibility(IntMatrix(2), E, 1, &W);
+            }),
+            1u);
+  ASSERT_EQ(F, Feasibility::HasPoint);
+  EXPECT_EQ(W, std::vector<BigInt>{BigInt(-1)});
 }
 
 } // namespace

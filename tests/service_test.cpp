@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Kernels.h"
+#include "observe/PassStats.h"
 #include "runtime/Jit.h"
 #include "serve/Protocol.h"
 #include "service/Batch.h"
@@ -485,6 +486,26 @@ TEST(PipelineTest, ColdAndCachedCompilesAreByteIdenticalForAllExamples) {
     EXPECT_TRUE(Warm.CacheHit) << Req.Name;
     EXPECT_EQ(Warm.EmittedC, Cold1.EmittedC) << Req.Name;
   }
+}
+
+// The benchmark's paper_kernels units (examples/*.c and fdtd2d) never
+// leave the int64 tableau: no cold lexmin or emptiness solve of theirs
+// overflows into a BigInt rerun.
+TEST(PipelineTest, PaperKernelsSolveWithoutBigIntReruns) {
+  std::vector<CompileRequest> Reqs = exampleRequests();
+  Reqs.push_back({"fdtd2d", kernels::Fdtd2D, {}, {}});
+  ASSERT_EQ(Reqs.size(), 7u);
+  PassStats Stats;
+  setActiveStats(&Stats);
+  for (const CompileRequest &Req : Reqs) {
+    auto P = Pipeline::create();
+    ASSERT_TRUE(P.hasValue());
+    auto R = P->compileRequest(Req);
+    EXPECT_TRUE(R.ok()) << Req.Name << ": " << R.Error;
+  }
+  setActiveStats(nullptr);
+  EXPECT_GT(Stats.get(Counter::EmptinessTests), 1000u);
+  EXPECT_EQ(Stats.get(Counter::LexMinBigIntReruns), 0u);
 }
 
 //===----------------------------------------------------------------------===//
