@@ -6,6 +6,8 @@
 
 #include "parser/Diagnostics.h"
 
+#include "support/Json.h"
+
 using namespace pluto;
 
 std::string Diagnostic::toString() const {
@@ -58,14 +60,26 @@ static bool sourceLine(const std::string &Source, unsigned Line,
 
 std::string pluto::renderSnippet(const std::string &Source,
                                  const Diagnostic &D) {
-  std::string Text;
-  if (D.Line == 0 || !sourceLine(Source, D.Line, Text))
+  std::string Line;
+  if (D.Line == 0 || !sourceLine(Source, D.Line, Line))
     return std::string();
   // Columns count characters, so the caret line aligns only if every
-  // character renders one column wide: expand tabs to a single space.
-  for (char &C : Text)
-    if (C == '\t')
-      C = ' ';
+  // character renders one column wide: a tab becomes one space, and a byte
+  // that starts no well-formed UTF-8 sequence (one column to the lexer)
+  // becomes one U+FFFD, so the snippet is valid UTF-8.
+  std::string Text;
+  Text.reserve(Line.size());
+  for (size_t I = 0; I < Line.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Line[I]);
+    if (C < 0x80) {
+      Text += C == '\t' ? ' ' : static_cast<char>(C);
+    } else if (size_t Len = detail::utf8SequenceLength(Line, I)) {
+      Text.append(Line, I, Len);
+      I += Len - 1;
+    } else {
+      Text += "\xEF\xBF\xBD"; // U+FFFD REPLACEMENT CHARACTER
+    }
+  }
   unsigned Col = D.Col == 0 ? 1 : D.Col;
   unsigned Len = D.Len == 0 ? 1 : D.Len;
   std::string Caret(Col - 1, ' ');

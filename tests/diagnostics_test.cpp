@@ -274,6 +274,23 @@ TEST(Snippet, TabsExpandToOneSpaceSoCaretAligns) {
   EXPECT_EQ(renderSnippet("\tx = 1;", D), "   x = 1;\n   ^\n");
 }
 
+TEST(Snippet, InvalidUtf8BytesRenderAsReplacementCharacters) {
+  // Each byte that starts no well-formed sequence (0xFF, and 0xC3 before
+  // ';') becomes one U+FFFD, one column as in the lexer, so the snippet is
+  // valid UTF-8 and the caret still lines up under the byte.
+  std::string Source = "a[i] = b[i] + caf\xC3\xA9 \xFF\xC3;";
+  std::vector<Diagnostic> Diags;
+  tokenize(Source, Diags);
+  auto It = std::find_if(Diags.begin(), Diags.end(), [](const Diagnostic &D) {
+    return D.Message == "invalid UTF-8 byte 0xFF";
+  });
+  ASSERT_NE(It, Diags.end());
+  EXPECT_EQ(It->Col, 20u);
+  EXPECT_EQ(renderSnippet(Source, *It),
+            "  a[i] = b[i] + caf\xC3\xA9 \xEF\xBF\xBD\xEF\xBF\xBD;\n  " +
+                std::string(19, ' ') + "^\n");
+}
+
 TEST(Snippet, PicksTheRightLineUnderMixedEndings) {
   Diagnostic D;
   D.Line = 3;
