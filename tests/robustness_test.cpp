@@ -37,6 +37,7 @@
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -635,7 +636,13 @@ TEST_F(SandboxTest, ExternallyKilledChildIsReplacedTransparently) {
   pid_t Victim = W.childPid();
   ASSERT_GT(Victim, 0);
   ASSERT_EQ(kill(Victim, SIGKILL), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the victim has exited, but leave it for the worker to reap:
+  // a fixed sleep could end first under load, and the death would then be
+  // taken for one during the next job.
+  siginfo_t Info;
+  ASSERT_EQ(waitid(P_PID, static_cast<id_t>(Victim), &Info,
+                   WEXITED | WNOWAIT),
+            0);
   // The next job notices the dead peer, respawns once and retries: the
   // caller sees a normal response (an idle-time kill is not the job's
   // fault, so it is not breaker material either).
