@@ -23,12 +23,14 @@ UBSAN_OPTIONS=print_stacktrace=1 \
 # The sanitizer build above is RelWithDebInfo, so NDEBUG strips every
 # assert. Build the exact core (BigInt, the lexmin tableau, FM projection,
 # Farkas compression) once more in Debug and run its tests with the
-# asserts on.
+# asserts on; deps_test and codegen_test put the tableaux' asserts (the
+# int64 one's included) through real dependence and codegen systems.
 DEBUG_DIR="$BUILD_DIR-debug"
+DEBUG_TESTS="support_test ilp_test poly_test transform_test deps_test \
+  codegen_test"
 cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$DEBUG_DIR" -j "$(nproc)" \
-  --target support_test ilp_test poly_test transform_test
-for T in support_test ilp_test poly_test transform_test; do
+cmake --build "$DEBUG_DIR" -j "$(nproc)" --target $DEBUG_TESTS
+for T in $DEBUG_TESTS; do
   "$DEBUG_DIR/tests/$T" --gtest_brief=1
 done
 echo "ci-sanitize: Debug exact-core tests OK"
