@@ -87,7 +87,6 @@ struct LexMinResult {
 /// union of several row sets, or a system plus one extra row, without
 /// copying them.
 struct RowRefs {
-  explicit RowRefs(unsigned NumVars) : NumVars(NumVars) {}
   RowRefs(const IntMatrix &Ineqs, const IntMatrix &Eqs, unsigned NumVars);
 
   /// Appends every row of M (NumVars + 1 columns) but row Skip.

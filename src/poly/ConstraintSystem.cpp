@@ -89,8 +89,6 @@ auto rowsOf(const IntMatrix &M) {
   return [&M](unsigned I) -> const std::vector<BigInt> & { return M.row(I); };
 }
 
-/// True iff some row of M other than Skip has Row's coefficient vector and
-/// a constant no larger than Row's, i.e. syntactically implies Row >= 0.
 /// True iff every integer point of the system Rows satisfies
 /// Row.(x,1) >= 0: Rows plus not(Row) is empty, and not(a.x + c >= 0) over
 /// the integers is -a.x - c - 1 >= 0. The rows are read in place.
@@ -107,6 +105,8 @@ bool implies(ilp::RowRefs Rows, const std::vector<BigInt> &Row) {
   return ilp::integerFeasibility(Rows) == ilp::Feasibility::Empty;
 }
 
+/// True iff some row of M other than Skip has Row's coefficient vector and
+/// a constant no larger than Row's, i.e. syntactically implies Row >= 0.
 bool hasDominatingRow(const IntMatrix &M, unsigned Skip,
                       const std::vector<BigInt> &Row) {
   unsigned N = static_cast<unsigned>(Row.size()) - 1;
