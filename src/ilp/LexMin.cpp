@@ -499,7 +499,7 @@ private:
         if (!isOne(P) && !isZero(Row[C]))
           Ok &= mulOk(Row[C], P, Row[C]);
         if (!isZero(PR[C])) {
-          T Prod;
+          T Prod(0);
           Ok &= mulOk(A, PR[C], Prod);
           Ok &= subOk(Row[C], Prod, Row[C]);
         }
