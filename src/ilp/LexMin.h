@@ -85,7 +85,8 @@ struct LexMinResult {
 /// pointer addresses NumVars + 1 entries, the coefficients then the
 /// constant. The solvers read the rows in place, so a caller can pose the
 /// union of several row sets, or a system plus one extra row, without
-/// copying them.
+/// copying them. The rows must stay alive and in place while a RowRefs
+/// over them is used.
 struct RowRefs {
   RowRefs(const IntMatrix &Ineqs, const IntMatrix &Eqs, unsigned NumVars);
 
