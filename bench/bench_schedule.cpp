@@ -5,8 +5,8 @@
 // The paper's scheduler was demonstrated on kernels of a handful of
 // statements; this binary measures how computeSchedule scales to synthetic
 // programs of 10/25/50/100 statements (support/StressGen.h) with the
-// scaling fast paths (clustered decomposition, dimension matching,
-// warm-started lexmin) on versus off. Parsing and dependence analysis run
+// scaling fast paths (clustered decomposition, warm-started lexmin) on
+// versus off. Parsing and dependence analysis run
 // once per size outside the timed region; each iteration copies the
 // dependence graph (satisfaction bookkeeping is mutated by the scheduler).
 //

@@ -14,6 +14,8 @@
 #ifndef PLUTOPP_DRIVER_KERNELS_H
 #define PLUTOPP_DRIVER_KERNELS_H
 
+#include <utility>
+
 namespace pluto {
 namespace kernels {
 
@@ -238,6 +240,17 @@ for (i = 0; i < N; i++) {
   }
 }
 )";
+
+/// Every kernel above as (name, source), in declaration order.
+inline const std::pair<const char *, const char *> All[] = {
+    {"Jacobi1D", Jacobi1D}, {"Fdtd2D", Fdtd2D},
+    {"LU", LU},             {"MVT", MVT},
+    {"Seidel2D", Seidel2D}, {"MatMul", MatMul},
+    {"Sweep2D", Sweep2D},   {"Jacobi2D", Jacobi2D},
+    {"Gemver", Gemver},     {"Trmm", Trmm},
+    {"Syrk", Syrk},         {"Doitgen", Doitgen},
+    {"Atax", Atax},         {"DotProduct", DotProduct},
+    {"MatVecT", MatVecT}};
 
 } // namespace kernels
 } // namespace pluto

@@ -83,10 +83,6 @@ const char *pluto::counterName(Counter C) {
     return "scc_cuts";
   case Counter::TextualOrderRows:
     return "textual_order_rows";
-  case Counter::ScheduleFastPathHits:
-    return "schedule_fastpath_hits";
-  case Counter::ScheduleFastPathFallbacks:
-    return "schedule_fastpath_fallbacks";
   case Counter::BandsTiled:
     return "bands_tiled";
   case Counter::WavefrontsApplied:

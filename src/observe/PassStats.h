@@ -80,8 +80,6 @@ enum class Counter : unsigned {
   HyperplanesFound,
   SccCuts,
   TextualOrderRows,
-  ScheduleFastPathHits,      ///< hyperplanes from dimension matching
-  ScheduleFastPathFallbacks, ///< rows that needed the exact lexmin ILP
   // tile/ - Algorithms 1 & 2, section 5.4.
   BandsTiled,
   WavefrontsApplied,

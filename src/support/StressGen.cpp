@@ -46,18 +46,18 @@ unsigned emitCluster(std::ostream &OS, unsigned Pattern, unsigned K) {
   std::string Im1J = "[" + I + " - 1][" + J + "]";
 
   switch (Pattern) {
-  case 0: // pointwise map: no dependences at all (fast path hits both rows)
+  case 0: // pointwise map: no dependences at all
     Nest("0", "0");
     OS << "    " << Arr("A") << Ij << " = " << Arr("B") << Ij << " + 1.5;\n";
     Close();
     return 1;
-  case 1: // j-carried recurrence: (0,1) flow, row 1 needs the exact solver
+  case 1: // j-carried recurrence: (0,1) flow
     Nest("0", "1");
     OS << "    " << Arr("R") << Ij << " = " << Arr("R") << IjM1
        << " * 0.5 + 1.0;\n";
     Close();
     return 1;
-  case 2: // 2-d stencil: (1,0) and (0,1) flows defeat every unit candidate
+  case 2: // 2-d stencil: (1,0) and (0,1) flows, no zero-cost row
     Nest("1", "1");
     OS << "    " << Arr("S") << Ij << " = " << Arr("S") << Im1J << " + "
        << Arr("S") << IjM1 << ";\n";

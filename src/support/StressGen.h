@@ -14,9 +14,9 @@
 /// arrays and iterators are namespaced per cluster so no dependence crosses
 /// a cluster boundary. The dependence graph therefore decomposes into
 /// weakly connected components of 1-2 statements each, which is exactly the
-/// shape the clustered scheduler (TransformOptions::FastPaths) exploits -
-/// while the exact monolithic path must still solve one ILP over all
-/// statements, making the corpus a sharp A/B for the fast paths.
+/// shape clustered decomposition (one of TransformOptions::FastPaths)
+/// exploits - while the exact monolithic path must still solve one ILP over
+/// all statements, making the corpus a sharp A/B for the fast paths.
 ///
 /// The generator is seeded by a hand-rolled LCG (no <random>, whose output
 /// is implementation-defined) so the same (NumStatements, Seed) pair yields

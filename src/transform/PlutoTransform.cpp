@@ -204,22 +204,13 @@ private:
   /// Diagnostic message backing a FindResult::Error.
   std::string Diag;
 
-  /// The Farkas-eliminated systems of one dependence. Legality has zero
-  /// rows for input (RAR) dependences, which only bound the cost.
-  struct DepSystems {
-    const Dependence *D;
-    ConstraintSystem Legality;
-    ConstraintSystem Bounding;
-  };
-
   /// Constraint material shared by every hyperplane query of the current
   /// band. The active dependence set is fixed within a band (anything
-  /// satisfied at or after BandStart stays active), so the per-dependence
-  /// Farkas systems, the assembled core system and the warm solver's
-  /// tableau snapshot are all reusable until the next cut.
+  /// satisfied at or after BandStart stays active), so the assembled core
+  /// system and the warm solver's tableau snapshot are both reusable until
+  /// the next cut.
   struct BandCache {
     bool Valid = false;
-    std::vector<DepSystems> Deps;
     /// Legality + bounding + trivial-solution guards, normalized once.
     ConstraintSystem Core;
     bool CoreTriviallyFalse = false;
@@ -307,25 +298,18 @@ private:
   void ensureCache() {
     if (Cache.Valid)
       return;
-    Cache.Deps.clear();
+    ConstraintSystem Core(Layout.numVars());
     for (const Dependence &D : DG.Deps) {
       if (D.Kind == DepKind::Input) {
         // Input deps always participate (cost bounding only).
-        Cache.Deps.push_back({&D, ConstraintSystem(Layout.numVars()),
-                              boundingConstraints(FarkasDomain(D, Cones),
-                                                  Prog, Layout)});
+        Core.append(boundingConstraints(FarkasDomain(D, Cones), Prog, Layout));
         continue;
       }
       if (!isActive(D))
         continue;
       FarkasDomain Dom(D, Cones);
-      Cache.Deps.push_back({&D, legalityConstraints(Dom, Prog, Layout),
-                            boundingConstraints(Dom, Prog, Layout)});
-    }
-    ConstraintSystem Core(Layout.numVars());
-    for (const DepSystems &DS : Cache.Deps) {
-      Core.append(DS.Legality);
-      Core.append(DS.Bounding);
+      Core.append(legalityConstraints(Dom, Prog, Layout));
+      Core.append(boundingConstraints(Dom, Prog, Layout));
     }
     appendGuardRows(Core);
     Cache.CoreTriviallyFalse = !Core.normalize();
@@ -363,129 +347,9 @@ private:
     return Rows;
   }
 
-  /// Evaluates the Farkas-eliminated rows of one dependence at the unit
-  /// candidate described by Chosen (per statement: original dimension
-  /// index, or negative when unassigned / loop-less). The candidate zeroes
-  /// every cost variable and every c0, and a row of one dependence only
-  /// mentions its own two statement blocks plus the cost columns, so each
-  /// row evaluates to its constant plus at most two coefficients.
-  bool rowsHoldAt(const DepSystems &DS, const std::vector<int> &Chosen) const {
-    unsigned Src = DS.D->SrcStmt, Dst = DS.D->DstStmt;
-    auto Eval = [&](const std::vector<BigInt> &Row) {
-      BigInt V = Row[Layout.numVars()];
-      if (Chosen[Src] >= 0)
-        V += Row[Layout.coeffCol(Src, static_cast<unsigned>(Chosen[Src]))];
-      if (Dst != Src && Chosen[Dst] >= 0)
-        V += Row[Layout.coeffCol(Dst, static_cast<unsigned>(Chosen[Dst]))];
-      return V;
-    };
-    for (const ConstraintSystem *CS : {&DS.Legality, &DS.Bounding}) {
-      for (unsigned R = 0; R < CS->ineqs().numRows(); ++R)
-        if (Eval(CS->ineqs().row(R)).isNegative())
-          return false;
-      for (unsigned R = 0; R < CS->eqs().numRows(); ++R)
-        if (!Eval(CS->eqs().row(R)).isZero())
-          return false;
-    }
-    return true;
-  }
-
-  /// DFS worker of the dimension-matching fast path: assigns statement S a
-  /// dimension (statements in id order, dimensions outermost-first - the
-  /// lexicographic order the exact lexmin prefers among unit candidates)
-  /// and checks every dependence whose later endpoint is S.
-  bool matchAssign(unsigned S, std::vector<int> &Chosen,
-                   const std::vector<std::vector<const DepSystems *>> &ByMax,
-                   const std::vector<IntMatrix> &Perp,
-                   unsigned &Budget) const {
-    if (S == Prog.Stmts.size())
-      return true;
-    if (Budget == 0)
-      return false;
-    --Budget;
-    auto DepsOk = [&]() {
-      for (const DepSystems *DS : ByMax[S])
-        if (!rowsHoldAt(*DS, Chosen))
-          return false;
-      return true;
-    };
-    unsigned M = Layout.stmtNumIters(S);
-    if (M == 0) {
-      Chosen[S] = -2; // Assigned; contributes nothing (c0 stays 0).
-      if (DepsOk() && matchAssign(S + 1, Chosen, ByMax, Perp, Budget))
-        return true;
-      Chosen[S] = -1;
-      return false;
-    }
-    bool NeedIndep = HBasis[S].numRows() < M;
-    for (unsigned D = 0; D < M; ++D) {
-      if (NeedIndep) {
-        // The unit must satisfy the same non-negative independence
-        // encoding the exact system carries: Perp(r, D) >= 0 per row and
-        // their sum >= 1 (which also implies linear independence).
-        bool Ok = true;
-        BigInt Sum(0);
-        for (unsigned R = 0; R < Perp[S].numRows(); ++R) {
-          if (Perp[S](R, D).isNegative()) {
-            Ok = false;
-            break;
-          }
-          Sum += Perp[S](R, D);
-        }
-        if (!Ok || Sum < BigInt(1))
-          continue;
-      }
-      Chosen[S] = static_cast<int>(D);
-      if (DepsOk() && matchAssign(S + 1, Chosen, ByMax, Perp, Budget))
-        return true;
-    }
-    Chosen[S] = -1;
-    return false;
-  }
-
-  /// The dimension-matching fast path: look for one original loop
-  /// dimension per statement whose unit hyperplanes form a feasible
-  /// zero-cost point of the exact ILP, verified by direct evaluation
-  /// against the band's cached Farkas systems (never a fresh ILP). A
-  /// verified candidate is a feasible point of the exact formulation with
-  /// an all-zero cost prefix, so the exact lexmin's cost prefix is zero
-  /// too and the candidate matches it whenever the optimum is a unit
-  /// solution. Zero cost pins every active delta to zero, which can never
-  /// strongly satisfy a dependence - hence the caller gates this on
-  /// needsMoreIndependentRows() and skips the satisfaction update.
-  bool tryDimensionMatch() {
-    unsigned NumStmts = static_cast<unsigned>(Prog.Stmts.size());
-    std::vector<std::vector<const DepSystems *>> ByMax(NumStmts);
-    for (const DepSystems &DS : Cache.Deps)
-      ByMax[std::max(DS.D->SrcStmt, DS.D->DstStmt)].push_back(&DS);
-    std::vector<IntMatrix> Perp(NumStmts);
-    for (unsigned S = 0; S < NumStmts; ++S)
-      if (Layout.stmtNumIters(S) > 0 &&
-          HBasis[S].numRows() < Layout.stmtNumIters(S))
-        Perp[S] = orthogonalComplement(HBasis[S]);
-    std::vector<int> Chosen(NumStmts, -1);
-    unsigned Budget = 64 * NumStmts + 256; // Deterministic node cap.
-    if (!matchAssign(0, Chosen, ByMax, Perp, Budget))
-      return false;
-    std::vector<BigInt> Point(Layout.numVars(), BigInt(0));
-    for (unsigned S = 0; S < NumStmts; ++S)
-      if (Chosen[S] >= 0)
-        Point[Layout.coeffCol(S, static_cast<unsigned>(Chosen[S]))] =
-            BigInt(1);
-    appendCoeffRow(Point);
-    return true;
-  }
-
   /// Attempts to find the next hyperplane; appends the row on success.
   FindResult findHyperplane() {
     ensureCache();
-    if (Opts.FastPaths && needsMoreIndependentRows()) {
-      if (tryDimensionMatch()) {
-        count(Counter::ScheduleFastPathHits);
-        return FindResult::Found;
-      }
-      count(Counter::ScheduleFastPathFallbacks);
-    }
     if (Cache.CoreTriviallyFalse)
       return FindResult::None;
     IntMatrix Extras = independenceRows();
@@ -520,9 +384,8 @@ private:
     return FindResult::Found;
   }
 
-  /// Appends one coefficient row (from an ILP point or a verified unit
-  /// candidate) to every statement's transformation, growing the
-  /// independence bases.
+  /// Appends one coefficient row (an ILP point) to every statement's
+  /// transformation, growing the independence bases.
   void appendCoeffRow(const std::vector<BigInt> &Point) {
     for (unsigned S = 0; S < Prog.Stmts.size(); ++S) {
       unsigned M = Layout.stmtNumIters(S);
@@ -576,7 +439,7 @@ private:
     for (unsigned Id : Scc)
       NumScc = std::max(NumScc, Id + 1);
     if (NumScc > 1) {
-      appendScalarRow(Scc);
+      appendConstantRow(Scc);
       startNewBand();
       count(Counter::SccCuts);
       if (Trace *T = activeTrace())
@@ -623,10 +486,6 @@ private:
     Info.BandId = -1;
     Sched.Rows.push_back(Info);
     updateSatisfaction(Sched.numRows() - 1);
-  }
-
-  void appendScalarRow(const std::vector<unsigned> &SccIds) {
-    appendConstantRow(SccIds);
   }
 
   /// Final fallback: order statements by original textual position to

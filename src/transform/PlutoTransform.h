@@ -28,21 +28,16 @@
 namespace pluto {
 
 struct TransformOptions {
-  /// The scheduler's three scaling fast paths, on or off together. Off is
-  /// the exact monolithic search; each fast path falls back to it whenever
-  /// it cannot prove it matches, so both settings give the same schedule
-  /// on the supported corpus.
+  /// The scheduler's two scaling fast paths, on or off together. Off is
+  /// the exact monolithic search with every row solved cold; each fast path
+  /// falls back to it whenever it cannot prove it matches, so both
+  /// settings give the same schedule on the supported corpus.
   ///  - Clustered decomposition: partition the dependence graph into
   ///    weakly connected clusters (every edge counts, input dependences
   ///    included), run the algorithm on cluster-local constraint systems
   ///    and stitch the per-cluster schedules back together. Clusters share
   ///    no ILP constraint, so this turns one O(all statements) lexmin into
   ///    many small ones.
-  ///  - Dimension matching: before paying for a lexmin solve, propose
-  ///    candidate hyperplanes by matching original loop dimensions across
-  ///    statements and verify legality, zero cost and linear independence
-  ///    by direct evaluation against the same Farkas-eliminated systems the
-  ///    exact ILP would solve.
   ///  - Warm-started lexmin: keep the simplex tableau of the band's shared
   ///    constraint rows warm between lexmin calls (only the
   ///    linear-independence rows change from one hyperplane to the next

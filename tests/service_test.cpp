@@ -759,16 +759,7 @@ std::vector<std::pair<std::string, std::string>> goldenUnits() {
   std::vector<std::pair<std::string, std::string>> Units;
   for (const fs::path &K : exampleKernels())
     Units.emplace_back("examples/" + K.filename().string(), readFile(K));
-  const std::pair<const char *, const char *> Kernels[] = {
-      {"Jacobi1D", kernels::Jacobi1D}, {"Fdtd2D", kernels::Fdtd2D},
-      {"LU", kernels::LU},             {"MVT", kernels::MVT},
-      {"Seidel2D", kernels::Seidel2D}, {"MatMul", kernels::MatMul},
-      {"Sweep2D", kernels::Sweep2D},   {"Jacobi2D", kernels::Jacobi2D},
-      {"Gemver", kernels::Gemver},     {"Trmm", kernels::Trmm},
-      {"Syrk", kernels::Syrk},         {"Doitgen", kernels::Doitgen},
-      {"Atax", kernels::Atax},         {"DotProduct", kernels::DotProduct},
-      {"MatVecT", kernels::MatVecT}};
-  for (const auto &[Name, Src] : Kernels)
+  for (const auto &[Name, Src] : kernels::All)
     Units.emplace_back(std::string("kernels/") + Name, Src);
   for (unsigned Seed = 1; Seed <= 16; ++Seed)
     Units.emplace_back("stress10/seed" + std::to_string(Seed),

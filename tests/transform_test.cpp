@@ -365,16 +365,7 @@ std::vector<std::pair<std::string, std::string>> farkasUnits() {
     SS << In.rdbuf();
     Units.emplace_back(P.filename().string(), SS.str());
   }
-  const std::pair<const char *, const char *> Kernels[] = {
-      {"Jacobi1D", kernels::Jacobi1D}, {"Fdtd2D", kernels::Fdtd2D},
-      {"LU", kernels::LU},             {"MVT", kernels::MVT},
-      {"Seidel2D", kernels::Seidel2D}, {"MatMul", kernels::MatMul},
-      {"Sweep2D", kernels::Sweep2D},   {"Jacobi2D", kernels::Jacobi2D},
-      {"Gemver", kernels::Gemver},     {"Trmm", kernels::Trmm},
-      {"Syrk", kernels::Syrk},         {"Doitgen", kernels::Doitgen},
-      {"Atax", kernels::Atax},         {"DotProduct", kernels::DotProduct},
-      {"MatVecT", kernels::MatVecT}};
-  for (const auto &[Name, Src] : Kernels)
+  for (const auto &[Name, Src] : kernels::All)
     Units.emplace_back(Name, Src);
   // Non-unit subscript coefficients: the access equalities of the
   // dependences carried by i and of the one into b[k] from a[2*k] have no
