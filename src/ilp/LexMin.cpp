@@ -654,8 +654,6 @@ void LexMinSolver::setBase(const IntMatrix &Ineqs, const IntMatrix &Eqs,
   I->BaseT.reset();
 }
 
-bool LexMinSolver::hasBase() const { return I->HasBase; }
-
 LexMinResult LexMinSolver::solveWith(const IntMatrix &ExtraIneqs) {
   assert(I->HasBase && "solveWith before setBase");
   assert((ExtraIneqs.empty() || ExtraIneqs.numCols() == I->NumVars + 1) &&
@@ -702,13 +700,4 @@ Feasibility ilp::integerFeasibility(const IntMatrix &Ineqs,
                                     const IntMatrix &Eqs, unsigned NumVars,
                                     std::vector<BigInt> *Witness) {
   return integerFeasibility(RowRefs(Ineqs, Eqs, NumVars), Witness);
-}
-
-bool ilp::hasIntegerPoint(const IntMatrix &Ineqs, const IntMatrix &Eqs,
-                          unsigned NumVars, std::vector<BigInt> *Witness) {
-  // On a budget abort (never observed on this code base's systems), answer
-  // conservatively: claiming a point exists keeps dependences and codegen
-  // pieces, which is always safe.
-  return integerFeasibility(Ineqs, Eqs, NumVars, Witness) !=
-         Feasibility::Empty;
 }

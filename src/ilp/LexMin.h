@@ -126,13 +126,6 @@ Feasibility integerFeasibility(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                                unsigned NumVars,
                                std::vector<BigInt> *Witness = nullptr);
 
-/// Convenience wrapper over integerFeasibility: true iff a point exists OR
-/// the budget ran out (claiming a point exists is the conservative answer
-/// for every caller in this code base - dependences and codegen pieces are
-/// kept, never wrongly dropped).
-bool hasIntegerPoint(const IntMatrix &Ineqs, const IntMatrix &Eqs,
-                     unsigned NumVars, std::vector<BigInt> *Witness = nullptr);
-
 /// Reusable lexmin solver for the transform framework's per-band systems
 /// (the warm-started incremental path). setBase() installs the constraint
 /// rows shared by every query of one band (legality + bounding + the
@@ -155,7 +148,6 @@ public:
   /// Installs the shared constraint rows; resets any cached tableau.
   void setBase(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                unsigned NumVars);
-  bool hasBase() const;
 
   /// Lexmin of base + ExtraIneqs (inequality rows over [vars | 1]; may be
   /// empty). Counts Counter::LexMinWarmStarts when served from a snapshot.

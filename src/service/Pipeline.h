@@ -56,7 +56,6 @@ public:
   static Result<Pipeline> create(PlutoOptions Opts = PlutoOptions());
 
   const PlutoOptions &options() const { return Opts; }
-  const std::string &optionsFingerprint() const { return Fp; }
 
   /// Shares a result cache with this session; compileRequest() consults
   /// it.

@@ -79,11 +79,7 @@ public:
   unsigned uRarOffset() const { return 0; }
   unsigned wRarOffset() const { return NumParams; }
   unsigned uOffset() const { return NumParams + 1; }
-  unsigned numU() const { return NumParams; }
   unsigned wOffset() const { return 2 * NumParams + 1; }
-  /// Offset of statement S's coefficient block (iterator coefficients,
-  /// innermost-first, then c0).
-  unsigned stmtOffset(unsigned S) const { return StmtOffsets[S]; }
   unsigned stmtNumIters(unsigned S) const { return StmtIters[S]; }
   /// Column of the coefficient of iterator I (0 = outermost) of statement S.
   unsigned coeffCol(unsigned S, unsigned I) const {
@@ -97,6 +93,8 @@ public:
 
 private:
   unsigned NumParams;
+  /// Per statement: offset of its coefficient block (iterator
+  /// coefficients, innermost-first, then c0).
   std::vector<unsigned> StmtOffsets;
   std::vector<unsigned> StmtIters;
   unsigned Total;

@@ -178,22 +178,22 @@ TEST(LexMinStatsTest, PivotCapCountsOnlyRealPivots) {
             SolveStatus::Aborted);
 }
 
-TEST(HasIntegerPointTest, FreeVariables) {
+TEST(IntegerFeasibilityTest, FreeVariables) {
   // x0 <= -3 (free sign): point exists.
   IntMatrix I = rows({{-1, -3}}, 2);
   std::vector<BigInt> W;
-  EXPECT_TRUE(hasIntegerPoint(I, IntMatrix(2), 1, &W));
+  EXPECT_NE(integerFeasibility(I, IntMatrix(2), 1, &W), Feasibility::Empty);
   ASSERT_EQ(W.size(), 1u);
   EXPECT_LE(W[0].toInt64(), -3);
 }
 
-TEST(HasIntegerPointTest, EmptyStrip) {
+TEST(IntegerFeasibilityTest, EmptyStrip) {
   // 1 <= 2*x0 <= 1 over free x0: x0 = 1/2 only -> integer empty.
   IntMatrix I = rows({{2, -1}, {-2, 1}}, 2);
-  EXPECT_FALSE(hasIntegerPoint(I, IntMatrix(2), 1));
+  EXPECT_EQ(integerFeasibility(I, IntMatrix(2), 1), Feasibility::Empty);
 }
 
-TEST(HasIntegerPointTest, DependencePolyhedronShape) {
+TEST(IntegerFeasibilityTest, DependencePolyhedronShape) {
   // Pairs (i, i') with 0 <= i, i' <= N - 1, i' = i + 1, N >= 2 (vars:
   // i, i', N). This is the 1-d uniform-dependence polyhedron; nonempty.
   IntMatrix I = rows({{1, 0, 0, 0},    // i >= 0
@@ -204,13 +204,13 @@ TEST(HasIntegerPointTest, DependencePolyhedronShape) {
                      4);
   IntMatrix E = rows({{-1, 1, 0, -1}}, 4); // i' - i - 1 == 0
   std::vector<BigInt> W;
-  EXPECT_TRUE(hasIntegerPoint(I, E, 3, &W));
+  EXPECT_NE(integerFeasibility(I, E, 3, &W), Feasibility::Empty);
   EXPECT_EQ(W[1].toInt64(), W[0].toInt64() + 1);
 }
 
-TEST(HasIntegerPointTest, ContradictoryEqualities) {
+TEST(IntegerFeasibilityTest, ContradictoryEqualities) {
   IntMatrix E = rows({{1, 1, -4}, {1, 1, -5}}, 3);
-  EXPECT_FALSE(hasIntegerPoint(IntMatrix(3), E, 2));
+  EXPECT_EQ(integerFeasibility(IntMatrix(3), E, 2), Feasibility::Empty);
 }
 
 //===----------------------------------------------------------------------===//
