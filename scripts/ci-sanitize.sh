@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI job: build the whole tree with AddressSanitizer + UBSan and run the
 # complete test suite under it. Any sanitizer report aborts the run
-# (-fno-sanitize-recover=all) and fails the job. The concurrent tests also
-# run under ThreadSanitizer, in a build of their own.
+# (-fno-sanitize-recover=all) and fails the job, and so does any compiler
+# warning in that build (-Werror on top of -Wall -Wextra). The concurrent
+# tests also run under ThreadSanitizer, in a build of their own.
 #
 # Usage: scripts/ci-sanitize.sh [build-dir]
 set -eu
@@ -10,7 +11,8 @@ set -eu
 BUILD_DIR=${1:-build-sanitize}
 SRC_DIR=$(dirname "$0")/..
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DPLUTOPP_SANITIZE=ON
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DPLUTOPP_SANITIZE=ON \
+  -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # abort_on_error makes ASan failures hard test failures under ctest;

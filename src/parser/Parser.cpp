@@ -292,7 +292,7 @@ private:
       if (Item->Loop || Item->Stmt)
         Loop->Body.push_back(std::move(*Item));
     }
-    return std::move(Loop);
+    return Loop;
   }
 
   /// Accepts i++, ++i, i += 1, i = i + 1.
@@ -360,7 +360,7 @@ private:
       Text += Tokens[T].Text;
     }
     Stmt->Text = Text + ";";
-    return std::move(Stmt);
+    return Stmt;
   }
 
   //===--------------------------------------------------------------------===//

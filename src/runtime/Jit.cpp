@@ -213,7 +213,7 @@ Result<CompiledKernel> CompiledKernel::compile(
   K.Fn = dlsym(K.Handle, Entry.c_str());
   if (!K.Fn)
     return Err("dlsym failed for '" + Entry + "'");
-  return std::move(K);
+  return K;
 }
 
 void CompiledKernel::call(const std::vector<double *> &Arrays,

@@ -115,7 +115,7 @@ std::string serveOne(const std::string &Line) {
 
 /// The child's whole life: read request lines off the socketpair, compile,
 /// write response lines, exit cleanly on EOF (the parent closed its end).
-[[noreturn]] void runChild(int Fd, const SandboxConfig &Cfg) {
+[[noreturn]] void runChild(int Fd, [[maybe_unused]] const SandboxConfig &Cfg) {
   // Drop every inherited descriptor except the IPC socket and stdio: the
   // child must not hold the daemon's listen socket, wake pipe or client
   // connections open past their parent-side close.

@@ -247,8 +247,9 @@ TEST(ParserFuzz, MutatedSourcesNeverCrashAndAlwaysHaveSpans) {
         ++Lines;
     }
     ParseResult R = parseSourceDiags(Src);
-    if (!R.ok())
+    if (!R.ok()) {
       EXPECT_TRUE(hasErrors(R.Diags)) << "seed " << Case << ":\n" << Src;
+    }
     for (const Diagnostic &D : R.Diags) {
       EXPECT_GE(D.Line, 1u) << "seed " << Case;
       EXPECT_LE(D.Line, Lines + 1) << "seed " << Case << ":\n" << Src;

@@ -131,8 +131,9 @@ TEST_P(FmOracle, ProjectionIsSound) {
       for (long long Z = 0; Z <= Box && !Feasible3; ++Z)
         Feasible3 = satisfies(Full.ineqs(), {X, Y, Z});
       bool InShadow = satisfies(Proj.ineqs(), {X, Y});
-      if (Feasible3)
+      if (Feasible3) {
         EXPECT_TRUE(InShadow) << "(" << X << "," << Y << ") lost";
+      }
     }
   // Emptiness consistency: if the 3-d set has integer points, the shadow
   // must not be integer-empty.

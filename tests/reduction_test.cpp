@@ -88,8 +88,9 @@ TEST(ReductionDetect, MinusAndTimesOpsCarryTheirOperator) {
                               "}\n");
   ASSERT_GE(countReductionDeps(DG), 1u);
   for (const Dependence &D : DG.Deps)
-    if (D.IsReduction)
+    if (D.IsReduction) {
       EXPECT_EQ(D.RedOp, '-');
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -160,7 +160,7 @@ std::string compileLine(const std::string &Id, const std::string &Name,
   WireRequest R;
   R.Operation = Op::Compile;
   R.Id = Id;
-  R.Req = {Name, Source, Opts};
+  R.Req = {Name, Source, Opts, {}};
   return encodeRequest(R);
 }
 
@@ -183,7 +183,7 @@ TEST(Protocol, CompileRequestRoundTripsWithNonDefaultOptions) {
   WireRequest R;
   R.Operation = Op::Compile;
   R.Id = "{\"seq\": 7}"; // any JSON value is a legal id
-  R.Req = {"unit.c", "for (i = 0; i < N; i++) { a[i] = 0; }", O};
+  R.Req = {"unit.c", "for (i = 0; i < N; i++) { a[i] = 0; }", O, {}};
 
   auto D = decodeRequest(encodeRequest(R));
   ASSERT_TRUE(bool(D)) << D.error();
@@ -284,7 +284,7 @@ TEST(Protocol, TuneRequestRoundTripsWithSpec) {
   R.Operation = Op::Tune;
   R.Id = "9";
   R.Req = {"seidel.c", "for (i = 0; i < N; i++) { a[i] = 0; }",
-           PlutoOptions()};
+           PlutoOptions(), {}};
   R.Spec = "tile=0,16;wave=0,1;measure=0";
   auto D = decodeRequest(encodeRequest(R));
   ASSERT_TRUE(bool(D)) << D.error();
@@ -366,7 +366,7 @@ TEST(Server, RoundTripsByteIdenticalWithPipeline) {
 
   auto P = Pipeline::create(PlutoOptions());
   ASSERT_TRUE(bool(P));
-  CompileRequest Req{"matmul", kernelSource(1), PlutoOptions()};
+  CompileRequest Req{"matmul", kernelSource(1), PlutoOptions(), {}};
   CompileResponse Local = P->compileRequest(Req);
   ASSERT_TRUE(Local.ok()) << Local.Error;
 
@@ -408,7 +408,7 @@ TEST(Server, TuneOpRunsAStaticSearchOverTheWire) {
   WireRequest Req;
   Req.Operation = Op::Tune;
   Req.Id = "1";
-  Req.Req = {"mm.c", kernelSource(1), PlutoOptions()};
+  Req.Req = {"mm.c", kernelSource(1), PlutoOptions(), {}};
   // measure=0 keeps the daemon-side search static and deterministic.
   Req.Spec = "tile=0,16;l2=0;wave=0,1;measure=0";
 
