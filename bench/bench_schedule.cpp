@@ -10,9 +10,9 @@
 // once per size outside the timed region; each iteration copies the
 // dependence graph (satisfaction bookkeeping is mutated by the scheduler).
 //
-// The exact arm at 100 statements takes tens of seconds per solve, so both
-// arms are pinned to a single iteration; the reported wall time per
-// iteration is the number that feeds EXPERIMENTS.md section E9.
+// Each repetition times one computeSchedule call (a single iteration), so
+// the median over --benchmark_repetitions=15 is the per-schedule figure
+// EXPERIMENTS.md section E9 reports.
 //
 //===----------------------------------------------------------------------===//
 

@@ -8,10 +8,9 @@
 // monolithic path on the example kernels, the driver/Kernels.h kernels and
 // the designed stress corpus), the concat-stitch path for structurally
 // heterogeneous clusters, the observability counters, and the explicit
-// handling of
-// ilp::SolveStatus::Aborted in both dependence analysis (conservative
-// keep) and hyperplane search (hard diagnostic, never misreported as
-// infeasible).
+// handling of ilp::SolveStatus::Aborted in both dependence analysis
+// (conservative keep) and hyperplane search (hard diagnostic, never
+// misreported as infeasible).
 //
 //===----------------------------------------------------------------------===//
 
