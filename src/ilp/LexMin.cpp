@@ -38,8 +38,10 @@
 // not fit or any step overflows, the run is abandoned and the same system
 // is solved from the start on BigInt entries. Without overflow the int64
 // entries equal the BigInt ones, so both runs make the same pivots and cuts
-// and reach the same point. Warm-started band tableaux (LexMinSolver) stay
-// on BigInt.
+// and reach the same point. Warm-started band tableaux (LexMinSolver) are
+// int64 too: an overflow in the base run or in a query's resumed run
+// answers that query with a cold solve over the base rows plus the query's,
+// so BigInt tableaux exist only inside a cold solve's rerun.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +52,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
+#include <optional>
 
 using namespace pluto;
 using namespace pluto::ilp;
@@ -94,6 +96,10 @@ bool mulOk(const BigInt &A, const BigInt &B, BigInt &Out) {
 }
 bool mulOk(int64_t A, int64_t B, int64_t &Out) {
   return !__builtin_mul_overflow(A, B, &Out);
+}
+/// Only int64 tableaux take warm rows (appendTransformed), the one adder.
+bool addOk(int64_t A, int64_t B, int64_t &Out) {
+  return !__builtin_add_overflow(A, B, &Out);
 }
 bool subOk(const BigInt &A, const BigInt &B, BigInt &Out) {
   Out = A - B;
@@ -140,6 +146,11 @@ bool divExactOk(int64_t A, int64_t B, int64_t &Out) {
   assert(A % B == 0 && "divExact with non-divisible operands");
   Out = A / B;
   return true;
+}
+/// Least common multiple of two positive entries.
+template <typename T> bool lcmOk(const T &A, const T &B, T &Out) {
+  T G(0), Q(0);
+  return gcdOk(A, B, G) && divExactOk(A, G, Q) && mulOk(Q, B, Out);
 }
 /// Remainder of floor division by a positive D, in [0, D).
 BigInt floorMod(const BigInt &A, const BigInt &D) { return A.floorMod(D); }
@@ -320,27 +331,34 @@ public:
   /// variables, so the new row lands directly in the current basis. Column
   /// lexico-positivity is preserved (the new row is read after all existing
   /// rows, so it can only refine columns that were identically zero).
+  /// Marks the tableau overflowed if an entry does not fit T.
   void appendTransformed(const std::vector<BigInt> &Row) {
-    static_assert(std::is_same_v<T, BigInt>, "warm starts stay on BigInt");
     assert(!FreeVars && Row.size() == NumVars + 1 && "row width mismatch");
     // The sum is taken over the lcm of the substituted rows' denominators.
-    BigInt L(1);
-    for (unsigned I = 0; I < NumVars; ++I)
-      if (!Row[I].isZero() && !row(I)[NumVars + 1].isOne())
-        L = BigInt::lcm(L, row(I)[NumVars + 1]);
-    BigInt *New = appendRow();
-    for (unsigned I = 0; I < NumVars; ++I) {
+    T L(1);
+    bool Ok = true;
+    for (unsigned I = 0; I < NumVars && Ok; ++I)
+      if (!Row[I].isZero() && !isOne(row(I)[NumVars + 1]))
+        Ok = lcmOk(L, row(I)[NumVars + 1], L);
+    T *New = appendRow();
+    for (unsigned I = 0; I < NumVars && Ok; ++I) {
       if (Row[I].isZero())
         continue;
-      const BigInt *XI = row(I);
-      BigInt F = Row[I] * L.divExact(XI[NumVars + 1]);
-      for (unsigned C = 0; C <= NumVars; ++C)
-        if (!XI[C].isZero())
-          New[C] += F * XI[C];
+      const T *XI = row(I);
+      T A(0), F(0);
+      Ok = convertOk(Row[I], /*Negate=*/false, A) &&
+           divExactOk(L, XI[NumVars + 1], F) && mulOk(A, F, F);
+      for (unsigned C = 0; C <= NumVars && Ok; ++C) {
+        T Prod(0);
+        if (!isZero(XI[C]))
+          Ok = mulOk(F, XI[C], Prod) && addOk(New[C], Prod, New[C]);
+      }
     }
-    New[NumVars] += Row[NumVars] * L;
-    New[NumVars + 1] = std::move(L);
-    normalizeRow(New);
+    T K(0);
+    Ok = Ok && convertOk(Row[NumVars], /*Negate=*/false, K) &&
+         mulOk(K, L, K) && addOk(New[NumVars], K, New[NumVars]);
+    New[NumVars + 1] = L;
+    Overflowed |= !Ok || !normalizeRow(New);
   }
 
 private:
@@ -613,25 +631,46 @@ LexMinResult ilp::lexMinNonNeg(const IntMatrix &Ineqs, const IntMatrix &Eqs,
 }
 
 struct LexMinSolver::Impl {
-  unsigned NumVars = 0;
-  IntMatrix BaseIneqs;
-  IntMatrix BaseEqs;
-  bool HasBase = false;
-  /// Base tableau state once solved to its integer optimum (including the
-  /// Gomory cuts discovered on the way - they are valid for any subset of
-  /// the base's integer points, hence for base + extras).
+  /// The shared rows, read in place.
+  std::optional<RowRefs> Base;
   bool BaseSolved = false;
   SolveStatus BaseStatus = SolveStatus::Infeasible;
-  std::unique_ptr<Tableau<BigInt>> BaseT;
+  /// The base tableau at its integer optimum (including the Gomory cuts
+  /// discovered on the way - they are valid for any subset of the base's
+  /// integer points, hence for base + extras). Null once the base run
+  /// overflowed: every query then gets a cold solve.
+  std::unique_ptr<Tableau<int64_t>> BaseT;
 
   void solveBase() {
     BaseSolved = true;
-    BaseT = std::make_unique<Tableau<BigInt>>(
-        RowRefs(BaseIneqs, BaseEqs, NumVars), /*FreeVars=*/false);
+    BaseT = std::make_unique<Tableau<int64_t>>(*Base, /*FreeVars=*/false);
     unsigned CutsUsed = 0;
     LexMinResult R = runToInteger(*BaseT, CutsUsed);
+    if (BaseT->overflowed()) {
+      count(Counter::LexMinBigIntReruns);
+      BaseT.reset();
+      return;
+    }
     BaseStatus = R.Status;
     noteSolveStats(*BaseT, 0, CutsUsed, R);
+  }
+
+  /// Base + Extra from the snapshot, or nothing if the run overflowed.
+  std::optional<LexMinResult> solveWarm(const IntMatrix &Extra, bool Reused) {
+    Tableau<int64_t> T = *BaseT;
+    unsigned PivotsBefore = T.iterations();
+    for (unsigned R = 0; R < Extra.numRows(); ++R)
+      T.appendTransformed(Extra.row(R));
+    unsigned CutsUsed = 0;
+    LexMinResult Result = runToInteger(T, CutsUsed);
+    if (T.overflowed()) {
+      count(Counter::LexMinBigIntReruns);
+      return std::nullopt;
+    }
+    if (Reused)
+      count(Counter::LexMinWarmStarts);
+    noteSolveStats(T, PivotsBefore, CutsUsed, Result);
+    return Result;
   }
 };
 
@@ -642,46 +681,32 @@ LexMinSolver &LexMinSolver::operator=(LexMinSolver &&) = default;
 
 void LexMinSolver::setBase(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                            unsigned NumVars) {
-  assert((Ineqs.empty() || Ineqs.numCols() == NumVars + 1) &&
-         "inequality width mismatch");
-  assert((Eqs.empty() || Eqs.numCols() == NumVars + 1) &&
-         "equality width mismatch");
-  I->NumVars = NumVars;
-  I->BaseIneqs = Ineqs;
-  I->BaseEqs = Eqs;
-  I->HasBase = true;
+  I->Base.emplace(Ineqs, Eqs, NumVars);
   I->BaseSolved = false;
   I->BaseT.reset();
 }
 
 LexMinResult LexMinSolver::solveWith(const IntMatrix &ExtraIneqs) {
-  assert(I->HasBase && "solveWith before setBase");
-  assert((ExtraIneqs.empty() || ExtraIneqs.numCols() == I->NumVars + 1) &&
+  assert(I->Base && "solveWith before setBase");
+  assert((ExtraIneqs.empty() || ExtraIneqs.numCols() == I->Base->NumVars + 1) &&
          "extra row width mismatch");
   bool Reused = I->BaseSolved;
   if (!I->BaseSolved)
     I->solveBase();
-  LexMinResult Result;
-  if (I->BaseStatus == SolveStatus::Infeasible) {
-    // Extra rows can only shrink the feasible set.
-    Result.Status = SolveStatus::Infeasible;
-    return Result;
+  if (I->BaseT) {
+    LexMinResult Result;
+    // Extra rows can only shrink an infeasible base's empty set; an
+    // aborted base leaves no snapshot, and the caller solves cold.
+    if (I->BaseStatus != SolveStatus::Feasible) {
+      Result.Status = I->BaseStatus;
+      return Result;
+    }
+    if (std::optional<LexMinResult> Warm = I->solveWarm(ExtraIneqs, Reused))
+      return std::move(*Warm);
   }
-  if (I->BaseStatus == SolveStatus::Aborted) {
-    // No usable snapshot; the caller falls back to a cold solve.
-    Result.Status = SolveStatus::Aborted;
-    return Result;
-  }
-  if (Reused)
-    count(Counter::LexMinWarmStarts);
-  Tableau<BigInt> T = *I->BaseT;
-  unsigned PivotsBefore = T.iterations();
-  for (unsigned R = 0; R < ExtraIneqs.numRows(); ++R)
-    T.appendTransformed(ExtraIneqs.row(R));
-  unsigned CutsUsed = 0;
-  Result = runToInteger(T, CutsUsed);
-  noteSolveStats(T, PivotsBefore, CutsUsed, Result);
-  return Result;
+  RowRefs All = *I->Base;
+  All.addIneqs(ExtraIneqs);
+  return solveCold(All, /*FreeVars=*/false);
 }
 
 Feasibility ilp::integerFeasibility(const RowRefs &Rows,

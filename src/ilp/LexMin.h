@@ -21,7 +21,9 @@
 ///
 /// A cold solve runs on machine-word entries first and repeats on BigInt
 /// only when some step overflows (PipLib likewise ships 64-bit builds
-/// beside its GMP one); both runs make the same pivots and cuts.
+/// beside its GMP one); both runs make the same pivots and cuts. A warm
+/// band solve (LexMinSolver) runs on machine words too and answers an
+/// overflowed query with a cold solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,7 +139,10 @@ Feasibility integerFeasibility(const IntMatrix &Ineqs, const IntMatrix &Eqs,
 /// simplex from there instead of re-solving from scratch. The integer
 /// lexicographic minimum is unique, so a warm solve returns exactly what a
 /// cold lexMinNonNeg over base + extras would; on Aborted the caller falls
-/// back to a cold solve. Its tableau holds BigInt entries throughout.
+/// back to a cold solve. The snapshot holds int64 entries with every step
+/// overflow-checked: a query whose run overflows (in the base solve or in
+/// its own rows) is answered by a cold solve over base + extras, and after
+/// a base overflow every query is.
 class LexMinSolver {
 public:
   LexMinSolver();
@@ -145,7 +150,9 @@ public:
   LexMinSolver(LexMinSolver &&);
   LexMinSolver &operator=(LexMinSolver &&);
 
-  /// Installs the shared constraint rows; resets any cached tableau.
+  /// Installs the shared constraint rows; resets any cached tableau. The
+  /// rows are read in place, so they must stay alive and unchanged until
+  /// the next setBase() or the solver's end.
   void setBase(const IntMatrix &Ineqs, const IntMatrix &Eqs,
                unsigned NumVars);
 

@@ -9,6 +9,7 @@
 #include "ilp/LexMin.h"
 #include "observe/PassStats.h"
 #include "observe/Trace.h"
+#include "support/Budget.h"
 #include "support/LinearAlgebra.h"
 #include "transform/FarkasConstraints.h"
 
@@ -214,6 +215,8 @@ private:
     /// Legality + bounding + trivial-solution guards, normalized once.
     ConstraintSystem Core;
     bool CoreTriviallyFalse = false;
+    /// Reads Core's rows in place (FastPaths only), so it is reset before
+    /// Core is replaced.
     ilp::LexMinSolver Warm;
   };
   BandCache Cache;
@@ -298,8 +301,12 @@ private:
   void ensureCache() {
     if (Cache.Valid)
       return;
+    Cache.Warm = ilp::LexMinSolver();
     ConstraintSystem Core(Layout.numVars());
     for (const Dependence &D : DG.Deps) {
+      // A tripped budget voids the compile; build no more systems for it.
+      if (budgetExhausted())
+        break;
       if (D.Kind == DepKind::Input) {
         // Input deps always participate (cost bounding only).
         Core.append(boundingConstraints(FarkasDomain(D, Cones), Prog, Layout));
@@ -314,8 +321,7 @@ private:
     appendGuardRows(Core);
     Cache.CoreTriviallyFalse = !Core.normalize();
     Cache.Core = std::move(Core);
-    Cache.Warm = ilp::LexMinSolver();
-    if (Cache.CoreTriviallyFalse == false)
+    if (Opts.FastPaths && !Cache.CoreTriviallyFalse)
       Cache.Warm.setBase(Cache.Core.ineqs(), Cache.Core.eqs(),
                          Layout.numVars());
     Cache.Valid = true;

@@ -527,4 +527,100 @@ TEST(Int64TableauTest, Int64MinNegationDoesNotWrap) {
   EXPECT_EQ(W, std::vector<BigInt>{BigInt(-1)});
 }
 
+//===----------------------------------------------------------------------===//
+// Warm band solves: int64 snapshots, overflowed queries answered cold
+//===----------------------------------------------------------------------===//
+
+/// Counters of one warm query, and its answer.
+struct WarmQuery {
+  LexMinResult Result;
+  uint64_t Calls, Reruns, WarmStarts;
+};
+
+WarmQuery warmQuery(LexMinSolver &Solver, const IntMatrix &Extra) {
+  PassStats Stats;
+  setActiveStats(&Stats);
+  WarmQuery Q{Solver.solveWith(Extra), 0, 0, 0};
+  setActiveStats(nullptr);
+  Q.Calls = Stats.get(Counter::LexMinCalls);
+  Q.Reruns = Stats.get(Counter::LexMinBigIntReruns);
+  Q.WarmStarts = Stats.get(Counter::LexMinWarmStarts);
+  return Q;
+}
+
+IntMatrix concat(IntMatrix A, const IntMatrix &B) {
+  for (unsigned R = 0; R < B.numRows(); ++R)
+    A.addRow(B.row(R));
+  return A;
+}
+
+TEST(WarmInt64Test, OverflowedBaseAnswersEveryQueryCold) {
+  // FirstPivotProductOverflowReruns' system as a band base: its first
+  // pivot multiplies K by K = 2^40, so the snapshot run overflows. Every
+  // query is then a cold solve over base + extras, whose int64 run makes
+  // the same first pivot and reruns on BigInt.
+  const long long K = 1LL << 40;
+  IntMatrix Base = withBox(rows({{K, K, -K}, {K, -K, 3 * K}}, 3), 2, 0, 5);
+  IntMatrix NoEqs(3);
+  std::vector<IntMatrix> Queries = {IntMatrix(3), rows({{1, 0, -1}}, 3),
+                                    rows({{0, -1, 0}, {-1, 0, 0}}, 3),
+                                    IntMatrix(3)};
+  LexMinSolver Solver;
+  Solver.setBase(Base, NoEqs, 2);
+  for (size_t I = 0; I < Queries.size(); ++I) {
+    IntMatrix All = concat(Base, Queries[I]);
+    LexMinResult Cold = lexMinNonNeg(All, NoEqs, 2);
+    WarmQuery Q = warmQuery(Solver, Queries[I]);
+    ASSERT_EQ(Q.Result.Status, Cold.Status) << "query " << I;
+    EXPECT_EQ(Q.Result.Point, Cold.Point) << "query " << I;
+    auto Brute = bruteLexMin(All, NoEqs, 2, 0, 5);
+    ASSERT_EQ(Q.Result.feasible(), Brute.has_value()) << "query " << I;
+    if (Brute) {
+      EXPECT_EQ(Q.Result.Point, *Brute) << "query " << I;
+    }
+    // The base's abandoned run counts once, with the first query; each
+    // query's cold solve counts its own BigInt rerun.
+    EXPECT_EQ(Q.Reruns, I == 0 ? 2u : 1u) << "query " << I;
+    EXPECT_EQ(Q.Calls, 1u) << "query " << I;
+    EXPECT_EQ(Q.WarmStarts, 0u) << "query " << I;
+  }
+}
+
+TEST(WarmInt64Test, OneOverflowingQueryRerunsAndTheNextIsWarm) {
+  // Base x0 + x1 >= 3 in [0, 5]^2, lexmin (0, 3): its snapshot reads x1 as
+  // 3 - x0 + s. The extra row 2^62 x1 - 2^62 >= 0 fits int64, but
+  // rewriting it into that basis multiplies 2^62 by the constant 3.
+  const long long P = 1LL << 62;
+  IntMatrix Base = withBox(rows({{1, 1, -3}}, 3), 2, 0, 5);
+  IntMatrix NoEqs(3);
+  LexMinSolver Solver;
+  Solver.setBase(Base, NoEqs, 2);
+
+  WarmQuery First = warmQuery(Solver, IntMatrix(3));
+  ASSERT_TRUE(First.Result.feasible());
+  EXPECT_EQ(pt(First.Result), (std::vector<long long>{0, 3}));
+  EXPECT_EQ(First.Reruns, 0u);
+  EXPECT_EQ(First.Calls, 2u); // The base solve, then the query.
+
+  IntMatrix Big = rows({{0, P, -P}}, 3);
+  LexMinResult Cold = lexMinNonNeg(concat(Base, Big), NoEqs, 2);
+  WarmQuery Over = warmQuery(Solver, Big);
+  ASSERT_TRUE(Over.Result.feasible());
+  EXPECT_EQ(Over.Result.Point, Cold.Point);
+  EXPECT_EQ(pt(Over.Result), (std::vector<long long>{0, 3}));
+  // The warm run is abandoned (one rerun) and the cold solve answers it;
+  // its first pivot meets the same 2^62 * 3, so it reruns on BigInt too.
+  EXPECT_EQ(Over.Reruns, 2u);
+  EXPECT_EQ(Over.Calls, 1u);
+  EXPECT_EQ(Over.WarmStarts, 0u);
+
+  // The snapshot is untouched: the next query resumes from it.
+  WarmQuery Next = warmQuery(Solver, rows({{1, 0, -1}}, 3));
+  ASSERT_TRUE(Next.Result.feasible());
+  EXPECT_EQ(pt(Next.Result), (std::vector<long long>{1, 2}));
+  EXPECT_EQ(Next.Reruns, 0u);
+  EXPECT_EQ(Next.Calls, 1u);
+  EXPECT_EQ(Next.WarmStarts, 1u);
+}
+
 } // namespace

@@ -505,6 +505,8 @@ TEST(PipelineTest, PaperKernelsSolveWithoutBigIntReruns) {
   }
   setActiveStats(nullptr);
   EXPECT_GT(Stats.get(Counter::EmptinessTests), 1000u);
+  // The warm band solves run on the int64 tableau too.
+  EXPECT_EQ(Stats.get(Counter::LexMinWarmStarts), 10u);
   EXPECT_EQ(Stats.get(Counter::LexMinBigIntReruns), 0u);
 }
 
