@@ -129,16 +129,27 @@ public:
     Cols = Kept;
   }
 
-  /// Matrix product; asserts dimension compatibility.
+  /// Matrix product; asserts dimension compatibility. Zero entries of
+  /// either factor are skipped: row K of RHS is read through the list of
+  /// its nonzero columns, NonZero[Start[K]] .. NonZero[Start[K + 1]] - 1
+  /// (the Farkas forms multiplied here are almost all zeros).
   Matrix operator*(const Matrix &RHS) const {
     assert(Cols == RHS.numRows() && "matrix product dimension mismatch");
+    std::vector<unsigned> Start(1, 0), NonZero;
+    for (const std::vector<T> &Row : RHS.Data) {
+      for (unsigned J = 0; J < RHS.Cols; ++J)
+        if (!Row[J].isZero())
+          NonZero.push_back(J);
+      Start.push_back(static_cast<unsigned>(NonZero.size()));
+    }
     Matrix R(numRows(), RHS.numCols());
     for (unsigned I = 0; I < numRows(); ++I)
       for (unsigned K = 0; K < Cols; ++K) {
-        if (Data[I][K] == T(0))
+        const T &A = Data[I][K];
+        if (A.isZero())
           continue;
-        for (unsigned J = 0; J < RHS.numCols(); ++J)
-          R(I, J) += Data[I][K] * RHS(K, J);
+        for (unsigned N = Start[K]; N < Start[K + 1]; ++N)
+          R.Data[I][NonZero[N]] += A * RHS.Data[K][NonZero[N]];
       }
     return R;
   }

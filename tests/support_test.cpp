@@ -383,6 +383,57 @@ TEST(MatrixTest, Product) {
   EXPECT_EQ(P, Want);
 }
 
+/// The schoolbook product, every term included.
+template <typename T> Matrix<T> naiveProduct(const Matrix<T> &A,
+                                             const Matrix<T> &B) {
+  Matrix<T> R(A.numRows(), B.numCols());
+  for (unsigned I = 0; I < A.numRows(); ++I)
+    for (unsigned J = 0; J < B.numCols(); ++J)
+      for (unsigned K = 0; K < A.numCols(); ++K)
+        R(I, J) = R(I, J) + A(I, K) * B(K, J);
+  return R;
+}
+
+/// A random Rows x Cols matrix with about ZeroPercent% zero entries (whole
+/// zero rows among them) and the rest drawn from Draw.
+template <typename T, typename DrawFn>
+Matrix<T> zeroHeavy(std::mt19937_64 &Rng, unsigned Rows, unsigned Cols,
+                    unsigned ZeroPercent, DrawFn Draw) {
+  Matrix<T> M(Rows, Cols);
+  std::uniform_int_distribution<unsigned> Pct(0, 99);
+  for (unsigned I = 0; I < Rows; ++I) {
+    if (Pct(Rng) < 10)
+      continue;
+    for (unsigned J = 0; J < Cols; ++J)
+      if (Pct(Rng) >= ZeroPercent)
+        M(I, J) = Draw();
+  }
+  return M;
+}
+
+TEST(MatrixTest, SparseProductMatchesNaiveProduct) {
+  std::mt19937_64 Rng(2424);
+  std::uniform_int_distribution<unsigned> Dim(1, 9), Zero(50, 95);
+  std::uniform_int_distribution<long long> Small(-5, 5), Num(-40, 40),
+      Den(1, 12);
+  std::uniform_int_distribution<int> Kind(0, 3);
+  auto bigInt = [&] {
+    BigInt V(Small(Rng));
+    // Every fourth entry needs limbs: the product then takes the limb path.
+    return Kind(Rng) == 0 ? V * BigInt(INT64_MAX) * BigInt(Small(Rng)) : V;
+  };
+  auto rational = [&] { return Rational(BigInt(Num(Rng)), BigInt(Den(Rng))); };
+  for (unsigned Round = 0; Round < 300; ++Round) {
+    unsigned M = Dim(Rng), K = Dim(Rng), N = Dim(Rng);
+    IntMatrix A = zeroHeavy<BigInt>(Rng, M, K, Zero(Rng), bigInt);
+    IntMatrix B = zeroHeavy<BigInt>(Rng, K, N, Zero(Rng), bigInt);
+    EXPECT_EQ(A * B, naiveProduct(A, B)) << "round " << Round;
+    RatMatrix RA = zeroHeavy<Rational>(Rng, M, K, Zero(Rng), rational);
+    RatMatrix RB = zeroHeavy<Rational>(Rng, K, N, Zero(Rng), rational);
+    EXPECT_EQ(RA * RB, naiveProduct(RA, RB)) << "round " << Round;
+  }
+}
+
 TEST(MatrixTest, InsertColumnsAndRows) {
   IntMatrix M = {{1, 2}, {3, 4}};
   M.insertZeroColumns(1, 2);
