@@ -287,6 +287,14 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
   assert(Pos + Count <= NumVars && "projection range out of bounds");
   if (Count == 0)
     return;
+  if (budgetExhausted()) {
+    // A tripped budget voids the compile: leave the universe over the
+    // remaining variables without eliminating anything.
+    NumVars -= Count;
+    Ineqs = IntMatrix(NumVars + 1);
+    Eqs = IntMatrix(NumVars + 1);
+    return;
+  }
 
   // Phase 1: exact equality substitutions. While some equality involves a
   // target variable, use it to eliminate that variable (no row growth):
@@ -420,12 +428,20 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
       uint64_t FmRowBytes =
           static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
       uint64_t Formed = 0; // Pairs combined.
+      // The budget is charged per chunk of pairs, so the wall clock is read
+      // every few hundred pairs however many upper bounds a row faces.
+      constexpr size_t ChargeChunk = 256;
+      bool Stopped = false;
       for (const FmRow &L : Lower) {
-        if (!budgetCharge(Upper.size()) ||
-            !budgetChargeMemory(Upper.size() * FmRowBytes))
-          break;
-        Formed += Upper.size();
-        for (const FmRow &U : Upper) {
+        for (size_t UI = 0; UI < Upper.size(); ++UI) {
+          if (UI % ChargeChunk == 0) {
+            uint64_t N = std::min(ChargeChunk, Upper.size() - UI);
+            Stopped = !budgetCharge(N) || !budgetChargeMemory(N * FmRowBytes);
+            if (Stopped)
+              break;
+            Formed += N;
+          }
+          const FmRow &U = Upper[UI];
           std::vector<unsigned> Anc = mergeAnc(L.Anc, U.Anc);
           if (Anc.size() > P + 1)
             continue; // Imbert/Chernikov: necessarily redundant.
@@ -457,6 +473,8 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
           }
           Next.push_back({std::move(Coef), std::move(Anc)});
         }
+        if (Stopped)
+          break;
       }
       if (activeStats()) {
         count(Counter::FmEliminations);

@@ -6,6 +6,7 @@
 
 #include "transform/FarkasConstraints.h"
 
+#include "support/Budget.h"
 #include "support/LinearAlgebra.h"
 
 #include <algorithm>
@@ -122,6 +123,8 @@ FarkasConeCache::coneOf(const ConstraintSystem &Poly) {
   auto [It, Fresh] = Cones.try_emplace(std::move(Key));
   if (!Fresh)
     return It->second;
+  if (budgetExhausted()) // The compile is void: skip the elimination.
+    return It->second = ConstraintSystem(NZ);
 
   // Multipliers: lambda0, one per inequality, a +/- pair per equality.
   unsigned NumLambda = 1 + NumIneq + 2 * NumEq;
