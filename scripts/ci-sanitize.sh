@@ -26,10 +26,12 @@ UBSAN_OPTIONS=print_stacktrace=1 \
 # assert. Build the exact core (BigInt, the lexmin tableau, FM projection,
 # Farkas compression) once more in Debug and run its tests with the
 # asserts on; deps_test and codegen_test put the tableaux' asserts (the
-# int64 one's included) through real dependence and codegen systems.
+# int64 one's included) through real dependence and codegen systems, and
+# schedule_scale_test puts the warm band tableaux' lex-positivity assert
+# through the Kernels.h kernels and the StressGen programs.
 DEBUG_DIR="$BUILD_DIR-debug"
 DEBUG_TESTS="support_test ilp_test poly_test transform_test deps_test \
-  codegen_test"
+  codegen_test schedule_scale_test"
 cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" -j "$(nproc)" --target $DEBUG_TESTS
 for T in $DEBUG_TESTS; do
