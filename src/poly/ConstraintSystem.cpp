@@ -12,6 +12,8 @@
 #include "support/LinearAlgebra.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 using namespace pluto;
 
@@ -21,7 +23,11 @@ namespace {
 /// or a row list), keyed by their first Len entries - the coefficient
 /// prefix, constant excluded. It stores each row's position with the
 /// prefix hash and compares prefixes in place on a hash match, so no key
-/// is ever copied. Open addressing with linear probing.
+/// is ever copied. Open addressing with linear probing. The rows hold
+/// BigInt or int64_t entries (one type per index); both hash a value alike.
+size_t hashEntry(const BigInt &V) { return V.hash(); }
+size_t hashEntry(int64_t V) { return BigInt(V).hash(); }
+
 class PrefixIndex {
 public:
   explicit PrefixIndex(unsigned Len) : Len(Len), Slots(16) {}
@@ -30,8 +36,8 @@ public:
   /// Row's (RowAt maps a stored position to its row), or stores and
   /// returns Pos when there is none. The caller may overwrite the returned
   /// position to re-point the entry at another row with the same prefix.
-  template <typename RowAtFn>
-  unsigned &findOrInsert(const std::vector<BigInt> &Row, unsigned Pos,
+  template <typename T, typename RowAtFn>
+  unsigned &findOrInsert(const std::vector<T> &Row, unsigned Pos,
                          RowAtFn RowAt) {
     if (2 * (Size + 1) > Slots.size())
       grow();
@@ -45,7 +51,7 @@ public:
         return S.Pos;
       }
       if (S.Hash == H) {
-        const std::vector<BigInt> &Other = RowAt(S.Pos);
+        const std::vector<T> &Other = RowAt(S.Pos);
         if (std::equal(Row.begin(), Row.begin() + Len, Other.begin()))
           return S.Pos;
       }
@@ -62,10 +68,10 @@ private:
   size_t Size = 0;
   std::vector<Slot> Slots;
 
-  size_t hashPrefix(const std::vector<BigInt> &Row) const {
+  template <typename T> size_t hashPrefix(const std::vector<T> &Row) const {
     size_t H = 0x9e3779b97f4a7c15ULL ^ Len;
     for (unsigned I = 0; I < Len; ++I)
-      H = (H * 0x100000001b3ULL) ^ Row[I].hash();
+      H = (H * 0x100000001b3ULL) ^ hashEntry(Row[I]);
     return H;
   }
 
@@ -283,6 +289,235 @@ bool ConstraintSystem::normalize() {
   return !Contradiction;
 }
 
+namespace {
+
+/// A Fourier-Motzkin row over entries T: the coefficients and the constant,
+/// and the sorted indices of the original inequalities it descends from.
+template <typename T> struct FmRow {
+  std::vector<T> Coef;
+  std::vector<unsigned> Anc;
+};
+
+/// The Fourier-Motzkin counters of one batch elimination; only the run
+/// that answers adds them to the stats.
+struct FmCounts {
+  uint64_t Steps = 0;
+  uint64_t Formed = 0; // Row pairs combined.
+  uint64_t Pruned = 0; // Pairs that added no row.
+};
+
+// Entry steps for the two entry types. A BigInt step never overflows; an
+// int64 one returns false when its result leaves int64.
+
+int signOf(const BigInt &V) { return V.isPositive() - V.isNegative(); }
+int signOf(int64_t V) { return (V > 0) - (V < 0); }
+
+bool negOk(const BigInt &A, BigInt &Out) {
+  Out = -A;
+  return true;
+}
+bool negOk(int64_t A, int64_t &Out) {
+  return !__builtin_sub_overflow(int64_t(0), A, &Out);
+}
+
+/// Out = A * X + B * Y.
+bool combineOk(const BigInt &A, const BigInt &X, const BigInt &B,
+               const BigInt &Y, BigInt &Out) {
+  Out = A * X + B * Y;
+  return true;
+}
+bool combineOk(int64_t A, int64_t X, int64_t B, int64_t Y, int64_t &Out) {
+  int64_t P, Q;
+  return !__builtin_mul_overflow(A, X, &P) &&
+         !__builtin_mul_overflow(B, Y, &Q) &&
+         !__builtin_add_overflow(P, Q, &Out);
+}
+
+/// Divides Row by the gcd of its entries, as normalizeByGcd does.
+bool normalizeOk(std::vector<BigInt> &Row) {
+  normalizeByGcd(Row);
+  return true;
+}
+bool normalizeOk(std::vector<int64_t> &Row) {
+  uint64_t G = 0;
+  for (int64_t V : Row)
+    G = std::gcd(G, V < 0 ? ~static_cast<uint64_t>(V) + 1
+                          : static_cast<uint64_t>(V));
+  if (G <= 1)
+    return true;
+  // gcd(INT64_MIN, 0) is 2^63, one past the int64 range.
+  if (G > static_cast<uint64_t>(INT64_MAX))
+    return false;
+  for (int64_t &V : Row)
+    V /= static_cast<int64_t>(G);
+  return true;
+}
+
+/// The rows of M as FM rows, each its own ancestor: BigInt rows are moved
+/// out of M, int64 rows copied. False if an entry does not fit T.
+bool toFmRows(IntMatrix &M, std::vector<FmRow<BigInt>> &Rows) {
+  Rows.reserve(M.numRows());
+  for (unsigned R = 0; R < M.numRows(); ++R)
+    Rows.push_back({std::move(M.row(R)), {R}});
+  return true;
+}
+bool toFmRows(const IntMatrix &M, std::vector<FmRow<int64_t>> &Rows) {
+  Rows.reserve(M.numRows());
+  for (unsigned R = 0; R < M.numRows(); ++R) {
+    FmRow<int64_t> Row{std::vector<int64_t>(M.numCols()), {R}};
+    for (unsigned C = 0; C < M.numCols(); ++C) {
+      if (!M(R, C).fitsInt64())
+        return false;
+      Row.Coef[C] = M(R, C).toInt64();
+    }
+    Rows.push_back(std::move(Row));
+  }
+  return true;
+}
+
+/// Eliminates the Targets columns from Rows (NumVars + 1 entries each) by
+/// batch Fourier-Motzkin with Imbert's acceleration. Each row carries the
+/// set of original inequality indices it descends from; after eliminating
+/// p variables, any irredundant derived row has at most p + 1 ancestors
+/// (Imbert/Chernikov), so larger combinations are dropped. This keeps the
+/// Farkas-multiplier eliminations polynomial in practice. Returns false if
+/// an int64 step overflowed; Rows is then void. A tripped budget leaves no
+/// rows at all (a garbage universe system), so every target column is
+/// trivially zero.
+template <typename T>
+bool eliminateBatch(std::vector<FmRow<T>> &Rows, unsigned NumVars,
+                    const std::vector<unsigned> &Targets, FmCounts &Counts) {
+  auto mergeAnc = [](const std::vector<unsigned> &A,
+                     const std::vector<unsigned> &B) {
+    std::vector<unsigned> M;
+    std::set_union(A.begin(), A.end(), B.begin(), B.end(),
+                   std::back_inserter(M));
+    return M;
+  };
+
+  std::vector<bool> Remaining(NumVars, false);
+  for (unsigned V : Targets)
+    Remaining[V] = true;
+  unsigned P = 0;
+  for (unsigned Step = 0; Step < Targets.size(); ++Step) {
+    // Pick the remaining target with the lowest pos*neg growth.
+    int Best = -1;
+    size_t BestCost = 0;
+    for (unsigned V = 0; V < NumVars; ++V) {
+      if (!Remaining[V])
+        continue;
+      size_t NPos = 0, NNeg = 0;
+      for (const FmRow<T> &R : Rows) {
+        NPos += signOf(R.Coef[V]) > 0;
+        NNeg += signOf(R.Coef[V]) < 0;
+      }
+      size_t Cost = NPos * NNeg;
+      if (Best < 0 || Cost < BestCost) {
+        Best = static_cast<int>(V);
+        BestCost = Cost;
+      }
+    }
+    unsigned V = static_cast<unsigned>(Best);
+    Remaining[V] = false;
+    ++P;
+
+    std::vector<FmRow<T>> Lower, Upper, Next;
+    for (FmRow<T> &R : Rows) {
+      int Sign = signOf(R.Coef[V]);
+      if (Sign > 0)
+        Lower.push_back(std::move(R));
+      else if (Sign < 0)
+        Upper.push_back(std::move(R));
+      else
+        Next.push_back(std::move(R));
+    }
+    // Index rows by their coefficient vector (constant excluded), so
+    // dominated rows collapse to the tightest constant. Duplicate rows
+    // keep the SMALLEST ancestor set so the pruning rule never discards
+    // the cheapest derivation of an irredundant row.
+    PrefixIndex Seen(NumVars);
+    auto RowAt = [&Next](unsigned I) -> const std::vector<T> & {
+      return Next[I].Coef;
+    };
+    for (unsigned I = 0; I < Next.size(); ++I) {
+      unsigned &K = Seen.findOrInsert(Next[I].Coef, I, RowAt);
+      // Tighter constant on an equal coefficient vector dominates.
+      if (K != I && Next[I].Coef[NumVars] < Next[K].Coef[NumVars])
+        K = I;
+    }
+    size_t PassThrough = Next.size();
+    // Every pair formed is charged one BigInt row of memory, whatever T
+    // is: a deterministic proxy (most pairs are pruned unbuilt) whose unit
+    // stays that of the BigInt rows a rerun would build.
+    uint64_t FmRowBytes =
+        static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
+    uint64_t Formed = 0;
+    // The budget is charged per chunk of pairs, so the wall clock is read
+    // every few hundred pairs however many upper bounds a row faces.
+    constexpr size_t ChargeChunk = 256;
+    bool Stopped = false;
+    for (const FmRow<T> &L : Lower) {
+      for (size_t UI = 0; UI < Upper.size(); ++UI) {
+        if (UI % ChargeChunk == 0) {
+          uint64_t N = std::min(ChargeChunk, Upper.size() - UI);
+          Stopped = !budgetCharge(N) || !budgetChargeMemory(N * FmRowBytes);
+          if (Stopped)
+            break;
+          Formed += N;
+        }
+        const FmRow<T> &U = Upper[UI];
+        std::vector<unsigned> Anc = mergeAnc(L.Anc, U.Anc);
+        if (Anc.size() > P + 1)
+          continue; // Imbert/Chernikov: necessarily redundant.
+        const T &PC = L.Coef[V];
+        T NC;
+        if (!negOk(U.Coef[V], NC))
+          return false;
+        std::vector<T> Coef(NumVars + 1);
+        bool AllZero = true;
+        for (unsigned C = 0; C <= NumVars; ++C) {
+          if (!combineOk(NC, L.Coef[C], PC, U.Coef[C], Coef[C]))
+            return false;
+          if (C < NumVars && signOf(Coef[C]) != 0)
+            AllZero = false;
+        }
+        if (!normalizeOk(Coef))
+          return false;
+        if (AllZero && signOf(Coef[NumVars]) >= 0)
+          continue; // Trivially true; a contradiction stays for normalize().
+        unsigned Pos = static_cast<unsigned>(Next.size());
+        unsigned K = Seen.findOrInsert(Coef, Pos, RowAt);
+        if (K != Pos) {
+          FmRow<T> &Old = Next[K];
+          if (Coef[NumVars] < Old.Coef[NumVars]) {
+            // Strictly tighter: replace the dominated row outright.
+            Old.Coef = std::move(Coef);
+            Old.Anc = std::move(Anc);
+          } else if (Coef[NumVars] == Old.Coef[NumVars] &&
+                     Anc.size() < Old.Anc.size()) {
+            Old.Anc = std::move(Anc);
+          }
+          continue;
+        }
+        Next.push_back({std::move(Coef), std::move(Anc)});
+      }
+      if (Stopped)
+        break;
+    }
+    ++Counts.Steps;
+    Counts.Formed += Formed;
+    Counts.Pruned += Formed - (Next.size() - PassThrough);
+    Rows = std::move(Next);
+    if (budgetExhausted()) {
+      Rows.clear();
+      break;
+    }
+  }
+  return true;
+}
+
+} // namespace
+
 void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
   assert(Pos + Count <= NumVars && "projection range out of bounds");
   if (Count == 0)
@@ -348,151 +583,36 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
     IsTarget.erase(IsTarget.begin() + Var);
   }
 
-  // Phase 2: batch Fourier-Motzkin with Imbert's acceleration. Each row
-  // carries the set of original inequality indices it descends from; after
-  // eliminating p variables, any irredundant derived row has at most p + 1
-  // ancestors (Imbert/Chernikov), so larger combinations are dropped. This
-  // keeps the Farkas-multiplier eliminations polynomial in practice.
+  // Phase 2: batch Fourier-Motzkin (eliminateBatch) on int64 rows, rerun
+  // on BigInt rows from the start if an entry does not fit or a step
+  // overflows; without overflow both runs hold the same numbers.
   std::vector<unsigned> Targets;
   for (unsigned V = 0; V < NumVars; ++V)
     if (IsTarget[V])
       Targets.push_back(V);
   if (!Targets.empty()) {
-    struct FmRow {
-      std::vector<BigInt> Coef;
-      std::vector<unsigned> Anc; // Sorted ancestor indices.
-    };
-    std::vector<FmRow> Rows;
-    Rows.reserve(Ineqs.numRows());
-    for (unsigned R = 0; R < Ineqs.numRows(); ++R)
-      Rows.push_back({std::move(Ineqs.row(R)), {R}});
-
-    auto mergeAnc = [](const std::vector<unsigned> &A,
-                       const std::vector<unsigned> &B) {
-      std::vector<unsigned> M;
-      std::set_union(A.begin(), A.end(), B.begin(), B.end(),
-                     std::back_inserter(M));
-      return M;
-    };
-
-    std::vector<bool> Remaining(NumVars, false);
-    for (unsigned V : Targets)
-      Remaining[V] = true;
-    unsigned P = 0;
-    for (unsigned Step = 0; Step < Targets.size(); ++Step) {
-      // Pick the remaining target with the lowest pos*neg growth.
-      int Best = -1;
-      size_t BestCost = 0;
-      for (unsigned V = 0; V < NumVars; ++V) {
-        if (!Remaining[V])
-          continue;
-        size_t NPos = 0, NNeg = 0;
-        for (const FmRow &R : Rows) {
-          NPos += R.Coef[V].isPositive();
-          NNeg += R.Coef[V].isNegative();
-        }
-        size_t Cost = NPos * NNeg;
-        if (Best < 0 || Cost < BestCost) {
-          Best = static_cast<int>(V);
-          BestCost = Cost;
-        }
-      }
-      unsigned V = static_cast<unsigned>(Best);
-      Remaining[V] = false;
-      ++P;
-
-      std::vector<FmRow> Lower, Upper, Next;
-      for (FmRow &R : Rows) {
-        if (R.Coef[V].isPositive())
-          Lower.push_back(std::move(R));
-        else if (R.Coef[V].isNegative())
-          Upper.push_back(std::move(R));
-        else
-          Next.push_back(std::move(R));
-      }
-      // Index rows by their coefficient vector (constant excluded), so
-      // dominated rows collapse to the tightest constant. Duplicate rows
-      // keep the SMALLEST ancestor set so the pruning rule never discards
-      // the cheapest derivation of an irredundant row.
-      PrefixIndex Seen(NumVars);
-      auto RowAt = [&Next](unsigned I) -> const std::vector<BigInt> & {
-        return Next[I].Coef;
-      };
-      for (unsigned I = 0; I < Next.size(); ++I) {
-        unsigned &K = Seen.findOrInsert(Next[I].Coef, I, RowAt);
-        // Tighter constant on an equal coefficient vector dominates.
-        if (K != I && Next[I].Coef[NumVars] < Next[K].Coef[NumVars])
-          K = I;
-      }
-      size_t PassThrough = Next.size();
-      uint64_t FmRowBytes =
-          static_cast<uint64_t>(NumVars + 1) * sizeof(BigInt);
-      uint64_t Formed = 0; // Pairs combined.
-      // The budget is charged per chunk of pairs, so the wall clock is read
-      // every few hundred pairs however many upper bounds a row faces.
-      constexpr size_t ChargeChunk = 256;
-      bool Stopped = false;
-      for (const FmRow &L : Lower) {
-        for (size_t UI = 0; UI < Upper.size(); ++UI) {
-          if (UI % ChargeChunk == 0) {
-            uint64_t N = std::min(ChargeChunk, Upper.size() - UI);
-            Stopped = !budgetCharge(N) || !budgetChargeMemory(N * FmRowBytes);
-            if (Stopped)
-              break;
-            Formed += N;
-          }
-          const FmRow &U = Upper[UI];
-          std::vector<unsigned> Anc = mergeAnc(L.Anc, U.Anc);
-          if (Anc.size() > P + 1)
-            continue; // Imbert/Chernikov: necessarily redundant.
-          const BigInt &PC = L.Coef[V];
-          BigInt NC = -U.Coef[V];
-          std::vector<BigInt> Coef(NumVars + 1);
-          bool AllZero = true;
-          for (unsigned C = 0; C <= NumVars; ++C) {
-            Coef[C] = NC * L.Coef[C] + PC * U.Coef[C];
-            if (C < NumVars && !Coef[C].isZero())
-              AllZero = false;
-          }
-          normalizeByGcd(Coef);
-          if (AllZero && !Coef[NumVars].isNegative())
-            continue; // Trivially true; a contradiction stays for normalize().
-          unsigned Pos = static_cast<unsigned>(Next.size());
-          unsigned K = Seen.findOrInsert(Coef, Pos, RowAt);
-          if (K != Pos) {
-            FmRow &Old = Next[K];
-            if (Coef[NumVars] < Old.Coef[NumVars]) {
-              // Strictly tighter: replace the dominated row outright.
-              Old.Coef = std::move(Coef);
-              Old.Anc = std::move(Anc);
-            } else if (Coef[NumVars] == Old.Coef[NumVars] &&
-                       Anc.size() < Old.Anc.size()) {
-              Old.Anc = std::move(Anc);
-            }
-            continue;
-          }
-          Next.push_back({std::move(Coef), std::move(Anc)});
-        }
-        if (Stopped)
-          break;
-      }
-      if (activeStats()) {
-        count(Counter::FmEliminations);
-        count(Counter::FmRowsGenerated, Formed);
-        count(Counter::FmRowsPruned, Formed - (Next.size() - PassThrough));
-      }
-      Rows = std::move(Next);
-      if (budgetExhausted()) {
-        // Bail with no rows at all (a garbage universe system): every
-        // remaining target column is then trivially zero, so the
-        // column-drop epilogue below stays assert-clean.
-        Rows.clear();
-        break;
-      }
+    FmCounts Counts;
+    std::vector<FmRow<int64_t>> Fast;
+    if (toFmRows(Ineqs, Fast) &&
+        eliminateBatch(Fast, NumVars, Targets, Counts)) {
+      Ineqs.clearRows();
+      for (FmRow<int64_t> &R : Fast)
+        Ineqs.addRow(std::vector<BigInt>(R.Coef.begin(), R.Coef.end()));
+    } else {
+      Fast.clear();
+      Counts = FmCounts();
+      std::vector<FmRow<BigInt>> Exact;
+      toFmRows(Ineqs, Exact);
+      eliminateBatch(Exact, NumVars, Targets, Counts);
+      Ineqs.clearRows();
+      for (FmRow<BigInt> &R : Exact)
+        Ineqs.addRow(std::move(R.Coef));
     }
-    Ineqs.clearRows();
-    for (FmRow &R : Rows)
-      Ineqs.addRow(std::move(R.Coef));
+    if (activeStats()) {
+      count(Counter::FmEliminations, Counts.Steps);
+      count(Counter::FmRowsGenerated, Counts.Formed);
+      count(Counter::FmRowsPruned, Counts.Pruned);
+    }
   }
 
   // Drop the (now unconstrained) target columns in one pass; the constant

@@ -80,7 +80,9 @@ public:
   /// Projects onto all variables except [Pos, Pos+Count); the variable
   /// space shrinks by Count (columns shift left). Targets an equality
   /// involves go by exact substitution, the rest by one batch of
-  /// Fourier-Motzkin steps. The result is the rational shadow, a superset
+  /// Fourier-Motzkin steps, on int64 rows first and from the start on
+  /// BigInt rows if an entry does not fit or a step overflows (both runs
+  /// give the same rows). The result is the rational shadow, a superset
   /// of the integer shadow - always safe for the uses in this code base
   /// (bounds enumeration and dependence-test preprocessing).
   void projectOut(unsigned Pos, unsigned Count);

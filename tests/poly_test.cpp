@@ -97,6 +97,39 @@ TEST(ConstraintSystemTest, NormalizeDetectsContradiction) {
   EXPECT_FALSE(CS2.normalize());
 }
 
+TEST(ConstraintSystemTest, FourierMotzkinOverflowRerunsOnBigInt) {
+  // (K+1) x - y >= 0 and -K x + z >= 0 over (x, y, z), K = 2^40: every
+  // entry fits int64, but eliminating x forms K (K+1) x, about 2^80, so
+  // the int64 run is abandoned and the batch reruns on BigInt. The
+  // result is the combination K * first + (K+1) * second.
+  const long long K = 1LL << 40;
+  ConstraintSystem CS(3);
+  CS.addIneq({K + 1, -1, 0, 0});
+  CS.addIneq({-K, 0, 1, 0});
+  PassStats Stats;
+  setActiveStats(&Stats);
+  CS.projectOut(0, 1);
+  setActiveStats(nullptr);
+  ASSERT_EQ(CS.numVars(), 2u);
+  ASSERT_EQ(CS.numIneqs(), 1u);
+  EXPECT_EQ(CS.ineqs().row(0),
+            (std::vector<BigInt>{BigInt(-K), BigInt(K + 1), BigInt(0)}));
+  // Only the run that answers is counted.
+  EXPECT_EQ(Stats.get(Counter::FmEliminations), 1u);
+  EXPECT_EQ(Stats.get(Counter::FmRowsGenerated), 1u);
+
+  // An entry past int64 goes to BigInt rows at once: 2^70 x - y >= 0 and
+  // z - x >= 0 give 2^70 z - y >= 0.
+  BigInt Big = BigInt::fromString("1180591620717411303424"); // 2^70
+  ConstraintSystem Wide(3);
+  Wide.addIneq({Big, BigInt(-1), BigInt(0), BigInt(0)});
+  Wide.addIneq({-1, 0, 1, 0});
+  Wide.projectOut(0, 1);
+  ASSERT_EQ(Wide.numIneqs(), 1u);
+  EXPECT_EQ(Wide.ineqs().row(0),
+            (std::vector<BigInt>{BigInt(-1), Big, BigInt(0)}));
+}
+
 TEST(ConstraintSystemTest, ProjectionOfEmptySetStaysEmpty) {
   // {x - 1 >= 0, -x >= 0, 0 <= y <= 5} is empty; so is its projection.
   ConstraintSystem CS(2);

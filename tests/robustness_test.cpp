@@ -371,8 +371,8 @@ TEST(ResourceBombTest, FmRowsGeneratedStaysWithinTheWorkBudget) {
 // A wall budget ends the compile soon after its deadline. Fourier-Motzkin
 // charges its row pairs in chunks, so the deadline is seen within a few
 // hundred pairs, and no further Farkas system is built once it is; what is
-// left is freeing the elimination's rows. Sanitizer builds run too slowly
-// for a time bound.
+// left is freeing the elimination's int64 rows. Sanitizer builds run too
+// slowly for a time bound.
 TEST(ResourceBombTest, WallBudgetReturnsSoonAfterTheDeadline) {
   std::string Src = bombSource("deep_nest.c");
   ASSERT_FALSE(Src.empty());
@@ -391,7 +391,7 @@ TEST(ResourceBombTest, WallBudgetReturnsSoonAfterTheDeadline) {
   EXPECT_NE(R.Error.find("wall-clock"), std::string::npos) << R.Error;
   EXPECT_GE(Ms, 500);
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-  // 500 ms plus a quarter: the overshoot measured 50-80 ms here, and
+  // 500 ms plus a quarter: the overshoot measured 36-42 ms here, and
   // 170-190 ms when the budget was charged once per lower row.
   EXPECT_LE(Ms, 625);
 #endif
