@@ -49,6 +49,7 @@
 
 #include "observe/PassStats.h"
 #include "support/Budget.h"
+#include "support/CheckedEntry.h"
 
 #include <atomic>
 #include <cstdint>
@@ -76,77 +77,8 @@ void ilp::setSolveLimits(const SolveLimits &L) {
 
 namespace {
 
-// Entry arithmetic, overloaded for the two entry types. Each step reports
-// overflow by returning false: a BigInt step never overflows, an int64 one
-// is checked, and a product or difference that leaves int64 abandons the
-// int64 run (its value is then garbage and never read).
+using namespace pluto::checked;
 
-bool isZero(const BigInt &V) { return V.isZero(); }
-bool isZero(int64_t V) { return V == 0; }
-bool isPositive(const BigInt &V) { return V.isPositive(); }
-bool isPositive(int64_t V) { return V > 0; }
-bool isNegative(const BigInt &V) { return V.isNegative(); }
-bool isNegative(int64_t V) { return V < 0; }
-bool isOne(const BigInt &V) { return V.isOne(); }
-bool isOne(int64_t V) { return V == 1; }
-
-bool mulOk(const BigInt &A, const BigInt &B, BigInt &Out) {
-  Out = A * B;
-  return true;
-}
-bool mulOk(int64_t A, int64_t B, int64_t &Out) {
-  return !__builtin_mul_overflow(A, B, &Out);
-}
-/// Only int64 tableaux take warm rows (appendTransformed), the one adder.
-bool addOk(int64_t A, int64_t B, int64_t &Out) {
-  return !__builtin_add_overflow(A, B, &Out);
-}
-bool subOk(const BigInt &A, const BigInt &B, BigInt &Out) {
-  Out = A - B;
-  return true;
-}
-bool subOk(int64_t A, int64_t B, int64_t &Out) {
-  return !__builtin_sub_overflow(A, B, &Out);
-}
-bool negOk(const BigInt &A, BigInt &Out) {
-  Out = -A;
-  return true;
-}
-bool negOk(int64_t A, int64_t &Out) {
-  return !__builtin_sub_overflow(int64_t(0), A, &Out);
-}
-bool gcdOk(const BigInt &A, const BigInt &B, BigInt &Out) {
-  Out = BigInt::gcd(A, B);
-  return true;
-}
-bool gcdOk(int64_t A, int64_t B, int64_t &Out) {
-  auto Abs = [](int64_t V) {
-    return V < 0 ? ~static_cast<uint64_t>(V) + 1 : static_cast<uint64_t>(V);
-  };
-  uint64_t X = Abs(A), Y = Abs(B);
-  while (Y != 0) {
-    uint64_t T = X % Y;
-    X = Y;
-    Y = T;
-  }
-  // gcd(INT64_MIN, 0) is 2^63, one past the int64 range.
-  if (X > static_cast<uint64_t>(INT64_MAX))
-    return false;
-  Out = static_cast<int64_t>(X);
-  return true;
-}
-bool divExactOk(const BigInt &A, const BigInt &B, BigInt &Out) {
-  Out = A.divExact(B);
-  return true;
-}
-bool divExactOk(int64_t A, int64_t B, int64_t &Out) {
-  assert(B != 0 && "division by zero");
-  if (A == INT64_MIN && B == -1)
-    return false;
-  assert(A % B == 0 && "divExact with non-divisible operands");
-  Out = A / B;
-  return true;
-}
 /// Least common multiple of two positive entries.
 template <typename T> bool lcmOk(const T &A, const T &B, T &Out) {
   T G(0), Q(0);
@@ -168,18 +100,6 @@ int compareProducts(int64_t A, int64_t B, int64_t C, int64_t D) {
   Wide L = static_cast<Wide>(A) * B, R = static_cast<Wide>(C) * D;
   return (L > R) - (L < R);
 }
-/// Converts an input entry, negated when Negate is set.
-bool convertOk(const BigInt &V, bool Negate, BigInt &Out) {
-  Out = Negate ? -V : V;
-  return true;
-}
-bool convertOk(const BigInt &V, bool Negate, int64_t &Out) {
-  if (!V.fitsInt64())
-    return false;
-  Out = V.toInt64();
-  return !Negate || negOk(Out, Out);
-}
-
 /// Tableau rows, each Width entries. int64 rows share one contiguous
 /// buffer; BigInt rows are separate vectors, because one flat BigInt
 /// buffer, though as fast, raised peak RSS: its doubling reallocations
@@ -654,24 +574,6 @@ struct LexMinSolver::Impl {
     BaseStatus = R.Status;
     noteSolveStats(*BaseT, 0, CutsUsed, R);
   }
-
-  /// Base + Extra from the snapshot, or nothing if the run overflowed.
-  std::optional<LexMinResult> solveWarm(const IntMatrix &Extra, bool Reused) {
-    Tableau<int64_t> T = *BaseT;
-    unsigned PivotsBefore = T.iterations();
-    for (unsigned R = 0; R < Extra.numRows(); ++R)
-      T.appendTransformed(Extra.row(R));
-    unsigned CutsUsed = 0;
-    LexMinResult Result = runToInteger(T, CutsUsed);
-    if (T.overflowed()) {
-      count(Counter::LexMinBigIntReruns);
-      return std::nullopt;
-    }
-    if (Reused)
-      count(Counter::LexMinWarmStarts);
-    noteSolveStats(T, PivotsBefore, CutsUsed, Result);
-    return Result;
-  }
 };
 
 LexMinSolver::LexMinSolver() : I(std::make_unique<Impl>()) {}
@@ -693,17 +595,29 @@ LexMinResult LexMinSolver::solveWith(const IntMatrix &ExtraIneqs) {
   bool Reused = I->BaseSolved;
   if (!I->BaseSolved)
     I->solveBase();
-  if (I->BaseT) {
+  if (I->BaseT && I->BaseStatus != SolveStatus::Feasible) {
+    // Extra rows can only shrink an infeasible base's empty set; on an
+    // aborted base the caller falls back to a cold solve.
     LexMinResult Result;
-    // Extra rows can only shrink an infeasible base's empty set; an
-    // aborted base leaves no snapshot, and the caller solves cold.
-    if (I->BaseStatus != SolveStatus::Feasible) {
-      Result.Status = I->BaseStatus;
+    Result.Status = I->BaseStatus;
+    return Result;
+  }
+  if (I->BaseT) {
+    Tableau<int64_t> T = *I->BaseT;
+    unsigned PivotsBefore = T.iterations();
+    for (unsigned R = 0; R < ExtraIneqs.numRows(); ++R)
+      T.appendTransformed(ExtraIneqs.row(R));
+    unsigned CutsUsed = 0;
+    LexMinResult Result = runToInteger(T, CutsUsed);
+    if (!T.overflowed()) {
+      if (Reused)
+        count(Counter::LexMinWarmStarts);
+      noteSolveStats(T, PivotsBefore, CutsUsed, Result);
       return Result;
     }
-    if (std::optional<LexMinResult> Warm = I->solveWarm(ExtraIneqs, Reused))
-      return std::move(*Warm);
+    count(Counter::LexMinBigIntReruns);
   }
+  // The base or this query left int64: solve base + extras cold.
   RowRefs All = *I->Base;
   All.addIneqs(ExtraIneqs);
   return solveCold(All, /*FreeVars=*/false);

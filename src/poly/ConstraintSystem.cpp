@@ -9,11 +9,11 @@
 #include "ilp/LexMin.h"
 #include "observe/PassStats.h"
 #include "support/Budget.h"
+#include "support/CheckedEntry.h"
 #include "support/LinearAlgebra.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 
 using namespace pluto;
 
@@ -306,50 +306,19 @@ struct FmCounts {
   uint64_t Pruned = 0; // Pairs that added no row.
 };
 
-// Entry steps for the two entry types. A BigInt step never overflows; an
-// int64 one returns false when its result leaves int64.
-
-int signOf(const BigInt &V) { return V.isPositive() - V.isNegative(); }
-int signOf(int64_t V) { return (V > 0) - (V < 0); }
-
-bool negOk(const BigInt &A, BigInt &Out) {
-  Out = -A;
-  return true;
-}
-bool negOk(int64_t A, int64_t &Out) {
-  return !__builtin_sub_overflow(int64_t(0), A, &Out);
-}
-
-/// Out = A * X + B * Y.
-bool combineOk(const BigInt &A, const BigInt &X, const BigInt &B,
-               const BigInt &Y, BigInt &Out) {
-  Out = A * X + B * Y;
-  return true;
-}
-bool combineOk(int64_t A, int64_t X, int64_t B, int64_t Y, int64_t &Out) {
-  int64_t P, Q;
-  return !__builtin_mul_overflow(A, X, &P) &&
-         !__builtin_mul_overflow(B, Y, &Q) &&
-         !__builtin_add_overflow(P, Q, &Out);
-}
+using namespace pluto::checked;
 
 /// Divides Row by the gcd of its entries, as normalizeByGcd does.
-bool normalizeOk(std::vector<BigInt> &Row) {
-  normalizeByGcd(Row);
-  return true;
-}
-bool normalizeOk(std::vector<int64_t> &Row) {
-  uint64_t G = 0;
-  for (int64_t V : Row)
-    G = std::gcd(G, V < 0 ? ~static_cast<uint64_t>(V) + 1
-                          : static_cast<uint64_t>(V));
-  if (G <= 1)
+template <typename T> bool normalizeOk(std::vector<T> &Row) {
+  T G(0);
+  for (const T &V : Row)
+    if (!isZero(V) && !gcdOk(G, V, G))
+      return false;
+  if (isZero(G) || isOne(G))
     return true;
-  // gcd(INT64_MIN, 0) is 2^63, one past the int64 range.
-  if (G > static_cast<uint64_t>(INT64_MAX))
-    return false;
-  for (int64_t &V : Row)
-    V /= static_cast<int64_t>(G);
+  for (T &V : Row)
+    if (!isZero(V) && !divExactOk(V, G, V))
+      return false;
   return true;
 }
 
@@ -365,11 +334,9 @@ bool toFmRows(const IntMatrix &M, std::vector<FmRow<int64_t>> &Rows) {
   Rows.reserve(M.numRows());
   for (unsigned R = 0; R < M.numRows(); ++R) {
     FmRow<int64_t> Row{std::vector<int64_t>(M.numCols()), {R}};
-    for (unsigned C = 0; C < M.numCols(); ++C) {
-      if (!M(R, C).fitsInt64())
+    for (unsigned C = 0; C < M.numCols(); ++C)
+      if (!convertOk(M(R, C), /*Negate=*/false, Row.Coef[C]))
         return false;
-      Row.Coef[C] = M(R, C).toInt64();
-    }
     Rows.push_back(std::move(Row));
   }
   return true;
@@ -408,8 +375,8 @@ bool eliminateBatch(std::vector<FmRow<T>> &Rows, unsigned NumVars,
         continue;
       size_t NPos = 0, NNeg = 0;
       for (const FmRow<T> &R : Rows) {
-        NPos += signOf(R.Coef[V]) > 0;
-        NNeg += signOf(R.Coef[V]) < 0;
+        NPos += isPositive(R.Coef[V]);
+        NNeg += isNegative(R.Coef[V]);
       }
       size_t Cost = NPos * NNeg;
       if (Best < 0 || Cost < BestCost) {
@@ -423,10 +390,9 @@ bool eliminateBatch(std::vector<FmRow<T>> &Rows, unsigned NumVars,
 
     std::vector<FmRow<T>> Lower, Upper, Next;
     for (FmRow<T> &R : Rows) {
-      int Sign = signOf(R.Coef[V]);
-      if (Sign > 0)
+      if (isPositive(R.Coef[V]))
         Lower.push_back(std::move(R));
-      else if (Sign < 0)
+      else if (isNegative(R.Coef[V]))
         Upper.push_back(std::move(R));
       else
         Next.push_back(std::move(R));
@@ -469,21 +435,24 @@ bool eliminateBatch(std::vector<FmRow<T>> &Rows, unsigned NumVars,
         std::vector<unsigned> Anc = mergeAnc(L.Anc, U.Anc);
         if (Anc.size() > P + 1)
           continue; // Imbert/Chernikov: necessarily redundant.
+        // NC * L + PC * U has a zero in column V.
         const T &PC = L.Coef[V];
-        T NC;
+        T NC(0);
         if (!negOk(U.Coef[V], NC))
           return false;
         std::vector<T> Coef(NumVars + 1);
         bool AllZero = true;
         for (unsigned C = 0; C <= NumVars; ++C) {
-          if (!combineOk(NC, L.Coef[C], PC, U.Coef[C], Coef[C]))
+          T A(0), B(0);
+          if (!mulOk(NC, L.Coef[C], A) || !mulOk(PC, U.Coef[C], B) ||
+              !addOk(A, B, Coef[C]))
             return false;
-          if (C < NumVars && signOf(Coef[C]) != 0)
+          if (C < NumVars && !isZero(Coef[C]))
             AllZero = false;
         }
         if (!normalizeOk(Coef))
           return false;
-        if (AllZero && signOf(Coef[NumVars]) >= 0)
+        if (AllZero && !isNegative(Coef[NumVars]))
           continue; // Trivially true; a contradiction stays for normalize().
         unsigned Pos = static_cast<unsigned>(Next.size());
         unsigned K = Seen.findOrInsert(Coef, Pos, RowAt);
