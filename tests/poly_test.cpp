@@ -98,14 +98,15 @@ TEST(ConstraintSystemTest, NormalizeDetectsContradiction) {
 }
 
 TEST(ConstraintSystemTest, FourierMotzkinOverflowRerunsOnBigInt) {
-  // (K+1) x - y >= 0 and -K x + z >= 0 over (x, y, z), K = 2^40: every
-  // entry fits int64, but eliminating x forms K (K+1) x, about 2^80, so
-  // the int64 run is abandoned and the batch reruns on BigInt. The
-  // result is the combination K * first + (K+1) * second.
+  // K x - K y >= 0 and -K x + (K+1) z >= 0 over (x, y, z), K = 2^40:
+  // every entry fits int64, but eliminating x sums K times each row, which
+  // is (0, -K^2, K (K+1), 0) before its gcd K is divided out. K^2 = 2^80
+  // wraps to 0 in int64, so the int64 run must be abandoned and the batch
+  // rerun on BigInt, giving -K y + (K+1) z >= 0.
   const long long K = 1LL << 40;
   ConstraintSystem CS(3);
-  CS.addIneq({K + 1, -1, 0, 0});
-  CS.addIneq({-K, 0, 1, 0});
+  CS.addIneq({K, -K, 0, 0});
+  CS.addIneq({-K, 0, K + 1, 0});
   PassStats Stats;
   setActiveStats(&Stats);
   CS.projectOut(0, 1);
