@@ -391,7 +391,7 @@ TEST(ResourceBombTest, WallBudgetReturnsSoonAfterTheDeadline) {
   EXPECT_NE(R.Error.find("wall-clock"), std::string::npos) << R.Error;
   EXPECT_GE(Ms, 500);
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-  // 500 ms plus a quarter: the overshoot measured 36-42 ms here, and
+  // 500 ms plus a quarter: this test's overshoot measured 36-42 ms, and
   // 170-190 ms when the budget was charged once per lower row.
   EXPECT_LE(Ms, 625);
 #endif
