@@ -57,7 +57,9 @@ enum class Counter : unsigned {
   GomoryCuts,
   IlpAborts,
   LexMinWarmStarts, ///< solves served from a warm-started band tableau
-  LexMinBigIntReruns, ///< cold solves rerun on BigInt after int64 overflow
+  LexMinBigIntReruns, ///< int64 runs abandoned on overflow: cold solves
+                      ///< rerun on BigInt, band bases and warm queries
+                      ///< answered by a cold solve
   // poly/ - Fourier-Motzkin core.
   FmEliminations,  ///< variable eliminations performed via FM combination
   FmRowsGenerated, ///< lower*upper combinations formed across eliminations
