@@ -26,12 +26,15 @@ UBSAN_OPTIONS=print_stacktrace=1 \
 # assert. Build the exact core (BigInt, the lexmin tableau, FM projection,
 # Farkas compression) once more in Debug and run its tests with the
 # asserts on; deps_test and codegen_test put the tableaux' asserts (the
-# int64 one's included) through real dependence and codegen systems, and
+# int64 one's included) through real dependence and codegen systems,
 # schedule_scale_test puts the warm band tableaux' lex-positivity assert
-# through the Kernels.h kernels and the StressGen programs.
+# through the Kernels.h kernels and the StressGen programs, and fuzz_test
+# puts the code generator's sharing checks (a leaf's iterator bounds equal
+# its statement's; a statement joining an equal projection's pieces meets
+# no other piece) through 40 random programs, with separation on and off.
 DEBUG_DIR="$BUILD_DIR-debug"
 DEBUG_TESTS="support_test ilp_test poly_test transform_test deps_test \
-  codegen_test schedule_scale_test"
+  codegen_test schedule_scale_test fuzz_test"
 cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" -j "$(nproc)" --target $DEBUG_TESTS
 for T in $DEBUG_TESTS; do

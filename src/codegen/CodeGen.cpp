@@ -50,7 +50,14 @@ struct DimBounds {
   std::vector<std::vector<BigInt>> Upper; ///< Negative coefficient rows.
   std::vector<std::vector<BigInt>> CondIneqs; ///< Rows not involving the dim.
   std::vector<std::vector<BigInt>> CondEqs;
+
+  bool operator==(const DimBounds &) const = default;
 };
+
+/// True if A and B hold the same rows in the same order.
+bool sameRows(const ConstraintSystem &A, const ConstraintSystem &B) {
+  return A.ineqs() == B.ineqs() && A.eqs() == B.eqs();
+}
 
 class Generator {
 public:
@@ -63,6 +70,7 @@ public:
     pickLoopVarNames();
     buildExtendedSystems();
     buildProjections();
+    IterBounds.resize(S.Stmts.size());
 
     ConstraintSystem Ctx(D + NP);
     S.Prog->appendContextTo(Ctx, D);
@@ -84,6 +92,9 @@ private:
   /// Proj[s][l]: projection of Ext[s] onto [c_1..c_l | params], padded back
   /// to the region layout [c_1..c_D | params | 1] with zero columns.
   std::vector<std::vector<ConstraintSystem>> Proj;
+  /// IterBounds[s]: the bounds of each iterator of statement s, recovered
+  /// at its first leaf (recoverIterators).
+  std::vector<std::optional<std::vector<DimBounds>>> IterBounds;
   std::string Error;
 
   void fail(const std::string &Msg) {
@@ -334,6 +345,13 @@ private:
     return !Probe.normalize() || Probe.isIntegerEmpty();
   }
 
+  /// True if A and B share an integer point inside Ctx.
+  bool meetInCtx(const ConstraintSystem &A, const ConstraintSystem &B,
+                 const ConstraintSystem &Ctx) const {
+    ConstraintSystem Inter = ConstraintSystem::intersection(A, B);
+    return Inter.normalize() && !emptyInCtx(Inter, Ctx);
+  }
+
   /// Splits the projections of Active statements into disjoint pieces,
   /// each tested to have an integer point in Ctx. Returns std::nullopt if
   /// the piece count explodes.
@@ -342,8 +360,29 @@ private:
            const std::vector<ConstraintSystem> &Ps,
            const ConstraintSystem &Ctx) const {
     std::vector<Piece> Pieces;
+    std::vector<unsigned> Separated; // Positions in Active that split pieces.
     for (unsigned I = 0; I < Active.size(); ++I) {
       const ConstraintSystem &P = Ps[I];
+      auto Twin = std::find_if(
+          Separated.begin(), Separated.end(),
+          [&](unsigned J) { return sameRows(Ps[J], P); });
+      if (Twin != Separated.end()) {
+        // P is an earlier statement's projection. The pieces holding that
+        // statement lie inside P and cover it within Ctx; the others miss
+        // it there. So this statement joins exactly those pieces, and the
+        // pieces stay as they are (DESIGN.md section 7.3).
+        unsigned J = Active[*Twin];
+        for (Piece &Existing : Pieces) {
+          if (std::find(Existing.Stmts.begin(), Existing.Stmts.end(), J) !=
+              Existing.Stmts.end())
+            Existing.Stmts.push_back(Active[I]);
+          else
+            assert(!meetInCtx(Existing.Region, P, Ctx) &&
+                   "a statement meets a piece its twin is not in");
+        }
+        continue;
+      }
+      Separated.push_back(I);
       std::vector<Piece> Next;
       std::vector<ConstraintSystem> Carry = {P};
       for (Piece &Existing : Pieces) {
@@ -521,16 +560,33 @@ private:
     return Block;
   }
 
+  /// Proj[St][L] simplified against Ctx for each statement of Active. A
+  /// projection equal row for row to an earlier statement's takes that
+  /// statement's result instead of a gist of its own.
+  std::vector<ConstraintSystem>
+  gistProjections(const std::vector<unsigned> &Active, unsigned L,
+                  const ConstraintSystem &Ctx) const {
+    std::vector<ConstraintSystem> Ps;
+    std::vector<unsigned> Gisted; // Positions in Active whose gist ran.
+    for (unsigned I = 0; I < Active.size(); ++I) {
+      const ConstraintSystem &P = Proj[Active[I]][L];
+      auto Twin = std::find_if(Gisted.begin(), Gisted.end(), [&](unsigned J) {
+        return sameRows(Proj[Active[J]][L], P);
+      });
+      if (Twin != Gisted.end()) {
+        Ps.push_back(Ps[*Twin]);
+        continue;
+      }
+      Gisted.push_back(I);
+      Ps.push_back(P);
+      Ps.back().gist(Ctx);
+    }
+    return Ps;
+  }
+
   CgNodePtr genLoopLevel(unsigned Level, const std::vector<unsigned> &Active,
                          const ConstraintSystem &Ctx) {
-    // Per-statement projections at this level, simplified against context.
-    std::vector<ConstraintSystem> Ps;
-    for (unsigned St : Active) {
-      ConstraintSystem P = Proj[St][Level + 1];
-      P.gist(Ctx);
-      Ps.push_back(std::move(P));
-    }
-
+    std::vector<ConstraintSystem> Ps = gistProjections(Active, Level + 1, Ctx);
     std::optional<std::vector<Piece>> Pieces;
     if (Opts.EnableSeparation) {
       Pieces = separate(Active, Ps, Ctx);
@@ -669,9 +725,12 @@ private:
 
   CgNodePtr genLeaf(const std::vector<unsigned> &Active,
                     const ConstraintSystem &Ctx) {
+    // Statement guards: whatever of each full projection the context does
+    // not already imply (empty in separated code).
+    std::vector<ConstraintSystem> Guards = gistProjections(Active, D, Ctx);
     CgNodePtr Block = CgNode::block();
-    for (unsigned St : Active)
-      Block->Children.push_back(genStmtLeaf(St, Ctx));
+    for (unsigned I = 0; I < Active.size(); ++I)
+      Block->Children.push_back(genStmtLeaf(Active[I], Guards[I], Ctx));
     return Block;
   }
 
@@ -698,14 +757,43 @@ private:
     return CgExpr::affine(std::move(Terms), Row[D + M + NP] * Scale);
   }
 
-  CgNodePtr genStmtLeaf(unsigned St, const ConstraintSystem &Ctx) {
+  /// The bounds of each iterator of statement St: the iterators are
+  /// eliminated innermost-out and each one's bound rows are collected
+  /// before it disappears. With Ctx, the context's rows are folded in
+  /// first. They have no iterator column, so no iterator's rows change:
+  /// an equality substitution leaves them as they are, Fourier-Motzkin
+  /// never pairs them, and normalize() can merge them only with rows that
+  /// have no iterator column either, which splitBoundsExt never reads.
+  std::vector<DimBounds>
+  recoverIterators(unsigned St, const ConstraintSystem *Ctx = nullptr) const {
+    unsigned M = static_cast<unsigned>(S.Stmts[St].IterNames.size());
+    ConstraintSystem CS = Ext[St];
+    for (unsigned R = 0; Ctx && R < Ctx->ineqs().numRows(); ++R) {
+      std::vector<BigInt> Row(D + M + NP + 1, BigInt(0));
+      const std::vector<BigInt> &Src = Ctx->ineqs().row(R);
+      for (unsigned C = 0; C < D; ++C)
+        Row[C] = Src[C];
+      for (unsigned P = 0; P < NP; ++P)
+        Row[D + M + P] = Src[D + P];
+      Row[D + M + NP] = Src[D + NP];
+      CS.addIneq(std::move(Row));
+    }
+    CS.normalize();
+    std::vector<DimBounds> Bounds(M);
+    for (unsigned K = M; K-- > 0;) {
+      unsigned Col = D + K;
+      Bounds[K] = splitBoundsExt(CS, Col);
+      CS.projectOut(Col, 1);
+      CS.insertDims(Col, 1);
+    }
+    return Bounds;
+  }
+
+  CgNodePtr genStmtLeaf(unsigned St, const ConstraintSystem &Guard,
+                        [[maybe_unused]] const ConstraintSystem &Ctx) {
     const ScopStmt &Stmt = S.Stmts[St];
     unsigned M = static_cast<unsigned>(Stmt.IterNames.size());
 
-    // Statement guard: whatever of its full projection the context does not
-    // already imply (empty in separated code).
-    ConstraintSystem Guard = Proj[St][D];
-    Guard.gist(Ctx);
     std::vector<CgCond> Conds;
     for (unsigned R = 0; R < Guard.ineqs().numRows(); ++R) {
       CgCond C;
@@ -723,35 +811,11 @@ private:
       Conds.push_back(std::move(C2));
     }
 
-    // Iterator recovery: eliminate iterators innermost-out, collecting the
-    // bound rows for each before it disappears.
-    ConstraintSystem CS = Ext[St];
-    // Fold the context in for tighter bounds.
-    for (unsigned R = 0; R < Ctx.ineqs().numRows(); ++R) {
-      std::vector<BigInt> Row(D + M + NP + 1, BigInt(0));
-      const std::vector<BigInt> &Src = Ctx.ineqs().row(R);
-      for (unsigned C = 0; C < D; ++C)
-        Row[C] = Src[C];
-      for (unsigned P = 0; P < NP; ++P)
-        Row[D + M + P] = Src[D + P];
-      Row[D + M + NP] = Src[D + NP];
-      CS.addIneq(std::move(Row));
-    }
-    CS.normalize();
-
-    struct DimRec {
-      std::string Name;
-      DimBounds B;
-    };
-    std::vector<DimRec> Recs(M);
-    for (unsigned K = M; K-- > 0;) {
-      unsigned Col = D + K;
-      DimRec &Rec = Recs[K];
-      Rec.Name = Stmt.IterNames[K];
-      Rec.B = splitBoundsExt(CS, Col);
-      CS.projectOut(Col, 1);
-      CS.insertDims(Col, 1);
-    }
+    if (!IterBounds[St])
+      IterBounds[St] = recoverIterators(St);
+    const std::vector<DimBounds> &Bounds = *IterBounds[St];
+    assert(recoverIterators(St, &Ctx) == Bounds &&
+           "the leaf context changed an iterator's bounds");
 
     // Build the chain outermost-in.
     CgNodePtr Call = CgNode::call(St, {});
@@ -760,32 +824,32 @@ private:
           CgExpr::affine({{Stmt.IterNames[P], BigInt(1)}}, BigInt(0)));
     CgNodePtr Chain = std::move(Call);
     for (unsigned K = M; K-- > 0;) {
-      DimRec &Rec = Recs[K];
+      const DimBounds &B = Bounds[K];
+      const std::string &Name = Stmt.IterNames[K];
       unsigned Col = D + K;
       CgNodePtr Node;
       std::vector<CgCond> DimConds;
-      if (Rec.B.HasEq) {
-        const BigInt &Coef = Rec.B.EqRow[Col];
+      if (B.HasEq) {
+        const BigInt &Coef = B.EqRow[Col];
         CgExpr Value = CgExpr::floord(
-            extRowToAffine(St, Rec.B.EqRow, static_cast<int>(Col),
-                           BigInt(-1)),
+            extRowToAffine(St, B.EqRow, static_cast<int>(Col), BigInt(-1)),
             Coef);
         if (!Coef.isOne()) {
           CgCond Div;
-          Div.Expr = extRowToAffine(St, Rec.B.EqRow, static_cast<int>(Col),
+          Div.Expr = extRowToAffine(St, B.EqRow, static_cast<int>(Col),
                                     BigInt(-1));
           Div.Mod = Coef;
           DimConds.push_back(std::move(Div));
         }
-        Node = CgNode::let(Rec.Name, std::move(Value));
+        Node = CgNode::let(Name, std::move(Value));
         // Remaining inequality rows on this iterator become guards inside.
         std::vector<CgCond> Inner;
-        for (const auto &Row : Rec.B.Lower) {
+        for (const auto &Row : B.Lower) {
           CgCond C;
           C.Expr = extRowToAffine(St, Row, -1, BigInt(1));
           Inner.push_back(std::move(C));
         }
-        for (const auto &Row : Rec.B.Upper) {
+        for (const auto &Row : B.Upper) {
           CgCond C;
           C.Expr = extRowToAffine(St, Row, -1, BigInt(1));
           Inner.push_back(std::move(C));
@@ -798,19 +862,19 @@ private:
         Node->Children.push_back(std::move(Chain));
       } else {
         std::vector<CgExpr> L, U;
-        for (const auto &Row : Rec.B.Lower)
+        for (const auto &Row : B.Lower)
           L.push_back(CgExpr::ceild(
               extRowToAffine(St, Row, static_cast<int>(Col), BigInt(-1)),
               Row[Col]));
-        for (const auto &Row : Rec.B.Upper)
+        for (const auto &Row : B.Upper)
           U.push_back(CgExpr::floord(
               extRowToAffine(St, Row, static_cast<int>(Col), BigInt(1)),
               -Row[Col]));
         if (L.empty() || U.empty()) {
-          fail("unbounded statement iterator " + Rec.Name);
+          fail("unbounded statement iterator " + Name);
           return CgNode::block();
         }
-        Node = CgNode::loop(Rec.Name, CgExpr::makeMax(L), CgExpr::makeMin(U));
+        Node = CgNode::loop(Name, CgExpr::makeMax(L), CgExpr::makeMin(U));
         Node->Children.push_back(std::move(Chain));
       }
       if (!DimConds.empty()) {

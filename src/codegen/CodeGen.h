@@ -20,6 +20,13 @@
 /// falls back to a single loop over the union with per-statement guards at
 /// the leaves - always correct, merely slower code.
 ///
+/// Each polyhedral result is computed once per distinct input. A
+/// statement's iterator bounds are recovered at its first leaf and reused
+/// by its other leaves (the leaf context cannot change them). Statements
+/// whose projections are equal row for row share one gist per level, one
+/// leaf guard, and one pass of separation: a later twin joins the pieces
+/// that hold the first (DESIGN.md section 7.3).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PLUTOPP_CODEGEN_CODEGEN_H

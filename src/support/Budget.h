@@ -41,8 +41,11 @@ namespace pluto {
 struct BudgetLimits {
   /// Wall-clock ceiling for the whole compile, in milliseconds.
   uint64_t WallMs = 0;
-  /// Ceiling on tracked transient allocations (FM rows, tableau copies),
-  /// in bytes. This is cooperative accounting, not an allocator hook; the
+  /// Ceiling on charged memory, in bytes. The one charge is one BigInt row
+  /// for every Fourier-Motzkin row pair formed, most of which are pruned
+  /// before they are built; the rows held and the tableau copies are not
+  /// charged. So this bounds FM work in a memory unit, not the memory
+  /// held. It is cooperative accounting, not an allocator hook; the
   /// sandbox's RLIMIT_AS is the hard backstop.
   uint64_t MaxMemoryBytes = 0;
   /// Ceiling on abstract work units (one unit ~ one generated FM row, one

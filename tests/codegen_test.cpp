@@ -13,8 +13,10 @@
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "driver/Kernels.h"
+#include "observe/PassStats.h"
 #include "runtime/Interpreter.h"
 #include "support/Budget.h"
+#include "support/StressGen.h"
 #include "Session.h"
 
 #include <gtest/gtest.h>
@@ -224,6 +226,67 @@ TEST(CodegenTest, ParallelPragmaEmittedForMatMul) {
   EO.Extents = {{"a", {"N", "N"}}, {"b", {"N", "N"}}, {"c", {"N", "N"}}};
   std::string C = emitC((*Res)->program(), *(*Res)->Ast, EO);
   EXPECT_NE(C.find("#pragma omp parallel for"), std::string::npos);
+}
+
+/// A 2-d nest whose body is K statements with equal domains and equal
+/// accesses, each writing its own array.
+std::string identicalStatements(unsigned K) {
+  std::string Src = "for (i = 0; i < N; i++) {\n  for (j = 0; j < N; j++) {\n";
+  for (unsigned I = 0; I < K; ++I)
+    Src += "    a" + std::to_string(I) + "[i][j] = b[i][j] + 1.0;\n";
+  return Src + "  }\n}\n";
+}
+
+/// The redundancy checks made by scanning Src's lowered Scop once more.
+uint64_t codegenRedundancyChecks(const std::string &Src) {
+  Pipeline S = session(Src);
+  auto Res = S.lowered();
+  EXPECT_TRUE(Res) << (Res ? "" : Res.error());
+  if (!Res)
+    return 0;
+  PassStats Stats;
+  setActiveStats(&Stats);
+  auto Ast = generateAst((*Res)->Sc);
+  setActiveStats(nullptr);
+  EXPECT_TRUE(Ast) << (Ast ? "" : Ast.error());
+  return Stats.get(Counter::RedundancyChecks);
+}
+
+// Statements whose projections are equal row for row share one gist per
+// level and one separation, so adding such statements to a nest adds no
+// implication query.
+TEST(CodegenTest, EqualProjectionsShareTheirGists) {
+  uint64_t Two = codegenRedundancyChecks(identicalStatements(2));
+  uint64_t Six = codegenRedundancyChecks(identicalStatements(6));
+  EXPECT_GT(Two, 0u);
+  EXPECT_EQ(Six, Two);
+}
+
+// StressGen-10 seeds 1-16 are the cold compiles of the serve_mixed
+// benchmark. Their fused nests are mostly statements with equal
+// projections, so they take every shared path of the generator; the code
+// must compute what the original program does, at two sizes and with
+// small tiles as well as the default ones.
+TEST(CodegenTest, StressGenProgramsMatchTheOriginal) {
+  for (unsigned Seed = 1; Seed <= 16; ++Seed) {
+    for (unsigned TileSize : {32u, 4u}) {
+      SCOPED_TRACE("StressGen-10 seed " + std::to_string(Seed) +
+                   ", tile size " + std::to_string(TileSize));
+      Pipeline S = session(generateStressProgram(10, Seed), withTile(TileSize));
+      auto Res = S.lowered();
+      ASSERT_TRUE(Res) << Res.error();
+      const Program &Prog = (*Res)->program();
+      auto Orig = S.originalAst(Prog);
+      ASSERT_TRUE(Orig) << Orig.error();
+      for (long long N : {5LL, 11LL}) {
+        ExtentMap Extents;
+        for (const ArrayInfo &A : Prog.Arrays)
+          Extents[A.Name] = std::vector<long long>(A.Rank, N);
+        expectSameTensors(runAst(Prog, **Orig, Extents, {{"N", N}}, {}),
+                          runAst(Prog, *(*Res)->Ast, Extents, {{"N", N}}, {}));
+      }
+    }
+  }
 }
 
 // Parameterized equivalence sweep: kernel x problem size x tile size.
