@@ -1,4 +1,4 @@
-//===- support/LinearAlgebra.cpp - Rank, inverse, orthogonal space --------===//
+//===- support/LinearAlgebra.cpp - Rank and orthogonal space --------------===//
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
@@ -6,18 +6,24 @@
 
 #include "support/LinearAlgebra.h"
 
+#include <algorithm>
+
 using namespace pluto;
 
-RatMatrix pluto::toRational(const IntMatrix &M) {
-  RatMatrix R(M.numRows(), M.numCols());
-  for (unsigned I = 0; I < M.numRows(); ++I)
-    for (unsigned J = 0; J < M.numCols(); ++J)
-      R(I, J) = Rational(M(I, J));
-  return R;
+/// Zeroes column Col of Row against Pivot without fractions: Row becomes
+/// P * Row - F * Pivot, for P = Pivot[Col] and F = Row[Col], divided by
+/// the gcd of its entries.
+static void eliminate(std::vector<BigInt> &Row,
+                      const std::vector<BigInt> &Pivot, unsigned Col) {
+  BigInt P = Pivot[Col], F = Row[Col];
+  for (unsigned C = 0; C < Row.size(); ++C)
+    Row[C] = P * Row[C] - F * Pivot[C];
+  normalizeByGcd(Row);
 }
 
-/// Reduces M to row echelon form in place; returns the rank.
-static unsigned echelonize(RatMatrix &M) {
+/// Reduces M to row echelon form in place by fraction-free elimination;
+/// returns the rank.
+static unsigned echelonize(IntMatrix &M) {
   unsigned Rank = 0;
   for (unsigned Col = 0; Col < M.numCols() && Rank < M.numRows(); ++Col) {
     // Find a pivot row.
@@ -27,54 +33,17 @@ static unsigned echelonize(RatMatrix &M) {
     if (Pivot == M.numRows())
       continue;
     std::swap(M.row(Pivot), M.row(Rank));
-    for (unsigned R = Rank + 1; R < M.numRows(); ++R) {
-      if (M(R, Col).isZero())
-        continue;
-      Rational F = M(R, Col) / M(Rank, Col);
-      for (unsigned C = Col; C < M.numCols(); ++C)
-        M(R, C) -= F * M(Rank, C);
-    }
+    for (unsigned R = Rank + 1; R < M.numRows(); ++R)
+      if (!M(R, Col).isZero())
+        eliminate(M.row(R), M.row(Rank), Col);
     ++Rank;
   }
   return Rank;
 }
 
-unsigned pluto::rank(const RatMatrix &M) {
-  RatMatrix Copy = M;
+unsigned pluto::rank(const IntMatrix &M) {
+  IntMatrix Copy = M;
   return echelonize(Copy);
-}
-
-unsigned pluto::rank(const IntMatrix &M) { return rank(toRational(M)); }
-
-std::optional<RatMatrix> pluto::inverse(const RatMatrix &M) {
-  assert(M.numRows() == M.numCols() && "inverse of non-square matrix");
-  unsigned N = M.numRows();
-  RatMatrix A = M;
-  RatMatrix Inv = RatMatrix::identity(N);
-  for (unsigned Col = 0; Col < N; ++Col) {
-    unsigned Pivot = Col;
-    while (Pivot < N && A(Pivot, Col).isZero())
-      ++Pivot;
-    if (Pivot == N)
-      return std::nullopt; // Singular.
-    std::swap(A.row(Pivot), A.row(Col));
-    std::swap(Inv.row(Pivot), Inv.row(Col));
-    Rational P = A(Col, Col);
-    for (unsigned C = 0; C < N; ++C) {
-      A(Col, C) /= P;
-      Inv(Col, C) /= P;
-    }
-    for (unsigned R = 0; R < N; ++R) {
-      if (R == Col || A(R, Col).isZero())
-        continue;
-      Rational F = A(R, Col);
-      for (unsigned C = 0; C < N; ++C) {
-        A(R, C) -= F * A(Col, C);
-        Inv(R, C) -= F * Inv(Col, C);
-      }
-    }
-  }
-  return Inv;
 }
 
 void pluto::normalizeByGcd(std::vector<BigInt> &Row) {
@@ -88,44 +57,54 @@ void pluto::normalizeByGcd(std::vector<BigInt> &Row) {
 }
 
 IntMatrix pluto::orthogonalComplement(const IntMatrix &H) {
-  unsigned N = H.numCols();
-  if (H.numRows() == 0)
+  unsigned K = H.numRows(), N = H.numCols();
+  if (K == 0)
     return IntMatrix::identity(N);
 
-  RatMatrix HR = toRational(H);
-  RatMatrix HHt = HR * HR.transpose();
-  std::optional<RatMatrix> HHtInv = inverse(HHt);
-  assert(HHtInv && "orthogonalComplement requires full row-rank H");
+  // Gauss-Jordan over the integers on A = [H H^T | H]. H H^T is positive
+  // definite, so each diagonal pivot is positive, and eliminate() scales
+  // the rows whose pivot is done by positive factors only. Row I ends as
+  // (D_I e_I | W_I) with D_I > 0 and W_I = D_I ((H H^T)^{-1} H)_I.
+  IntMatrix A = H * H.transpose();
+  A.insertZeroColumns(K, N);
+  for (unsigned I = 0; I < K; ++I)
+    std::copy(H.row(I).begin(), H.row(I).end(), A.row(I).begin() + K);
+  for (unsigned Col = 0; Col < K; ++Col) {
+    assert(A(Col, Col).isPositive() &&
+           "orthogonalComplement requires full row-rank H");
+    for (unsigned R = 0; R < K; ++R)
+      if (R != Col && !A(R, Col).isZero())
+        eliminate(A.row(R), A.row(Col), Col);
+  }
 
-  // Perp = I - H^T (H H^T)^{-1} H.
-  RatMatrix Proj = HR.transpose() * (*HHtInv * HR);
-  RatMatrix Perp(N, N);
-  for (unsigned I = 0; I < N; ++I)
-    for (unsigned J = 0; J < N; ++J)
-      Perp(I, J) = Rational(I == J ? 1 : 0) - Proj(I, J);
-
-  // Scale each row to integers and drop dependent/zero rows, keeping only a
-  // basis (rank(Perp) = N - rank(H) rows).
+  // With L = lcm(D_I), row J of L * H_perp is
+  // L e_J - sum_I H(I, J) (L / D_I) W_I. Divided by its gcd it is the
+  // primitive vector the rational formula gives, since L > 0. Zero and
+  // dependent rows are dropped, keeping a basis of N - K rows.
+  BigInt L(1);
+  for (unsigned I = 0; I < K; ++I)
+    L = BigInt::lcm(L, A(I, I));
   IntMatrix Result(N);
-  IntMatrix Basis(N);
-  for (unsigned I = 0; I < N; ++I) {
-    BigInt Lcm(1);
-    for (unsigned J = 0; J < N; ++J)
-      Lcm = BigInt::lcm(Lcm, Perp(I, J).den());
-    std::vector<BigInt> Row(N);
-    bool AllZero = true;
-    for (unsigned J = 0; J < N; ++J) {
-      Row[J] = Perp(I, J).num() * Lcm.divExact(Perp(I, J).den());
-      AllZero &= Row[J].isZero();
+  for (unsigned J = 0; J < N; ++J) {
+    std::vector<BigInt> Row(N, BigInt(0));
+    Row[J] = L;
+    for (unsigned I = 0; I < K; ++I) {
+      if (H(I, J).isZero())
+        continue;
+      BigInt F = H(I, J) * L.divExact(A(I, I));
+      for (unsigned C = 0; C < N; ++C)
+        Row[C] -= F * A(I, K + C);
     }
-    if (AllZero)
+    if (std::all_of(Row.begin(), Row.end(),
+                    [](const BigInt &V) { return V.isZero(); }))
       continue;
     normalizeByGcd(Row);
-    if (!isLinearlyIndependent(Basis, Row))
-      continue;
-    Basis.addRow(Row);
-    Result.addRow(std::move(Row));
+    if (isLinearlyIndependent(Result, Row))
+      Result.addRow(std::move(Row));
   }
+  assert(Result.numRows() == N - K &&
+         H * Result.transpose() == IntMatrix(K, N - K) &&
+         "the complement has N - K rows, all orthogonal to H");
   return Result;
 }
 

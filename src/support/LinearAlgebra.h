@@ -1,16 +1,17 @@
-//===- support/LinearAlgebra.h - Rank, inverse, orthogonal space -*- C++-*-===//
+//===- support/LinearAlgebra.h - Rank and orthogonal space ------*- C++-*-===//
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exact rational linear algebra helpers used by the transformation
-/// framework: row rank (to check linear independence of hyperplanes), matrix
-/// inverse, and the orthogonal complement of a row space
+/// Exact integer linear algebra helpers used by the transformation
+/// framework: row rank (to check linear independence of hyperplanes) and
+/// the orthogonal complement of a row space
 ///   H_perp = I - H^T (H H^T)^{-1} H          (paper equation (6))
 /// scaled to an integer matrix, which provides the linear-independence
-/// constraints when searching for the next tiling hyperplane.
+/// constraints when searching for the next tiling hyperplane. Both work by
+/// fraction-free elimination on integer rows, as the solvers do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,20 +20,10 @@
 
 #include "support/Matrix.h"
 
-#include <optional>
-
 namespace pluto {
 
-/// Converts an integer matrix to a rational one.
-RatMatrix toRational(const IntMatrix &M);
-
-/// Row rank of a rational matrix.
-unsigned rank(const RatMatrix &M);
 /// Row rank of an integer matrix.
 unsigned rank(const IntMatrix &M);
-
-/// Inverse of a square rational matrix; std::nullopt if singular.
-std::optional<RatMatrix> inverse(const RatMatrix &M);
 
 /// Divides an integer row vector by the gcd of its entries (no-op on zero
 /// rows). Keeps constraint coefficients small.
@@ -41,8 +32,10 @@ void normalizeByGcd(std::vector<BigInt> &Row);
 /// Orthogonal complement of the row space of H (paper eq. (6)), as an
 /// integer matrix whose rows span the complement. H has full row rank by
 /// construction (hyperplanes are added only when linearly independent).
-/// Rows are scaled to integers, gcd-normalized, and zero rows dropped.
-/// Returns an empty matrix when H spans the full space.
+/// Row J of the result is row J of H_perp scaled to a primitive integer
+/// vector; zero rows and rows dependent on earlier ones are dropped, so
+/// N - rank(H) rows remain. Returns the identity when H has no rows and
+/// an empty matrix when H spans the full space.
 IntMatrix orthogonalComplement(const IntMatrix &H);
 
 /// True if appending Row to the row space of M increases its rank.

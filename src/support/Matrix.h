@@ -1,4 +1,4 @@
-//===- support/Matrix.h - Dense matrices over BigInt/Rational ---*- C++-*-===//
+//===- support/Matrix.h - Dense integer matrices -----------------*- C++-*-===//
 //
 // Part of plutopp, a reproduction of the PLDI'08 Pluto system.
 //
@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Dense row-major matrix template used for constraint systems, affine access
-/// functions, transformation matrices and the simplex tableau. Rows can be
+/// functions, transformation matrices and the Farkas products. Rows can be
 /// appended/removed cheaply; columns are fixed per matrix but helpers exist
 /// to insert columns (needed when domains gain supernode dimensions during
 /// tiling, Algorithm 1 of the paper).
@@ -16,17 +16,16 @@
 #ifndef PLUTOPP_SUPPORT_MATRIX_H
 #define PLUTOPP_SUPPORT_MATRIX_H
 
-#include "support/Rational.h"
+#include "support/BigInt.h"
 
 #include <cassert>
-#include <cstddef>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 namespace pluto {
 
-/// Dense row-major matrix over T (BigInt or Rational).
+/// Dense row-major matrix over integer entries T (BigInt).
 template <typename T> class Matrix {
 public:
   Matrix() : Cols(0) {}
@@ -187,17 +186,6 @@ private:
 };
 
 using IntMatrix = Matrix<BigInt>;
-using RatMatrix = Matrix<Rational>;
-
-/// Dot product of a matrix row (first N columns) and a vector.
-template <typename T>
-T dot(const std::vector<T> &A, const std::vector<T> &B) {
-  assert(A.size() == B.size() && "dot dimension mismatch");
-  T S(0);
-  for (size_t I = 0; I < A.size(); ++I)
-    S += A[I] * B[I];
-  return S;
-}
 
 } // namespace pluto
 
