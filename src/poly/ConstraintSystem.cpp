@@ -10,7 +10,6 @@
 #include "observe/PassStats.h"
 #include "support/Budget.h"
 #include "support/CheckedEntry.h"
-#include "support/LinearAlgebra.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -308,20 +307,6 @@ struct FmCounts {
 
 using namespace pluto::checked;
 
-/// Divides Row by the gcd of its entries, as normalizeByGcd does.
-template <typename T> bool normalizeOk(std::vector<T> &Row) {
-  T G(0);
-  for (const T &V : Row)
-    if (!isZero(V) && !gcdOk(G, V, G))
-      return false;
-  if (isZero(G) || isOne(G))
-    return true;
-  for (T &V : Row)
-    if (!isZero(V) && !divExactOk(V, G, V))
-      return false;
-  return true;
-}
-
 /// The rows of M as FM rows, each its own ancestor: BigInt rows are moved
 /// out of M, int64 rows copied. False if an entry does not fit T.
 bool toFmRows(IntMatrix &M, std::vector<FmRow<BigInt>> &Rows) {
@@ -450,7 +435,7 @@ bool eliminateBatch(std::vector<FmRow<T>> &Rows, unsigned NumVars,
           if (C < NumVars && !isZero(Coef[C]))
             AllZero = false;
         }
-        if (!normalizeOk(Coef))
+        if (!normalizeByGcd(Coef))
           return false;
         if (AllZero && !isNegative(Coef[NumVars]))
           continue; // Trivially true; a contradiction stays for normalize().
@@ -535,7 +520,7 @@ void ConstraintSystem::projectOut(unsigned Pos, unsigned Count) {
       for (unsigned C = 0; C <= NumVars; ++C)
         if (C != Var)
           R.push_back(AbsD * Row[C] - F * E[C]);
-      normalizeByGcd(R);
+      checked::normalizeByGcd(R);
       return R;
     };
     IntMatrix NewIneqs(NumVars);

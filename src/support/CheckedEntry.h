@@ -11,7 +11,8 @@
 /// types and reports overflow by returning false: a BigInt step never
 /// overflows, an int64_t one is checked, and a result that leaves int64
 /// abandons the int64 run (its value is then garbage and never read) so
-/// the caller reruns on BigInt.
+/// the caller reruns on BigInt. The gcd row normalizer, normalizeByGcd,
+/// also serves the callers that hold BigInt rows only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <vector>
 
 namespace pluto {
 namespace checked {
@@ -106,6 +108,21 @@ inline bool convertOk(const BigInt &V, bool Negate, int64_t &Out) {
     return false;
   Out = V.toInt64();
   return !Negate || negOk(Out, Out);
+}
+
+/// Divides Row by the gcd of its entries (no-op on a zero row), which keeps
+/// coefficients small. False only when an int64 step overflows.
+template <typename T> bool normalizeByGcd(std::vector<T> &Row) {
+  T G(0);
+  for (const T &V : Row)
+    if (!isZero(V) && !gcdOk(G, V, G))
+      return false;
+  if (isZero(G) || isOne(G))
+    return true;
+  for (T &V : Row)
+    if (!isZero(V) && !divExactOk(V, G, V))
+      return false;
+  return true;
 }
 
 } // namespace checked

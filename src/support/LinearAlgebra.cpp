@@ -6,6 +6,8 @@
 
 #include "support/LinearAlgebra.h"
 
+#include "support/CheckedEntry.h"
+
 #include <algorithm>
 
 using namespace pluto;
@@ -18,7 +20,7 @@ static void eliminate(std::vector<BigInt> &Row,
   BigInt P = Pivot[Col], F = Row[Col];
   for (unsigned C = 0; C < Row.size(); ++C)
     Row[C] = P * Row[C] - F * Pivot[C];
-  normalizeByGcd(Row);
+  checked::normalizeByGcd(Row);
 }
 
 /// Reduces M to row echelon form in place by fraction-free elimination;
@@ -44,16 +46,6 @@ static unsigned echelonize(IntMatrix &M) {
 unsigned pluto::rank(const IntMatrix &M) {
   IntMatrix Copy = M;
   return echelonize(Copy);
-}
-
-void pluto::normalizeByGcd(std::vector<BigInt> &Row) {
-  BigInt G(0);
-  for (const BigInt &V : Row)
-    G = BigInt::gcd(G, V);
-  if (G.isZero() || G.isOne())
-    return;
-  for (BigInt &V : Row)
-    V = V.divExact(G);
 }
 
 IntMatrix pluto::orthogonalComplement(const IntMatrix &H) {
@@ -98,7 +90,7 @@ IntMatrix pluto::orthogonalComplement(const IntMatrix &H) {
     if (std::all_of(Row.begin(), Row.end(),
                     [](const BigInt &V) { return V.isZero(); }))
       continue;
-    normalizeByGcd(Row);
+    checked::normalizeByGcd(Row);
     if (isLinearlyIndependent(Result, Row))
       Result.addRow(std::move(Row));
   }

@@ -25,10 +25,6 @@ namespace pluto {
 /// Row rank of an integer matrix.
 unsigned rank(const IntMatrix &M);
 
-/// Divides an integer row vector by the gcd of its entries (no-op on zero
-/// rows). Keeps constraint coefficients small.
-void normalizeByGcd(std::vector<BigInt> &Row);
-
 /// Orthogonal complement of the row space of H (paper eq. (6)), as an
 /// integer matrix whose rows span the complement. H has full row rank by
 /// construction (hyperplanes are added only when linearly independent).

@@ -7,7 +7,7 @@
 #include "transform/FarkasConstraints.h"
 
 #include "support/Budget.h"
-#include "support/LinearAlgebra.h"
+#include "support/CheckedEntry.h"
 
 #include <algorithm>
 
@@ -43,7 +43,7 @@ FarkasDomain::FarkasDomain(const Dependence &D, FarkasConeCache &Cones)
   std::vector<bool> Gone(NX + 1, false);
   for (unsigned R = 0; R < Eqs.numRows();) {
     std::vector<BigInt> &E = Eqs.row(R);
-    normalizeByGcd(E);
+    checked::normalizeByGcd(E);
     if (isConstantRow(E)) {
       assert(E[NX].isZero() && "a dependence polyhedron is never empty");
       if (E[NX].isZero()) {
@@ -87,7 +87,7 @@ FarkasDomain::FarkasDomain(const Dependence &D, FarkasConeCache &Cones)
   IntMatrix Kept(NY + 1);
   for (unsigned R = 0; R < Ineqs.numRows(); ++R) {
     std::vector<BigInt> &Row = Ineqs.row(R);
-    normalizeByGcd(Row);
+    checked::normalizeByGcd(Row);
     if (isConstantRow(Row)) {
       assert(!Row[NY].isNegative() && "a dependence polyhedron is never empty");
       if (!Row[NY].isNegative())

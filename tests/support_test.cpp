@@ -6,6 +6,7 @@
 
 #include "service/Hash.h"
 #include "support/BigInt.h"
+#include "support/CheckedEntry.h"
 #include "support/LinearAlgebra.h"
 #include "support/Matrix.h"
 #include "support/Result.h"
@@ -500,13 +501,20 @@ TEST(LinearAlgebraTest, IsLinearlyIndependent) {
 
 TEST(LinearAlgebraTest, NormalizeByGcd) {
   std::vector<BigInt> Row = {BigInt(4), BigInt(-6), BigInt(8)};
-  normalizeByGcd(Row);
+  EXPECT_TRUE(checked::normalizeByGcd(Row));
   EXPECT_EQ(Row[0].toInt64(), 2);
   EXPECT_EQ(Row[1].toInt64(), -3);
   EXPECT_EQ(Row[2].toInt64(), 4);
   std::vector<BigInt> Zero = {BigInt(0), BigInt(0)};
-  normalizeByGcd(Zero); // Must not crash or change values.
+  EXPECT_TRUE(checked::normalizeByGcd(Zero)); // Must not change values.
   EXPECT_TRUE(Zero[0].isZero());
+  // The int64 rows give the same numbers, and fail only on an overflow:
+  // the gcd of INT64_MIN and 0 is 2^63.
+  std::vector<int64_t> Small = {4, -6, 8, 0};
+  EXPECT_TRUE(checked::normalizeByGcd(Small));
+  EXPECT_EQ(Small, (std::vector<int64_t>{2, -3, 4, 0}));
+  std::vector<int64_t> Min = {INT64_MIN, 0};
+  EXPECT_FALSE(checked::normalizeByGcd(Min));
 }
 
 TEST(ResultTest, ValueAndError) {
