@@ -100,10 +100,7 @@ int compareProducts(int64_t A, int64_t B, int64_t C, int64_t D) {
   Wide L = static_cast<Wide>(A) * B, R = static_cast<Wide>(C) * D;
   return (L > R) - (L < R);
 }
-/// Tableau rows, each Width entries. int64 rows share one contiguous
-/// buffer; BigInt rows are separate vectors, because one flat BigInt
-/// buffer, though as fast, raised peak RSS: its doubling reallocations
-/// fragment the heap.
+/// Tableau rows, each Width entries, in one contiguous buffer.
 template <typename T> class RowStore {
 public:
   explicit RowStore(unsigned Width) : Width(Width) {}
@@ -120,23 +117,6 @@ public:
 private:
   unsigned Width;
   std::vector<T> Data;
-};
-
-template <> class RowStore<BigInt> {
-public:
-  explicit RowStore(unsigned Width) : Width(Width) {}
-  void reserve(unsigned Rows) { Data.reserve(Rows); }
-  unsigned size() const { return static_cast<unsigned>(Data.size()); }
-  BigInt *row(unsigned I) { return Data[I].data(); }
-  const BigInt *row(unsigned I) const { return Data[I].data(); }
-  BigInt *append() {
-    Data.emplace_back(Width);
-    return Data.back().data();
-  }
-
-private:
-  unsigned Width;
-  std::vector<std::vector<BigInt>> Data;
 };
 
 /// The lexicographic dual simplex tableau over entries of type T (BigInt,
