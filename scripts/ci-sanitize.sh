@@ -32,9 +32,12 @@ UBSAN_OPTIONS=print_stacktrace=1 \
 # puts the code generator's sharing checks (a leaf's iterator bounds equal
 # its statement's; a statement joining an equal projection's pieces meets
 # no other piece) through 40 random programs, with separation on and off.
+# golden_test puts all of them, and the orthogonal complement's check that
+# each row it returns is orthogonal to H, through the 320 compiles of the
+# identity sweep.
 DEBUG_DIR="$BUILD_DIR-debug"
 DEBUG_TESTS="support_test ilp_test poly_test transform_test deps_test \
-  codegen_test schedule_scale_test fuzz_test"
+  codegen_test schedule_scale_test fuzz_test golden_test"
 cmake -B "$DEBUG_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" -j "$(nproc)" --target $DEBUG_TESTS
 for T in $DEBUG_TESTS; do

@@ -215,10 +215,14 @@ TEST(GoldenTest, OptionSweepMatchesRecordedDigestsAndCounts) {
                "# sha256 of the C that plutopp emits for each unit under each\n"
                "# option set; checked by golden_test GoldenTest.\n",
                Digests);
+#ifdef NDEBUG
+  // With asserts on, the code generator's sharing asserts make counted
+  // solver calls of their own, so the counts hold in NDEBUG builds only.
   expectGolden("counters.txt",
                "# The deterministic counters of each unit's default-options\n"
                "# compile; checked by golden_test GoldenTest.\n",
                Counts);
+#endif
 }
 
 // The emitted C of every example and Kernels.h unit must get past the
