@@ -23,29 +23,23 @@ static void eliminate(std::vector<BigInt> &Row,
   checked::normalizeByGcd(Row);
 }
 
-/// Reduces M to row echelon form in place by fraction-free elimination;
-/// returns the rank.
-static unsigned echelonize(IntMatrix &M) {
+unsigned pluto::rank(const IntMatrix &M) {
+  // Reduce a copy to row echelon form by fraction-free elimination.
+  IntMatrix E = M;
   unsigned Rank = 0;
-  for (unsigned Col = 0; Col < M.numCols() && Rank < M.numRows(); ++Col) {
-    // Find a pivot row.
+  for (unsigned Col = 0; Col < E.numCols() && Rank < E.numRows(); ++Col) {
     unsigned Pivot = Rank;
-    while (Pivot < M.numRows() && M(Pivot, Col).isZero())
+    while (Pivot < E.numRows() && E(Pivot, Col).isZero())
       ++Pivot;
-    if (Pivot == M.numRows())
+    if (Pivot == E.numRows())
       continue;
-    std::swap(M.row(Pivot), M.row(Rank));
-    for (unsigned R = Rank + 1; R < M.numRows(); ++R)
-      if (!M(R, Col).isZero())
-        eliminate(M.row(R), M.row(Rank), Col);
+    std::swap(E.row(Pivot), E.row(Rank));
+    for (unsigned R = Rank + 1; R < E.numRows(); ++R)
+      if (!E(R, Col).isZero())
+        eliminate(E.row(R), E.row(Rank), Col);
     ++Rank;
   }
   return Rank;
-}
-
-unsigned pluto::rank(const IntMatrix &M) {
-  IntMatrix Copy = M;
-  return echelonize(Copy);
 }
 
 IntMatrix pluto::orthogonalComplement(const IntMatrix &H) {
